@@ -50,11 +50,23 @@ def load_student_params(path: Path) -> tuple[dict[str, np.ndarray], tensor_io.Ch
     return params, ckpt
 
 
-def read_cluster_maps(clusters_dir: Path) -> list[np.ndarray]:
+def read_cluster_maps(clusters_dir: Path) -> tuple[list[np.ndarray], int]:
+    """The cluster-id maps under *clusters_dir* and the cluster count k.
+
+    k is the row count of ``centroids.lpt``, which ``cluster`` writes next to
+    the maps: the highest cluster id can be missing from every map.
+    """
     paths = sorted(clusters_dir.glob("*_clusters.lpt"))
     if not paths:
         raise FileNotFoundError(f"no *_clusters.lpt files under {clusters_dir}")
-    return [tensor_io.read_tensor(p).astype(np.int64) for p in paths]
+    k = len(tensor_io.read_tensor(clusters_dir / "centroids.lpt"))
+    maps = [tensor_io.read_tensor(p).astype(np.int64) for p in paths]
+    top = max(int(m.max()) for m in maps)
+    if top >= k:
+        raise tensor_io.TensorFormatError(
+            f"{clusters_dir}: cluster id {top} is out of range for the "
+            f"{k} centroids in centroids.lpt")
+    return maps, k
 
 
 def embeddings_for(dataset: pipeline.Dataset, args, cfg: config_mod.Config,
@@ -125,9 +137,8 @@ def cmd_cbfe(args, cfg: config_mod.Config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
     dataset = pipeline.load_dataset(manifest)
-    maps = read_cluster_maps(Path(args.clusters))
+    maps, k = read_cluster_maps(Path(args.clusters))
     hints = pipeline.attention_hints(dataset)
-    k = int(max(m.max() for m in maps)) + 1
     precisions = cbfe.cluster_precision(maps, hints, k)
     fg_map = cbfe.build_theta(precisions, cfg["cbfe"]["threshold"])
     fg_path = out / "fg_map.txt"
@@ -147,11 +158,13 @@ def cmd_cbfe(args, cfg: config_mod.Config) -> int:
 def cmd_cooc(args, cfg: config_mod.Config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    maps = read_cluster_maps(Path(args.clusters))
-    k = int(max(m.max() for m in maps)) + 1
+    maps, k = read_cluster_maps(Path(args.clusters))
     graph = community.cooccurrence_graph(maps, k, d=cfg["cd"]["distance"])
     if args.fg_map:
         fg = cbfe.read_foreground_map(Path(args.fg_map), cfg["cbfe"]["threshold"])
+        if len(fg.theta) != k:
+            raise ValueError(f"{args.fg_map} labels {len(fg.theta)} clusters, "
+                             f"the clusters have k={k}")
         weights = graph.weights.copy()
         weights[~fg.theta, :] = 0.0
         weights[:, ~fg.theta] = 0.0

@@ -9,6 +9,7 @@ of continuous features.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -47,13 +48,17 @@ class KMeansResult:
     inertia: float
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(two_points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Squared distances |x|^2 - 2 x.c + |c|^2, clamped at 0, written to *out*.
+
+    *two_points* is ``2 * points`` and *sq_norms* the squared row norms of
+    the points, both fixed for a whole Lloyd run.
+    """
+    np.matmul(two_points, centroids.T, out=out)
+    np.subtract(sq_norms[:, None], out, out=out)
+    np.add(out, (centroids**2).sum(axis=1)[None, :], out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,28 +76,56 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+def _update_centroids(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                      assigned_d2: np.ndarray) -> None:
+    """Set each centroid to its cluster's mean; reseed empty clusters.
+
+    Clusters are settled in id order: an empty cluster takes the point
+    farthest from its centroid (that distance is then zeroed), and a point
+    taken from a cluster not yet settled no longer counts for its mean.
+    *labels* and *assigned_d2* are updated in place.
+    """
     k = len(centroids)
-    labels = np.full(len(points), -1)
+    counts = np.bincount(labels, minlength=k)
+    mean_labels = labels.copy()
+    empty = np.flatnonzero(counts == 0).tolist()  # ascending, so already a heap
+    while empty:
+        c = heapq.heappop(empty)
+        far = int(assigned_d2.argmax())
+        old = int(labels[far])
+        if old > c:
+            mean_labels[far] = k
+            counts[old] -= 1
+            if counts[old] == 0:
+                heapq.heappush(empty, old)
+        centroids[c] = points[far]
+        labels[far] = c
+        assigned_d2[far] = 0.0
+    # contiguous runs of each cluster's points, in point order; taking the
+    # mean of each run repeats the summation order of points[labels == c]
+    members = points[np.argsort(mean_labels, kind="stable")]
+    ends = np.cumsum(counts)
+    for c in np.flatnonzero(counts):
+        centroids[c] = members[ends[c] - counts[c]:ends[c]].mean(axis=0)
+
+
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+    n = len(points)
+    two_points = 2.0 * points
+    sq_norms = (points**2).sum(axis=1)
+    d2 = np.empty((n, len(centroids)))
+    labels = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centroids)
+        _sq_dists(two_points, sq_norms, centroids, d2)
         new_labels = d2.argmin(axis=1)
-        assigned_d2 = d2[np.arange(len(points)), new_labels]
-        for c in range(k):
-            sel = new_labels == c
-            if sel.any():
-                centroids[c] = points[sel].mean(axis=0)
-            else:
-                far = int(assigned_d2.argmax())
-                centroids[c] = points[far]
-                new_labels[far] = c
-                assigned_d2[far] = 0.0
+        assigned_d2 = d2[np.arange(n), new_labels]
+        _update_centroids(points, centroids, new_labels, assigned_d2)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    d2 = _sq_dists(points, centroids)
+    _sq_dists(two_points, sq_norms, centroids, d2)
     labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(len(points)), labels].sum())
+    inertia = float(d2[np.arange(n), labels].sum())
     return KMeansResult(centroids=centroids, labels=labels, inertia=inertia)
 
 

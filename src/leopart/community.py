@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 DEFAULT_EDGE_THRESHOLD = 0.09
 DEFAULT_MARKOV_TIME = 2.0
@@ -69,29 +68,31 @@ def cooccurrence_graph(cluster_maps: list[np.ndarray], k: int,
         raise ValueError("neighborhood distance must be >= 1")
     cond_sum = np.zeros((k, k))
     appearances = np.zeros(k)
-    size = 2 * d + 1
+    total_counts = np.zeros(k, dtype=np.int64)
+    offsets = [(dy, dx) for dy in range(2 * d + 1) for dx in range(2 * d + 1)]
     for cm in cluster_maps:
-        cm = np.asarray(cm)
-        present = np.unique(cm)
-        counts = np.bincount(cm.ravel(), minlength=k)[:k]
-        appearances[present] += 1
-        dilated = {int(j): maximum_filter((cm == j).astype(np.uint8), size=size,
-                                          mode="constant", cval=0).astype(bool)
-                   for j in present}
-        for j in present:
-            near_j = dilated[int(j)]
-            # pixels of each cluster i that see a j nearby
-            seen = np.bincount(cm[near_j].ravel(), minlength=k)[:k]
-            with np.errstate(invalid="ignore"):
-                p = np.where(counts > 0, seen / np.maximum(counts, 1), 0.0)
-            cond_sum[:, j] += p
+        cm = np.asarray(cm, dtype=np.int64)
+        if cm.size and (cm.min() < 0 or cm.max() >= k):
+            raise ValueError(f"cluster ids must lie in [0, {k})")
+        h, w = cm.shape
+        counts = np.bincount(cm.ravel(), minlength=k)
+        total_counts += counts
+        appearances[counts > 0] += 1
+        # label k pads the border, so it stands for "no cluster"
+        padded = np.pad(cm, d, constant_values=k)
+        near = np.stack([padded[dy:dy + h, dx:dx + w].ravel() for dy, dx in offsets])
+        # (pixel, cluster within distance d) pairs, each counted once
+        pairs = np.unique(np.arange(h * w) * (k + 1) + near)
+        pixel, label = np.divmod(pairs, k + 1)
+        real = label < k
+        seen = np.bincount(cm.ravel()[pixel[real]] * k + label[real],
+                           minlength=k * k).reshape(k, k)
+        with np.errstate(invalid="ignore"):
+            cond_sum += np.where(counts[:, None] > 0, seen / np.maximum(counts, 1)[:, None], 0.0)
     with np.errstate(invalid="ignore"):
         cond = cond_sum / np.maximum(appearances, 1)[:, None]
     w = np.minimum(cond, cond.T)
     np.fill_diagonal(w, 0.0)
-    total_counts = np.zeros(k, dtype=np.int64)
-    for cm in cluster_maps:
-        total_counts += np.bincount(np.asarray(cm).ravel(), minlength=k)[:k]
     return CoocGraph(weights=w, node_counts=total_counts)
 
 
@@ -135,9 +136,7 @@ class Partition:
 
 def _plogp(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = x[nz] * np.log2(x[nz])
+    out = x * np.log2(np.where(x > 0, x, 1.0))
     return out if out.ndim else float(out)
 
 
@@ -190,8 +189,37 @@ def map_equation(graph: CoocGraph, partition: Partition,
     return _map_equation_terms(p_m, cut_m, two_w, markov_time, _plogp(p).sum())
 
 
+_TIE = 1e-12  # a candidate must beat the best so far by more than this
+
+
+def _scan_best(deltas: np.ndarray, best: float | None = None) -> int:
+    """Index that a left-to-right scan of *deltas* keeps, or -1.
+
+    The scan takes a value only when it is below the best so far by more
+    than ``_TIE``; with ``best=None`` it takes the first value outright.
+    """
+    idx, pos = -1, 0
+    if best is None:
+        idx, best, pos = 0, float(deltas[0]), 1
+    while True:
+        better = np.flatnonzero(deltas[pos:] < best - _TIE)
+        if not len(better):
+            return idx
+        idx = pos + int(better[0])
+        best, pos = float(deltas[idx]), idx + 1
+
+
 class _LocalMover:
-    """Greedy map-equation minimization over movable units of nodes."""
+    """Greedy map-equation minimization over movable units of nodes.
+
+    Module m keeps its visit rate P_m, degree sum D_m and internal weight
+    I_m (summed over both edge directions), so its exit weight is
+    cut_m = D_m - I_m and its exit flow q_m = t * cut_m / 2W. A move or a
+    merge changes only the terms of the modules it touches and of the total
+    exit flow, so every candidate is scored by that closed-form difference
+    (Rosvall & Bergstrom 2008) instead of by recomputing the whole
+    description length.
+    """
 
     def __init__(self, graph: CoocGraph, markov_time: float, rng: np.random.Generator):
         self.w = graph.weights
@@ -204,10 +232,90 @@ class _LocalMover:
         self.assignment = np.full(graph.n, BACKGROUND, dtype=np.int64)
         self.assignment[self.active] = np.arange(len(self.active))
         self.node_entropy = float(_plogp(self.p).sum())
+        # splitting adds at most one module per active node
+        n_ids = 2 * len(self.active)
+        self.flow = np.zeros(n_ids)
+        self.deg_sum = np.zeros(n_ids)
+        self.internal = np.zeros(n_ids)
+        self.size = np.zeros(n_ids, dtype=np.int64)
+        self.flow[:len(self.active)] = self.p[self.active]
+        self.deg_sum[:len(self.active)] = self.deg[self.active]
+        self.size[:len(self.active)] = 1
+        self.total_cut = float(self.deg_sum.sum())
+
+    def _q(self, cut: np.ndarray | float) -> np.ndarray | float:
+        return self.t * cut / self.two_w
+
+    def _module_terms(self, flow, cut) -> np.ndarray | float:
+        """A module's own terms of the description length: plogp(P + q) - 2 plogp(q)."""
+        q = self._q(cut)
+        return _plogp(flow + q) - 2.0 * _plogp(q)
 
     def level_bits(self) -> float:
-        p_m, cut_m, _ = _module_stats(self.w, self.p, self.assignment)
-        return _map_equation_terms(p_m, cut_m, self.two_w, self.t, self.node_entropy)
+        used = self.size > 0
+        return _map_equation_terms(self.flow[used], (self.deg_sum - self.internal)[used],
+                                   self.two_w, self.t, self.node_entropy)
+
+    def _delta(self, d_cut_total, old_flow, old_cut, new_flow, new_cut) -> np.ndarray:
+        """Description-length change when the touched modules go from the
+        old (flow, cut) pairs to the new ones and the total cut changes by
+        *d_cut_total*; each argument may be a tuple over touched modules."""
+        before = self._q(self.total_cut)
+        after = self._q(self.total_cut + d_cut_total)
+        out = _plogp(after) - _plogp(before)
+        for f, c in zip(old_flow, old_cut):
+            out = out - self._module_terms(f, c)
+        for f, c in zip(new_flow, new_cut):
+            out = out + self._module_terms(f, c)
+        return out
+
+    def _unit(self, unit: np.ndarray) -> tuple[int, np.ndarray, float, float, float]:
+        """(module of *unit*, its weight to every module, its visit rate,
+        degree sum and internal weight)."""
+        w_unit = self.w[unit].sum(axis=0)
+        k_to = np.bincount(self.assignment[self.active], weights=w_unit[self.active],
+                           minlength=len(self.flow))
+        return (int(self.assignment[unit[0]]), k_to, float(self.p[unit].sum()),
+                float(self.deg[unit].sum()), float(w_unit[unit].sum()))
+
+    def _source_after(self, unit: np.ndarray, s: int, k_to: np.ndarray, p_u: float,
+                      d_u: float, w_uu: float) -> tuple[float, float, float]:
+        """(P, D, I) of module *s* once *unit* has left it."""
+        if self.size[s] == len(unit):
+            return 0.0, 0.0, 0.0
+        return (self.flow[s] - p_u, self.deg_sum[s] - d_u,
+                self.internal[s] - 2.0 * k_to[s] + w_uu)
+
+    def move_deltas(self, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbouring modules of *unit*, in ascending id, and the change in
+        description length of moving the unit into each."""
+        s, k_to, p_u, d_u, w_uu = self._unit(unit)
+        cands = np.flatnonzero(k_to > 0)
+        cands = cands[cands != s]
+        flow_s, deg_s, internal_s = self._source_after(unit, s, k_to, p_u, d_u, w_uu)
+        cut_s = self.deg_sum[s] - self.internal[s]
+        cut_s_new = deg_s - internal_s
+        flow_t, cut_t = self.flow[cands], self.deg_sum[cands] - self.internal[cands]
+        cut_t_new = cut_t + d_u - 2.0 * k_to[cands] - w_uu
+        deltas = self._delta(cut_s_new - cut_s + cut_t_new - cut_t,
+                             (self.flow[s], flow_t), (cut_s, cut_t),
+                             (flow_s, flow_t + p_u), (cut_s_new, cut_t_new))
+        return cands, deltas
+
+    def _apply_move(self, unit: np.ndarray, target: int) -> None:
+        s, k_to, p_u, d_u, w_uu = self._unit(unit)
+        cut_before = (self.deg_sum[s] - self.internal[s]
+                      + self.deg_sum[target] - self.internal[target])
+        self.flow[s], self.deg_sum[s], self.internal[s] = self._source_after(
+            unit, s, k_to, p_u, d_u, w_uu)
+        self.size[s] -= len(unit)
+        self.flow[target] += p_u
+        self.deg_sum[target] += d_u
+        self.internal[target] += 2.0 * k_to[target] + w_uu
+        self.size[target] += len(unit)
+        self.total_cut += (self.deg_sum[s] - self.internal[s]
+                           + self.deg_sum[target] - self.internal[target]) - cut_before
+        self.assignment[unit] = target
 
     def _try_unit_moves(self, units: list[np.ndarray]) -> bool:
         """One sweep moving whole units; returns True if anything moved."""
@@ -215,24 +323,12 @@ class _LocalMover:
         order = self.rng.permutation(len(units))
         for ui in order:
             unit = units[ui]
-            current = int(self.assignment[unit[0]])
-            # weight from the unit to each community
-            w_unit = self.w[unit].sum(axis=0)
-            comm_of = self.assignment
-            neighbor_comms = np.unique(comm_of[(w_unit > 0) & (comm_of != BACKGROUND)])
-            candidates = [int(c) for c in neighbor_comms if c != current]
-            if not candidates:
+            cands, deltas = self.move_deltas(unit)
+            if not len(cands):
                 continue
-            best_bits = self.level_bits()
-            best_comm = current
-            for cand in candidates:
-                self.assignment[unit] = cand
-                bits = self.level_bits()
-                if bits < best_bits - 1e-12:
-                    best_bits = bits
-                    best_comm = cand
-            self.assignment[unit] = best_comm
-            if best_comm != current:
+            best = _scan_best(deltas, 0.0)
+            if best >= 0:
+                self._apply_move(unit, int(cands[best]))
                 moved = True
         return moved
 
@@ -250,43 +346,66 @@ class _LocalMover:
             while self._try_unit_moves(units):
                 improved = True
 
+    def _module_weights(self, comms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(node-to-module weights of the active nodes, module-to-module weights)."""
+        member = (self.assignment[self.active][:, None] == comms[None, :]).astype(np.float64)
+        to_module = self.w[np.ix_(self.active, self.active)] @ member
+        return to_module, member.T @ to_module
+
+    def merge_deltas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Module pairs (a, b), a < b, in row-major order, the weight between
+        them and the change in description length of merging each pair."""
+        comms = np.unique(self.assignment[self.active])
+        _, between = self._module_weights(comms)
+        ai, bi = np.triu_indices(len(comms), 1)
+        a, b, w_ab = comms[ai], comms[bi], between[ai, bi]
+        flow_a, flow_b = self.flow[a], self.flow[b]
+        cut_a = self.deg_sum[a] - self.internal[a]
+        cut_b = self.deg_sum[b] - self.internal[b]
+        deltas = self._delta(-2.0 * w_ab, (flow_a, flow_b), (cut_a, cut_b),
+                             (flow_a + flow_b,), (cut_a + cut_b - 2.0 * w_ab,))
+        return a, b, w_ab, deltas
+
     def merge_to_target(self, target_m: int) -> None:
-        while True:
-            comms = np.unique(self.assignment[self.active])
-            if len(comms) <= target_m:
-                break
-            best = None
-            for ai in range(len(comms)):
-                for bi in range(ai + 1, len(comms)):
-                    saved = self.assignment.copy()
-                    self.assignment[self.assignment == comms[bi]] = comms[ai]
-                    bits = self.level_bits()
-                    self.assignment = saved
-                    if best is None or bits < best[0] - 1e-12:
-                        best = (bits, comms[ai], comms[bi])
-            assert best is not None
-            self.assignment[self.assignment == best[2]] = best[1]
+        while len(np.unique(self.assignment[self.active])) > target_m:
+            a, b, w_ab, deltas = self.merge_deltas()
+            best = _scan_best(deltas)
+            a, b, w_ab = int(a[best]), int(b[best]), float(w_ab[best])
+            self.flow[a] += self.flow[b]
+            self.deg_sum[a] += self.deg_sum[b]
+            self.internal[a] += self.internal[b] + 2.0 * w_ab
+            self.size[a] += self.size[b]
+            self.flow[b] = self.deg_sum[b] = self.internal[b] = 0.0
+            self.size[b] = 0
+            self.total_cut -= 2.0 * w_ab
+            self.assignment[self.assignment == b] = a
+
+    def split_deltas(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes of modules with two or more nodes, by module id and then
+        node id, and the change in description length of moving each into
+        a new, empty module."""
+        comms = np.unique(self.assignment[self.active])
+        to_module, _ = self._module_weights(comms)
+        mod = self.assignment[self.active]
+        rows = np.flatnonzero(self.size[mod] >= 2)
+        rows = rows[np.argsort(mod[rows], kind="stable")]  # active nodes are ascending
+        nodes, s = self.active[rows], mod[rows]
+        k_s = to_module[rows, np.searchsorted(comms, s)]
+        d = self.deg[nodes]
+        cut_s = self.deg_sum[s] - self.internal[s]
+        cut_s_new = cut_s - d + 2.0 * k_s
+        deltas = self._delta(2.0 * k_s, (self.flow[s],), (cut_s,),
+                             (self.flow[s] - self.p[nodes], self.p[nodes]),
+                             (cut_s_new, d))
+        return nodes, deltas
 
     def split_to_target(self, target_m: int) -> None:
         next_comm = int(self.assignment.max()) + 1
-        while True:
-            comms, sizes = np.unique(self.assignment[self.active], return_counts=True)
-            if len(comms) >= target_m:
-                break
-            best = None
-            for m, size in zip(comms, sizes):
-                if size < 2:
-                    continue
-                for node in np.flatnonzero(self.assignment == m):
-                    saved = int(self.assignment[node])
-                    self.assignment[node] = next_comm
-                    bits = self.level_bits()
-                    self.assignment[node] = saved
-                    if best is None or bits < best[0] - 1e-12:
-                        best = (bits, int(node))
-            if best is None:
+        while len(np.unique(self.assignment[self.active])) < target_m:
+            nodes, deltas = self.split_deltas()
+            if not len(nodes):
                 raise CommunityError("cannot split further to reach the target count")
-            self.assignment[best[1]] = next_comm
+            self._apply_move(nodes[_scan_best(deltas)][None], next_comm)
             next_comm += 1
 
 

@@ -284,19 +284,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     buf = Path(path).read_bytes()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise TensorFormatError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    step, hash_len = struct.unpack_from("<QH", buf, 4)
-    offset = 4 + 10
-    config_hash = buf[offset : offset + hash_len].decode()
-    offset += hash_len
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset : offset + name_len].decode()
-        offset += name_len
-        tensors[name], offset = _read_tensor_from(buf, offset, f"{path}:{name}")
+    try:
+        step, hash_len = struct.unpack_from("<QH", buf, 4)
+        offset = 4 + 10
+        config_hash = buf[offset : offset + hash_len].decode()
+        offset += hash_len
+        (count,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", buf, offset)
+            offset += 2
+            name = buf[offset : offset + name_len].decode()
+            offset += name_len
+            tensors[name], offset = _read_tensor_from(buf, offset, f"{path}:{name}")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TensorFormatError(f"{path}: truncated or malformed checkpoint: {exc}") from exc
+    if offset != len(buf):
+        raise TensorFormatError(f"{path}: {len(buf) - offset} trailing bytes")
     ckpt = Checkpoint(tensors=tensors, step=step, config_hash=config_hash)
     ckpt.validate()
     return ckpt

@@ -8,6 +8,7 @@ module-scoped fixtures.
 import contextlib
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -462,8 +463,8 @@ def precision_oracle(cluster_maps, hint_masks, k):
 def test_criterion_10_metric_oracles():
     rng = np.random.default_rng(5)
     worst = 0.0
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         for _ in range(100):
             h, w = rng.integers(3, 8, size=2)
             n_classes = int(rng.integers(2, 5))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leopart import cli, render, tensor_io
+from leopart import cbfe, cli, community, render, tensor_io
 
 SMALL_CFG = """
 [synth]
@@ -78,6 +78,41 @@ def test_output_manifests_carry_config_hash(workspace):
         text = (workspace / sub / f"{cmd}_outputs.txt").read_text()
         assert f"config_hash {cfg.hash()}" in text
         assert "output " in text
+
+
+def copy_clusters(workspace, dest, relabel):
+    """Copy the workspace's clusters dir, passing every map through *relabel*."""
+    src = workspace / "clusters"
+    dest.mkdir()
+    (dest / "centroids.lpt").write_bytes((src / "centroids.lpt").read_bytes())
+    for path in src.glob("*_clusters.lpt"):
+        tensor_io.write_tensor(relabel(tensor_io.read_tensor(path)), dest / path.name)
+    return len(tensor_io.read_tensor(src / "centroids.lpt"))
+
+
+def test_cbfe_and_cooc_take_k_from_centroids(workspace, tmp_path):
+    """Maps that never use the top id k-1 still give k clusters downstream."""
+    clusters = tmp_path / "clusters"
+    k = copy_clusters(workspace, clusters, lambda cm: np.where(cm >= cm.max(), 0, cm))
+    c = ["--config", str(workspace / "run.cfg")]
+    fg, cooc = tmp_path / "fg", tmp_path / "cooc"
+    with pytest.warns(UserWarning, match="never appear"):
+        assert cli.main(c + ["cbfe", "--data", str(workspace / "data"),
+                             "--clusters", str(clusters), "--out", str(fg)]) == 0
+    assert cli.main(c + ["cooc", "--clusters", str(clusters), "--out", str(cooc),
+                         "--fg-map", str(fg / "fg_map.txt")]) == 0
+    assert community.read_graph(cooc / "graph.txt").n == k
+    assert len(cbfe.read_foreground_map(fg / "fg_map.txt", 0.5).theta) == k
+
+
+def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
+    clusters = tmp_path / "clusters"
+    k = copy_clusters(workspace, clusters, lambda cm: np.full_like(cm, 0))
+    cm = np.zeros((10, 10), dtype=np.uint16)
+    cm[0, 0] = k
+    tensor_io.write_tensor(cm, clusters / "zzz_clusters.lpt")
+    assert cli.main(["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_eval_unsupseg_prints_final_miou(workspace, capsys):

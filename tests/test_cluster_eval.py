@@ -103,6 +103,72 @@ def test_kmeans_labels_are_consistent_with_centroids():
     assert result.inertia == pytest.approx(recomputed, rel=1e-9)
 
 
+def reference_lloyd(points, centroids, max_iter):
+    """Lloyd iterations with a per-cluster mean loop: the oracle for
+    cluster_eval._lloyd, which must agree with it bit for bit."""
+    def sq_dists(points, centroids):
+        d2 = ((points**2).sum(axis=1)[:, None] - 2.0 * points @ centroids.T
+              + (centroids**2).sum(axis=1)[None, :])
+        return np.maximum(d2, 0.0)
+
+    k = len(centroids)
+    labels = np.full(len(points), -1)
+    for _ in range(max_iter):
+        d2 = sq_dists(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        assigned_d2 = d2[np.arange(len(points)), new_labels]
+        for c in range(k):
+            sel = new_labels == c
+            if sel.any():
+                centroids[c] = points[sel].mean(axis=0)
+            else:
+                far = int(assigned_d2.argmax())
+                centroids[c] = points[far]
+                new_labels[far] = c
+                assigned_d2[far] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    d2 = sq_dists(points, centroids)
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(len(points)), labels].sum())
+    return cluster_eval.KMeansResult(centroids=centroids, labels=labels, inertia=inertia)
+
+
+def assert_lloyd_matches_reference(points, init, max_iter):
+    got = cluster_eval._lloyd(points, init.copy(), max_iter)
+    want = reference_lloyd(points, init.copy(), max_iter)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia == want.inertia
+
+
+@pytest.mark.parametrize("k", [7, 20, 150])
+def test_lloyd_bitwise_matches_reference(k):
+    rng = np.random.default_rng(k)
+    points = planted_features(rng, n_images=40, n_classes=5, h=10, w=10, d=8, noise=0.3)
+    points = np.concatenate([f.reshape(8, -1).T for f in points[0]])
+    init = cluster_eval._kmeans_pp_init(points, k, np.random.default_rng([0, 17, 0]))
+    assert_lloyd_matches_reference(points, init, 100)
+
+
+def test_lloyd_reseeds_empty_clusters_like_reference():
+    """Duplicated points and far-off starting centroids leave clusters
+    empty, including ones emptied by an earlier cluster's reseed."""
+    rng = np.random.default_rng(1)
+    for trial in range(300):
+        n, k, n_distinct = rng.integers(8, 40), int(rng.integers(2, 8)), rng.integers(1, 6)
+        d = 1 + trial % 3
+        points = rng.normal(size=(n_distinct, d))[rng.integers(n_distinct, size=n)]
+        if trial % 3 == 0:
+            points = points + 1e-9 * rng.normal(size=points.shape)
+        if trial % 2:
+            init = 5.0 * rng.normal(size=(k, d))
+        else:
+            init = points[rng.integers(n, size=k)].copy()
+        assert_lloyd_matches_reference(points, init, 20)
+
+
 # ---------------------------------------------------------------- matching
 
 

@@ -1,9 +1,11 @@
 """Co-occurrence graph oracles and hand-computed map-equation values."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from leopart import community
+from leopart import cluster_eval, community, config, pipeline, synth
 
 
 def two_node_graph(w=0.5):
@@ -222,6 +224,235 @@ def test_detect_is_deterministic():
     a = community.detect_communities(graph, target_m=2, seed=5)
     b = community.detect_communities(graph, target_m=2, seed=5)
     assert np.array_equal(a.assignment, b.assignment)
+
+
+# ---------------------------------------------------------------- reference mover
+
+
+class ReferenceMover:
+    """Full-recompute local mover: the oracle for community._LocalMover.
+
+    Every candidate move, merge and split is scored by recomputing the whole
+    two-level description length, with the same random draws, scan order
+    and tie rule as the incremental mover.
+    """
+
+    def __init__(self, graph, markov_time, rng):
+        self.w = graph.weights
+        self.deg = graph.degrees()
+        self.two_w = float(self.deg.sum())
+        self.p = self.deg / self.two_w
+        self.t = markov_time
+        self.rng = rng
+        self.active = np.flatnonzero(self.deg > 0)
+        self.assignment = np.full(graph.n, community.BACKGROUND, dtype=np.int64)
+        self.assignment[self.active] = np.arange(len(self.active))
+        self.node_entropy = float(community._plogp(self.p).sum())
+
+    def level_bits(self):
+        p_m, cut_m, _ = community._module_stats(self.w, self.p, self.assignment)
+        return community._map_equation_terms(p_m, cut_m, self.two_w, self.t,
+                                             self.node_entropy)
+
+    def _try_unit_moves(self, units):
+        moved = False
+        order = self.rng.permutation(len(units))
+        for ui in order:
+            unit = units[ui]
+            current = int(self.assignment[unit[0]])
+            w_unit = self.w[unit].sum(axis=0)
+            comm_of = self.assignment
+            neighbor_comms = np.unique(
+                comm_of[(w_unit > 0) & (comm_of != community.BACKGROUND)])
+            candidates = [int(c) for c in neighbor_comms if c != current]
+            if not candidates:
+                continue
+            best_bits = self.level_bits()
+            best_comm = current
+            for cand in candidates:
+                self.assignment[unit] = cand
+                bits = self.level_bits()
+                if bits < best_bits - 1e-12:
+                    best_bits = bits
+                    best_comm = cand
+            self.assignment[unit] = best_comm
+            if best_comm != current:
+                moved = True
+        return moved
+
+    def run(self):
+        improved = True
+        while improved:
+            improved = False
+            units = [np.array([n]) for n in self.active]
+            while self._try_unit_moves(units):
+                improved = True
+            comms = np.unique(self.assignment[self.active])
+            units = [np.flatnonzero(self.assignment == m) for m in comms]
+            while self._try_unit_moves(units):
+                improved = True
+
+    def merge_to_target(self, target_m):
+        while True:
+            comms = np.unique(self.assignment[self.active])
+            if len(comms) <= target_m:
+                break
+            best = None
+            for ai in range(len(comms)):
+                for bi in range(ai + 1, len(comms)):
+                    saved = self.assignment.copy()
+                    self.assignment[self.assignment == comms[bi]] = comms[ai]
+                    bits = self.level_bits()
+                    self.assignment = saved
+                    if best is None or bits < best[0] - 1e-12:
+                        best = (bits, comms[ai], comms[bi])
+            self.assignment[self.assignment == best[2]] = best[1]
+
+    def split_to_target(self, target_m):
+        next_comm = int(self.assignment.max()) + 1
+        while True:
+            comms, sizes = np.unique(self.assignment[self.active], return_counts=True)
+            if len(comms) >= target_m:
+                break
+            best = None
+            for m, size in zip(comms, sizes):
+                if size < 2:
+                    continue
+                for node in np.flatnonzero(self.assignment == m):
+                    saved = int(self.assignment[node])
+                    self.assignment[node] = next_comm
+                    bits = self.level_bits()
+                    self.assignment[node] = saved
+                    if best is None or bits < best[0] - 1e-12:
+                        best = (bits, int(node))
+            if best is None:
+                raise community.CommunityError("cannot split further")
+            self.assignment[best[1]] = next_comm
+            next_comm += 1
+
+
+class CheckedMover(community._LocalMover):
+    """The incremental mover, checking every delta it scores against the
+    difference of two full map_equation evaluations."""
+
+    def __init__(self, graph, markov_time, rng):
+        super().__init__(graph, markov_time, rng)
+        self.graph = graph
+        self.checked = 0
+
+    def _check(self, deltas, after_assignments):
+        before = community.map_equation(self.graph, community.Partition(self.assignment),
+                                        self.t)
+        for delta, after in zip(deltas, after_assignments):
+            full = community.map_equation(self.graph, community.Partition(after), self.t)
+            assert delta == pytest.approx(full - before, abs=1e-9)
+            self.checked += 1
+        assert self.level_bits() == pytest.approx(before, abs=1e-9)
+
+    def _moved(self, nodes, target):
+        after = self.assignment.copy()
+        after[nodes] = target
+        return after
+
+    def move_deltas(self, unit):
+        cands, deltas = super().move_deltas(unit)
+        self._check(deltas, (self._moved(unit, c) for c in cands))
+        return cands, deltas
+
+    def merge_deltas(self):
+        a, b, w_ab, deltas = super().merge_deltas()
+        self._check(deltas, (self._moved(self.assignment == bb, aa)
+                             for aa, bb in zip(a, b)))
+        return a, b, w_ab, deltas
+
+    def split_deltas(self):
+        nodes, deltas = super().split_deltas()
+        new_id = self.assignment.max() + 1
+        self._check(deltas, (self._moved(node, new_id) for node in nodes))
+        return nodes, deltas
+
+
+def planted_graph(n, n_blocks, seed, p_in=0.5, p_out=0.04):
+    """Blocks of dense, heavy edges joined by sparse, light ones; the last
+    node is isolated, as one cluster is in the k = 150 CLI graph."""
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) * n_blocks // n
+    same = block[:, None] == block[None, :]
+    keep = rng.uniform(size=(n, n)) < np.where(same, p_in, p_out)
+    w = np.where(same, rng.uniform(0.3, 1.0, (n, n)), rng.uniform(0.09, 0.3, (n, n)))
+    w = np.triu(w * keep, 1)
+    w = w + w.T
+    w[-1, :] = w[:, -1] = 0.0
+    return community.CoocGraph(w, np.ones(n, dtype=np.int64))
+
+
+def random_graph(n, seed, mean_degree=5):
+    rng = np.random.default_rng(seed)
+    keep = rng.uniform(size=(n, n)) < mean_degree / n
+    w = np.triu(rng.uniform(0.09, 1.0, (n, n)) * keep, 1)
+    return community.CoocGraph(w + w.T, np.ones(n, dtype=np.int64))
+
+
+@pytest.fixture(scope="module")
+def cli_k150_graph(tmp_path_factory):
+    """The `cooc` graph of the k = 150 CLI walkthrough on the default data."""
+    cfg = config.load_config(None)
+    manifest, _ = synth.generate(cfg.synth_spec(seed=0), tmp_path_factory.mktemp("k150"))
+    dataset = pipeline.load_dataset(manifest)
+    maps, _ = cluster_eval.cluster_maps_for(dataset.features, 150, seed=0)
+    graph = community.cooccurrence_graph(maps, 150)
+    return community.filter_edges(graph, community.DEFAULT_EDGE_THRESHOLD)
+
+
+def assert_mover_matches_reference(graph, seed, t, mover_cls=community._LocalMover):
+    """Run the shared local phase, then merge down to one community and split
+    up to three more than the local optimum; partitions and description
+    lengths must match the reference at every step."""
+    ref = ReferenceMover(graph, t, np.random.default_rng([seed, 29]))
+    new = mover_cls(graph, t, np.random.default_rng([seed, 29]))
+    ref.run()
+    new.run()
+    assert np.array_equal(new.assignment, ref.assignment)
+    local = len(np.unique(ref.assignment[ref.active]))
+    assert 1 < local <= len(ref.active) - 3
+    for target in (1, local + 3):
+        r, m = copy.deepcopy(ref), copy.deepcopy(new)
+        for mover in (r, m):
+            mover.merge_to_target(target)
+            mover.split_to_target(target)
+        assert np.array_equal(m.assignment, r.assignment)
+        got = community.map_equation(graph, community.Partition(m.assignment), t)
+        want = community.map_equation(graph, community.Partition(r.assignment), t)
+        assert got == pytest.approx(want, abs=1e-9)
+    return new
+
+
+def test_detect_matches_reference_on_cli_k150_graph(cli_k150_graph):
+    graph = cli_k150_graph
+    assert int((graph.degrees() > 0).sum()) == 149
+    part = community.detect_communities(graph, target_m=7, seed=0)
+    ref = ReferenceMover(graph, community.DEFAULT_MARKOV_TIME, np.random.default_rng([0, 29]))
+    ref.run()
+    ref.merge_to_target(7)
+    ref.split_to_target(7)
+    assert np.array_equal(part.assignment,
+                          community.Partition(ref.assignment).canonical().assignment)
+    assert community.map_equation(graph, part) == pytest.approx(
+        ref.level_bits(), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 150])
+@pytest.mark.parametrize("kind", ["planted", "random"])
+def test_mover_matches_reference(kind, n):
+    # every scored delta is checked too, except at n = 150 where the full
+    # recomputation of each one would take as long as the reference run
+    mover_cls = CheckedMover if n <= 100 else community._LocalMover
+    # uniform random graphs form a single module at the default Markov time
+    if kind == "planted":
+        mover = assert_mover_matches_reference(planted_graph(n, 5, seed=n), n, 2.0, mover_cls)
+    else:
+        mover = assert_mover_matches_reference(random_graph(n, seed=n), n, 1.0, mover_cls)
+    assert mover_cls is not CheckedMover or mover.checked > 0
 
 
 # ---------------------------------------------------------------- merging

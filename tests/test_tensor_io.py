@@ -143,3 +143,42 @@ def test_checkpoint_rejects_unnormalized_prototypes(tmp_path):
     )
     with pytest.raises(tensor_io.TensorFormatError, match="unit-norm"):
         tensor_io.save_checkpoint(ckpt, tmp_path / "c.lpc")
+
+
+def small_checkpoint_bytes(tmp_path):
+    ckpt = tensor_io.Checkpoint(tensors={"student/encoder.w": np.eye(3, dtype=np.float32)},
+                                step=3, config_hash="0123456789abcdef")
+    tensor_io.save_checkpoint(ckpt, tmp_path / "full.lpc")
+    return (tmp_path / "full.lpc").read_bytes()
+
+
+@pytest.mark.parametrize("cut", [6, 20])
+def test_checkpoint_truncated_header_is_named_error(tmp_path, cut):
+    path = tmp_path / "cut.lpc"
+    path.write_bytes(small_checkpoint_bytes(tmp_path)[:cut])
+    with pytest.raises(tensor_io.TensorFormatError, match="truncated"):
+        tensor_io.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "padded.lpc"
+    path.write_bytes(small_checkpoint_bytes(tmp_path) + b"\0\0\0")
+    with pytest.raises(tensor_io.TensorFormatError, match="3 trailing bytes"):
+        tensor_io.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [6, 20])
+def test_cli_truncated_checkpoint_exits_1(tmp_path, capsys, cut):
+    from leopart import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[synth]\nn_images = 2\nraw_dim = 16\n")
+    data = tmp_path / "data"
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(data)]) == 0
+    path = tmp_path / "cut.lpc"
+    path.write_bytes(small_checkpoint_bytes(tmp_path)[:cut])
+    capsys.readouterr()
+    code = cli.main(["--config", str(cfg), "cluster", "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--checkpoint", str(path)])
+    assert code == 1
+    assert "cut.lpc: truncated or malformed checkpoint" in capsys.readouterr().err
