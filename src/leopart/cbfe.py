@@ -16,7 +16,6 @@ from scipy.ndimage import distance_transform_edt
 
 DEFAULT_K = 200
 THRESHOLD_SINGLE_DATASET = 0.35
-THRESHOLD_TWO_DATASETS = 0.40
 BOUNDARY_TOL_FRACTION = 0.0075  # of the image diagonal
 
 

@@ -41,22 +41,35 @@ def write_outputs_manifest(out_dir: Path, command: str, cfg: config_mod.Config,
     return path
 
 
-def load_student_params(path: Path) -> tuple[dict[str, np.ndarray], tensor_io.Checkpoint]:
+def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None:
+    """The student parameters of ``--checkpoint`` (None without one); a
+    checkpoint of another config hash is refused unless ``--force`` is given."""
+    if args.checkpoint is None:
+        return None
+    path = Path(args.checkpoint)
     ckpt = tensor_io.load_checkpoint(path)
+    expected = cfg.train_config(seed=effective_seed(cfg)).hash()
+    if ckpt.config_hash != expected and not args.force:
+        raise config_mod.ConfigError(
+            f"checkpoint config hash {ckpt.config_hash} does not match this "
+            f"config ({expected}); pass --force to evaluate anyway")
     params = {name.removeprefix("student/"): t
               for name, t in ckpt.tensors.items() if name.startswith("student/")}
     if not params:
         raise tensor_io.TensorFormatError(f"{path}: checkpoint has no student parameters")
-    return params, ckpt
+    return params
 
 
-def read_cluster_maps(clusters_dir: Path) -> tuple[list[np.ndarray], int]:
-    """The cluster-id maps under *clusters_dir* and the cluster count k.
+def read_cluster_maps(clusters_dir: Path, ids: list[str] | None = None,
+                      ) -> tuple[list[np.ndarray], int]:
+    """The maps ``<id>_clusters.lpt`` under *clusters_dir*, in the order of
+    *ids* (default: every such file, sorted), and the cluster count k.
 
     k is the row count of ``centroids.lpt``, which ``cluster`` writes next to
     the maps: the highest cluster id can be missing from every map.
     """
-    paths = sorted(clusters_dir.glob("*_clusters.lpt"))
+    paths = (sorted(clusters_dir.glob("*_clusters.lpt")) if ids is None
+             else [clusters_dir / f"{i}_clusters.lpt" for i in ids])
     if not paths:
         raise FileNotFoundError(f"no *_clusters.lpt files under {clusters_dir}")
     k = len(tensor_io.read_tensor(clusters_dir / "centroids.lpt"))
@@ -67,19 +80,6 @@ def read_cluster_maps(clusters_dir: Path) -> tuple[list[np.ndarray], int]:
             f"{clusters_dir}: cluster id {top} is out of range for the "
             f"{k} centroids in centroids.lpt")
     return maps, k
-
-
-def embeddings_for(dataset: pipeline.Dataset, args, cfg: config_mod.Config,
-                   ) -> list[np.ndarray]:
-    if getattr(args, "checkpoint", None) is None:
-        return dataset.features
-    params, ckpt = load_student_params(Path(args.checkpoint))
-    expected = cfg.train_config(seed=effective_seed(cfg)).hash()
-    if ckpt.config_hash != expected and not getattr(args, "force", False):
-        raise config_mod.ConfigError(
-            f"checkpoint config hash {ckpt.config_hash} does not match this "
-            f"config ({expected}); pass --force to evaluate anyway")
-    return pipeline.embed_dataset(dataset, params, use_head=cfg["eval"]["use_head"])
 
 
 # ----------------------------------------------------------------- commands
@@ -116,14 +116,13 @@ def cmd_cluster(args, cfg: config_mod.Config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
     dataset = pipeline.load_dataset(manifest)
-    embedded = embeddings_for(dataset, args, cfg)
+    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
+                                      cfg["eval"]["use_head"])
     k = cfg["cbfe"]["k"] if args.k is None else args.k
     maps, result = cluster_eval.cluster_maps_for(embedded, k, seed=effective_seed(cfg))
-    outputs = []
-    for rec, cm in zip(manifest.records, maps):
-        path = out / f"{rec.id}_clusters.lpt"
-        tensor_io.write_tensor(cm.astype(np.uint16), path)
-        outputs.append(path)
+    outputs = [out / f"{rec.id}_clusters.lpt" for rec in manifest.records]
+    for path, cm in zip(outputs, maps):
+        tensor_io.write_tensor(cm, path)
     centroid_path = out / "centroids.lpt"
     tensor_io.write_tensor(result.centroids.astype(np.float32), centroid_path)
     outputs.append(centroid_path)
@@ -137,20 +136,17 @@ def cmd_cbfe(args, cfg: config_mod.Config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
     dataset = pipeline.load_dataset(manifest)
-    maps, k = read_cluster_maps(Path(args.clusters))
-    hints = pipeline.attention_hints(dataset)
-    precisions = cbfe.cluster_precision(maps, hints, k)
-    fg_map = cbfe.build_theta(precisions, cfg["cbfe"]["threshold"])
+    maps, k = read_cluster_maps(Path(args.clusters), [rec.id for rec in manifest.records])
+    art = pipeline.label_foreground(maps, pipeline.attention_hints(dataset), k,
+                                    cfg["cbfe"]["threshold"])
     fg_path = out / "fg_map.txt"
-    cbfe.write_foreground_map(fg_map, fg_path)
-    outputs = [fg_path]
-    for rec, cm in zip(manifest.records, maps):
-        mask = cbfe.extract_foreground(cm, fg_map)
-        path = out / f"{rec.id}_fg.lpt"
-        tensor_io.write_tensor(mask.astype(np.uint8), path)
-        outputs.append(path)
+    cbfe.write_foreground_map(art.fg_map, fg_path)
+    outputs = [out / f"{rec.id}_fg.lpt" for rec in manifest.records]
+    for path, mask in zip(outputs, art.fg_masks):
+        tensor_io.write_tensor(mask, path)
+    outputs.append(fg_path)
     write_outputs_manifest(out, "cbfe", cfg, outputs)
-    n_fg = int(fg_map.theta.sum())
+    n_fg = int(art.fg_map.theta.sum())
     print(f"labeled {n_fg}/{k} clusters as foreground")
     return 0
 
@@ -159,17 +155,14 @@ def cmd_cooc(args, cfg: config_mod.Config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     maps, k = read_cluster_maps(Path(args.clusters))
-    graph = community.cooccurrence_graph(maps, k, d=cfg["cd"]["distance"])
+    theta = np.ones(k, dtype=bool)
     if args.fg_map:
-        fg = cbfe.read_foreground_map(Path(args.fg_map), cfg["cbfe"]["threshold"])
-        if len(fg.theta) != k:
-            raise ValueError(f"{args.fg_map} labels {len(fg.theta)} clusters, "
+        theta = cbfe.read_foreground_map(Path(args.fg_map), cfg["cbfe"]["threshold"]).theta
+        if len(theta) != k:
+            raise ValueError(f"{args.fg_map} labels {len(theta)} clusters, "
                              f"the clusters have k={k}")
-        weights = graph.weights.copy()
-        weights[~fg.theta, :] = 0.0
-        weights[:, ~fg.theta] = 0.0
-        graph = community.CoocGraph(weights=weights, node_counts=graph.node_counts)
-    graph = community.filter_edges(graph, cfg["cd"]["edge_threshold"])
+    graph = pipeline.foreground_graph(maps, theta, cfg["cd"]["edge_threshold"],
+                                      cfg["cd"]["distance"])
     graph_path = out / "graph.txt"
     community.write_graph(graph, graph_path)
     write_outputs_manifest(out, "cooc", cfg, [graph_path])
@@ -207,25 +200,22 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
     n_classes = int(max(g.max() for g in gt)) + 1
 
     if args.protocol == "unsupseg":
-        if args.checkpoint is None:
+        params = student_params(args, cfg)
+        if params is None:
             raise config_mod.ConfigError("unsupseg evaluation requires --checkpoint")
-        params, ckpt = load_student_params(Path(args.checkpoint))
-        expected = cfg.train_config(seed=seed).hash()
-        if ckpt.config_hash != expected and not args.force:
-            raise config_mod.ConfigError(
-                f"checkpoint config hash {ckpt.config_hash} does not match this "
-                f"config ({expected}); pass --force to evaluate anyway")
         result = pipeline.run_ladder(
             dataset, params, overcluster_k=cfg["cbfe"]["k"],
             cbfe_threshold=cfg["cbfe"]["threshold"],
             edge_threshold=cfg["cd"]["edge_threshold"],
-            markov_time=cfg["cd"]["markov_time"], seed=seed)
+            markov_time=cfg["cd"]["markov_time"], seed=seed,
+            distance=cfg["cd"]["distance"], use_head=cfg["eval"]["use_head"])
         for stage, score in result.as_dict().items():
             print(f"{stage}: mIoU {score:.4f}")
         print(f"final mIoU: {result.cd:.4f}")
         return 0
 
-    embedded = embeddings_for(dataset, args, cfg)
+    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
+                                      cfg["eval"]["use_head"])
     if args.protocol == "overcluster":
         mean, std, _ = cluster_eval.overcluster_eval(
             embedded, gt, k=cfg["eval"]["k"], n_classes=n_classes,
@@ -275,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised token clustering and unsupervised "
                     "segmentation pipeline.")
     parser.add_argument("--config", help="structured-text config file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (only deterministic-safe stages "
-                             "use them; currently all stages run single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted synthetic dataset")

@@ -241,21 +241,36 @@ def miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray], n_classes: int,
     return float(np.nanmean(iou[present])), iou
 
 
+def hungarian_matched_miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
+                           n_classes: int, ignore_label: int | None = None) -> float:
+    """Permutation-invariant mIoU: optimal relabeling, then mean IoU."""
+    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for pm, gm in zip(pred_maps, gt_maps):
+        conf += confusion_matrix(pm, gm, n_classes, n_classes, ignore_label)
+    perm = hungarian(-conf.astype(np.float64))
+    score, _ = miou([perm[m] for m in pred_maps], gt_maps, n_classes, ignore_label)
+    return score
+
+
 # --------------------------------------------------------------------------
 # protocols
+
+def token_rows(grids: list[np.ndarray]) -> np.ndarray:
+    """The spatial tokens of (D, H, W) grids as rows, image by image."""
+    return np.concatenate([g.reshape(g.shape[0], -1).T for g in grids], axis=0)
+
+
+def split_maps(values: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Per-token *values*, image by image, as one (H, W) map per shape."""
+    ends = np.cumsum([h * w for h, w in shapes])[:-1]
+    return [v.reshape(s) for v, s in zip(np.split(values, ends), shapes)]
+
 
 def cluster_maps_for(features: list[np.ndarray], k: int, seed: int,
                      max_iter: int = 100) -> tuple[list[np.ndarray], KMeansResult]:
     """Run one K-means over all spatial tokens; per-image cluster-id grids."""
-    grids = [f.reshape(f.shape[0], -1).T for f in features]
-    points = np.concatenate(grids, axis=0)
-    result = kmeans(points, k, n_seeds=1, max_iter=max_iter, seed=seed)
-    maps = []
-    offset = 0
-    for f in features:
-        _, h, w = f.shape
-        maps.append(result.labels[offset:offset + h * w].reshape(h, w).astype(np.uint16))
-        offset += h * w
+    result = kmeans(token_rows(features), k, n_seeds=1, max_iter=max_iter, seed=seed)
+    maps = split_maps(result.labels.astype(np.uint16), [f.shape[1:] for f in features])
     return maps, result
 
 
@@ -273,13 +288,7 @@ def overcluster_eval(features: list[np.ndarray], gt_maps: list[np.ndarray],
         maps, _ = cluster_maps_for(features, k, seed=seed * 1000 + s)
         maps_up = [resize_nearest(m, eval_size, eval_size) for m in maps]
         merged, _ = greedy_precision_match(maps_up, gt_small, n_classes, k, ignore_label)
-        conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for pm, gm in zip(merged, gt_small):
-            conf += confusion_matrix(pm, gm, n_classes, n_classes, ignore_label)
-        perm = hungarian(-conf.astype(np.float64))
-        relabeled = [perm[m] for m in merged]
-        score, _ = miou(relabeled, gt_small, n_classes, ignore_label)
-        scores.append(score)
+        scores.append(hungarian_matched_miou(merged, gt_small, n_classes, ignore_label))
     return float(np.mean(scores)), float(np.std(scores)), scores
 
 
@@ -307,19 +316,12 @@ def linear_probe(train_features: list[np.ndarray], train_gt: list[np.ndarray],
     Training pairs each token with the nearest-neighbor downsampled mask
     label; evaluation bilinearly upsamples features to mask size.
     """
-    tokens = []
-    labels = []
-    for f, g in zip(train_features, train_gt):
-        _, h, w = f.shape
-        lab = resize_nearest(g, h, w).ravel()
-        tok = f.reshape(f.shape[0], -1).T
-        if ignore_label is not None:
-            keep = lab != ignore_label
-            tok, lab = tok[keep], lab[keep]
-        tokens.append(tok)
-        labels.append(lab)
-    x = np.concatenate(tokens, axis=0).astype(np.float64)
-    y = np.concatenate(labels, axis=0).astype(np.intp)
+    x = token_rows(train_features).astype(np.float64)
+    y = np.concatenate([resize_nearest(g, *f.shape[1:]).ravel()
+                        for f, g in zip(train_features, train_gt)]).astype(np.intp)
+    if ignore_label is not None:
+        keep = y != ignore_label
+        x, y = x[keep], y[keep]
 
     rng = np.random.default_rng([seed, 23])
     params = {

@@ -9,6 +9,7 @@ without edges go to background.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,6 @@ import numpy as np
 
 DEFAULT_EDGE_THRESHOLD = 0.09
 DEFAULT_MARKOV_TIME = 2.0
-DEFAULT_K = 150
 DEFAULT_DISTANCE = 1
 BACKGROUND = -1
 
@@ -103,6 +103,15 @@ def filter_edges(graph: CoocGraph, threshold: float) -> CoocGraph:
     w = graph.weights.copy()
     w[w < threshold] = 0.0
     return CoocGraph(weights=w, node_counts=graph.node_counts.copy())
+
+
+def disconnect(graph: CoocGraph, keep: np.ndarray) -> CoocGraph:
+    """Drop every edge of the nodes where *keep* is False (e.g. background
+    clusters), so that detection leaves them in the background."""
+    w = graph.weights.copy()
+    w[~keep, :] = 0.0
+    w[:, ~keep] = 0.0
+    return CoocGraph(weights=w, node_counts=graph.node_counts)
 
 
 @dataclass
@@ -464,20 +473,45 @@ def write_graph(graph: CoocGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _content_lines(path: str | Path) -> list[tuple[str, list[str]]]:
+    """("<path>: line <n>", fields) for each non-blank line of *path*."""
+    lines = Path(path).read_text().splitlines()
+    return [(f"{path}: line {i}", ln.split()) for i, ln in enumerate(lines, start=1)
+            if ln.strip()]
+
+
+@contextmanager
+def _named(where: str, fields: list[str]):
+    """Re-raise a ValueError from parsing *fields* naming the file and line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}: {' '.join(fields)!r}") from None
+
+
+def _node_id(text: str, n: int) -> int:
+    node = int(text)
+    if not 0 <= node < n:
+        raise ValueError(f"node id {node} is out of range for {n} nodes")
+    return node
+
+
 def read_graph(path: str | Path) -> CoocGraph:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("nodes "):
+    lines = _content_lines(path)
+    if not lines or lines[0][1][0] != "nodes":
         raise ValueError(f"{path}: missing node-count header")
-    n = int(lines[0].split()[1])
-    weights = np.zeros((n, n))
-    counts = np.zeros(n, dtype=np.int64)
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "node":
-            counts[int(parts[1])] = int(parts[2])
-        else:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            weights[i, j] = weights[j, i] = w
+    with _named(*lines[0]):
+        _, n = lines[0][1]
+        weights, counts = np.zeros((int(n), int(n))), np.zeros(int(n), dtype=np.int64)
+    for where, fields in lines[1:]:
+        with _named(where, fields):
+            if fields[0] == "node":
+                _, node, count = fields
+                counts[_node_id(node, len(counts))] = int(count)
+            else:
+                a, b, w = fields
+                i, j = _node_id(a, len(counts)), _node_id(b, len(counts))
+                weights[i, j] = weights[j, i] = float(w)
     return CoocGraph(weights=weights, node_counts=counts)
 
 
@@ -489,9 +523,11 @@ def write_partition(partition: Partition, path: str | Path) -> None:
 
 
 def read_partition(path: str | Path) -> Partition:
-    pairs = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    assignment = np.full(len(pairs), BACKGROUND, dtype=np.int64)
-    for node_s, comm_s in pairs:
-        if comm_s != "bg":
-            assignment[int(node_s)] = int(comm_s)
+    lines = _content_lines(path)
+    assignment = np.full(len(lines), BACKGROUND, dtype=np.int64)
+    for where, fields in lines:
+        with _named(where, fields):
+            node, comm = fields
+            if comm != "bg":
+                assignment[_node_id(node, len(lines))] = int(comm)
     return Partition(assignment)

@@ -2,9 +2,11 @@
 
 Configs are INI-style ``key = value`` files with one section per pipeline
 stage. Every key has a typed default mirroring the module constants, so an
-empty file is a complete configuration. Unknown sections or keys are
-rejected by name; the canonical serialized form feeds the config hash that
-ties artifacts to the settings that produced them.
+empty file is a complete configuration, and some command reads every key
+(``eval --protocol unsupseg`` the same ``[cbfe]``/``[cd]``/``[eval]`` keys
+as the CLI stages). Unknown sections or keys are rejected by name; the
+canonical serialized form feeds the config hash that ties artifacts to the
+settings that produced them.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "threshold": (float, cbfe.THRESHOLD_SINGLE_DATASET),
     },
     "cd": {
-        "k": (int, community.DEFAULT_K),
         "edge_threshold": (float, community.DEFAULT_EDGE_THRESHOLD),
         "markov_time": (float, community.DEFAULT_MARKOV_TIME),
         "distance": (int, community.DEFAULT_DISTANCE),
@@ -108,7 +109,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "run": {
         "seed": (int, 0),
-        "threads": (int, 1),
     },
 }
 
@@ -140,32 +140,16 @@ class Config:
         return tensor_io.config_hash(self.canonical_text())
 
     def synth_spec(self, seed: int | None = None) -> synth.SynthSpec:
-        s = self["synth"]
-        return synth.SynthSpec(
-            n_images=s["n_images"], grid=s["grid"], raw_dim=s["raw_dim"],
-            n_objects=s["n_objects"], parts_per_object=s["parts_per_object"],
-            n_bg_parts=s["n_bg_parts"], min_angle_deg=s["min_angle_deg"],
-            noise_sigma=s["noise_sigma"], objects_per_image=s["objects_per_image"],
-            attention_flip=s["attention_flip"],
-            seed=self["run"]["seed"] if seed is None else seed,
-        )
+        """The [synth] keys are the SynthSpec fields of the same names."""
+        return synth.SynthSpec(**self["synth"],
+                               seed=self["run"]["seed"] if seed is None else seed)
 
     def train_config(self, seed: int | None = None) -> training.TrainConfig:
-        t = self["train"]
+        """The [train] keys are the TrainConfig fields of the same names."""
         sk = self["sinkhorn"]
         return training.TrainConfig(
-            temperature=t["temperature"], lr_head=t["lr_head"],
-            lr_encoder=t["lr_encoder"], weight_decay=t["weight_decay"],
-            epochs=t["epochs"], batch_size=t["batch_size"],
-            ema_start=t["ema_start"], n_prototypes=t["n_prototypes"],
-            epsilon=sk["epsilon"], sinkhorn_iters=sk["n_iters"],
-            queue_capacity=sk["queue_capacity"], fg_masking=t["fg_masking"],
-            hidden_dim=t["hidden_dim"], out_dim=t["out_dim"],
-            token_dim=t["token_dim"], align_size=t["align_size"],
-            global_grid=t["global_grid"], local_grid=t["local_grid"],
-            n_global=t["n_global"], n_local=t["n_local"],
-            global_scale=t["global_scale"], local_scale=t["local_scale"],
-            min_intersection=t["min_intersection"], aspect=t["aspect"],
+            **self["train"], epsilon=sk["epsilon"], sinkhorn_iters=sk["n_iters"],
+            queue_capacity=sk["queue_capacity"],
             seed=self["run"]["seed"] if seed is None else seed,
         )
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, cbfe, cluster_eval, community, tensor_io, training
+from .cluster_eval import hungarian_matched_miou
 
 
 @dataclass
@@ -35,7 +36,7 @@ class Dataset:
 def load_dataset(manifest: tensor_io.DatasetManifest) -> Dataset:
     features, attns, objs, parts = [], [], [], []
     for rec in manifest.records:
-        features.append(manifest.load_features(rec).astype(np.float64))
+        features.append(manifest.load_features(rec))
         attns.append(manifest.load_attention(rec))
         mask = manifest.load_mask(rec)
         if mask is None:
@@ -53,19 +54,7 @@ def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,
     """Encoder embeddings of all images; raw features if params is None."""
     if params is None:
         return dataset.features
-    return [training.embed_features(f.astype(np.float32), params, use_head).astype(np.float64)
-            for f in dataset.features]
-
-
-def hungarian_matched_miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
-                           n_classes: int) -> float:
-    """Permutation-invariant mIoU: optimal relabeling, then mean IoU."""
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for pm, gm in zip(pred_maps, gt_maps):
-        conf += cluster_eval.confusion_matrix(pm, gm, n_classes, n_classes)
-    perm = cluster_eval.hungarian(-conf.astype(np.float64))
-    score, _ = cluster_eval.miou([perm[m] for m in pred_maps], gt_maps, n_classes)
-    return score
+    return [training.embed_features(f, params, use_head) for f in dataset.features]
 
 
 def attention_hints(dataset: Dataset) -> list[np.ndarray]:
@@ -76,7 +65,7 @@ def stage_kmeans(features: list[np.ndarray], gt_maps: list[np.ndarray],
                  n_classes: int, seed: int = 0) -> float:
     """Stages 1/2: K-means with K = #classes, Hungarian-matched mIoU."""
     maps, _ = cluster_eval.cluster_maps_for(features, n_classes, seed=seed)
-    return hungarian_matched_miou([m.astype(np.int64) for m in maps], gt_maps, n_classes)
+    return hungarian_matched_miou(maps, gt_maps, n_classes)
 
 
 @dataclass
@@ -90,6 +79,13 @@ def run_cbfe(features: list[np.ndarray], hints: list[np.ndarray],
              k: int, threshold: float, seed: int = 0) -> CbfeArtifacts:
     """Overcluster the embeddings and classify each cluster fg/bg."""
     maps, _ = cluster_eval.cluster_maps_for(features, k, seed=seed)
+    return label_foreground(maps, hints, k, threshold)
+
+
+def label_foreground(maps: list[np.ndarray], hints: list[np.ndarray],
+                     k: int, threshold: float) -> CbfeArtifacts:
+    """Label each of the k clusters fg/bg by its precision against the
+    attention hints, and mask every map to its foreground clusters."""
     precisions = cbfe.cluster_precision(maps, hints, k)
     fg_map = cbfe.build_theta(precisions, threshold)
     fg_masks = [cbfe.extract_foreground(m, fg_map) for m in maps]
@@ -99,23 +95,21 @@ def run_cbfe(features: list[np.ndarray], hints: list[np.ndarray],
 def stage_cbfe(features: list[np.ndarray], artifacts: CbfeArtifacts,
                gt_maps: list[np.ndarray], n_classes: int, seed: int = 0) -> float:
     """Stage 3: background from CBFE, K-means over foreground tokens only."""
-    fg_tokens = []
-    for f, m in zip(features, artifacts.fg_masks):
-        tok = f.reshape(f.shape[0], -1).T
-        fg_tokens.append(tok[m.ravel().astype(bool)])
-    points = np.concatenate(fg_tokens, axis=0)
-    n_fg_classes = n_classes - 1
-    result = cluster_eval.kmeans(points, n_fg_classes, n_seeds=1, seed=seed)
-    preds = []
-    offset = 0
-    for f, m in zip(features, artifacts.fg_masks):
-        pred = np.zeros(m.shape, dtype=np.int64)
-        sel = m.astype(bool)
-        n = int(sel.sum())
-        pred[sel] = result.labels[offset:offset + n] + 1
-        offset += n
-        preds.append(pred)
+    fg = np.concatenate([m.ravel() for m in artifacts.fg_masks]).astype(bool)
+    result = cluster_eval.kmeans(cluster_eval.token_rows(features)[fg], n_classes - 1,
+                                 n_seeds=1, seed=seed)
+    labels = np.zeros(len(fg), dtype=np.int64)
+    labels[fg] = result.labels + 1
+    preds = cluster_eval.split_maps(labels, [m.shape for m in artifacts.fg_masks])
     return hungarian_matched_miou(preds, gt_maps, n_classes)
+
+
+def foreground_graph(cluster_maps: list[np.ndarray], theta: np.ndarray,
+                     edge_threshold: float, distance: int) -> community.CoocGraph:
+    """Co-occurrence graph of the len(theta) clusters without the edges of
+    background clusters (theta False) or edges below *edge_threshold*."""
+    graph = community.cooccurrence_graph(cluster_maps, len(theta), d=distance)
+    return community.filter_edges(community.disconnect(graph, theta), edge_threshold)
 
 
 def stage_cd(artifacts: CbfeArtifacts, gt_maps: list[np.ndarray],
@@ -129,16 +123,8 @@ def stage_cd(artifacts: CbfeArtifacts, gt_maps: list[np.ndarray],
     detection, so they land in the background partition; the remaining
     clusters are grouped into exactly #classes - 1 communities.
     """
-    k = len(artifacts.fg_map.theta)
-    graph = community.cooccurrence_graph(artifacts.cluster_maps, k, d=distance)
-    weights = graph.weights.copy()
-    bg = ~artifacts.fg_map.theta
-    weights[bg, :] = 0.0
-    weights[:, bg] = 0.0
-    graph = community.filter_edges(
-        community.CoocGraph(weights=weights, node_counts=graph.node_counts),
-        edge_threshold,
-    )
+    graph = foreground_graph(artifacts.cluster_maps, artifacts.fg_map.theta,
+                             edge_threshold, distance)
     partition = community.detect_communities(
         graph, target_m=n_classes - 1, markov_time=markov_time, seed=seed)
     merged = community.merge_by_communities(artifacts.cluster_maps, partition)
@@ -162,17 +148,18 @@ def run_ladder(dataset: Dataset, trained_params: dict[str, np.ndarray],
                overcluster_k: int, cbfe_threshold: float,
                edge_threshold: float = community.DEFAULT_EDGE_THRESHOLD,
                markov_time: float = community.DEFAULT_MARKOV_TIME,
-               seed: int = 0) -> LadderResult:
+               seed: int = 0, distance: int = community.DEFAULT_DISTANCE,
+               use_head: bool = True) -> LadderResult:
     """All four unsup-seg stages on one dataset."""
     gt = dataset.object_maps
     n_classes = int(max(g.max() for g in gt)) + 1
     hints = attention_hints(dataset)
-    embedded = embed_dataset(dataset, trained_params, use_head=True)
+    embedded = embed_dataset(dataset, trained_params, use_head=use_head)
     raw_score = stage_kmeans(dataset.features, gt, n_classes, seed=seed)
     trained_score = stage_kmeans(embedded, gt, n_classes, seed=seed)
     artifacts = run_cbfe(embedded, hints, overcluster_k, cbfe_threshold, seed=seed)
     cbfe_score = stage_cbfe(embedded, artifacts, gt, n_classes, seed=seed)
     cd_score, _ = stage_cd(artifacts, gt, n_classes, edge_threshold, markov_time,
-                           seed=seed)
+                           distance, seed=seed)
     return LadderResult(raw_kmeans=raw_score, trained_kmeans=trained_score,
                         cbfe=cbfe_score, cd=cd_score)

@@ -53,13 +53,10 @@ def _check_tensor(t: np.ndarray) -> np.ndarray:
 
 def write_tensor(t: np.ndarray, path: str | Path) -> None:
     """Write *t* to *path* in the LPT1 format (fixed little-endian layout)."""
-    t = _check_tensor(t)
-    header = MAGIC + struct.pack("<BB", _DTYPE_CODES[t.dtype], t.ndim)
-    header += struct.pack(f"<{t.ndim}I", *t.shape)
+    data = tensor_bytes(t)
     try:
         with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(t.tobytes())
+            fh.write(data)
     except OSError as exc:
         raise TensorFormatError(f"cannot write tensor to {path}: {exc}") from exc
 

@@ -1,9 +1,12 @@
 """End-to-end CLI pipeline and command-level behavior."""
 
+import argparse
+import shutil
+
 import numpy as np
 import pytest
 
-from leopart import cbfe, cli, community, render, tensor_io
+from leopart import cbfe, cli, community, config, pipeline, render, tensor_io
 
 SMALL_CFG = """
 [synth]
@@ -71,7 +74,6 @@ def test_pipeline_artifacts_exist(workspace):
 
 
 def test_output_manifests_carry_config_hash(workspace):
-    from leopart import config
     cfg = config.load_config(workspace / "run.cfg")
     for cmd, sub in [("gen", "data"), ("train", "train"), ("cluster", "clusters"),
                      ("cbfe", "fg"), ("cooc", "cooc"), ("communities", "comm")]:
@@ -113,6 +115,75 @@ def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
     tensor_io.write_tensor(cm, clusters / "zzz_clusters.lpt")
     assert cli.main(["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_cbfe_pairs_cluster_maps_with_records_by_id(workspace, tmp_path):
+    """A manifest listing its records in reverse order gives the same outputs."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    lines = (data / "manifest.txt").read_text().splitlines()
+    meta = [ln for ln in lines if ln.startswith("#")]
+    records = [ln for ln in lines if ln.startswith("id=")]
+    (data / "manifest.txt").write_text("\n".join(meta + records[::-1]) + "\n")
+    fg = tmp_path / "fg"
+    assert cli.main(["--config", str(workspace / "run.cfg"), "cbfe", "--data", str(data),
+                     "--clusters", str(workspace / "clusters"), "--out", str(fg)]) == 0
+    assert (fg / "fg_map.txt").read_bytes() == (workspace / "fg" / "fg_map.txt").read_bytes()
+    masks = sorted((workspace / "fg").glob("*_fg.lpt"))
+    assert len(masks) == len(records) == 24
+    for path in masks:
+        assert (fg / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
+    """cbfe and communities give what pipeline.run_cbfe and pipeline.stage_cd
+    give on the checkpoint's embeddings: one code path for CLI and ladder."""
+    cfg = config.load_config(workspace / "run.cfg")
+    dataset = pipeline.load_dataset(tensor_io.load_manifest(workspace / "data" / "manifest.txt"))
+    args = argparse.Namespace(checkpoint=workspace / "train" / "checkpoint.lpc", force=False)
+    embedded = pipeline.embed_dataset(dataset, cli.student_params(args, cfg),
+                                      cfg["eval"]["use_head"])
+    art = pipeline.run_cbfe(embedded, pipeline.attention_hints(dataset), cfg["cbfe"]["k"],
+                            cfg["cbfe"]["threshold"], seed=0)
+    cbfe.write_foreground_map(art.fg_map, tmp_path / "fg_map.txt")
+    assert (tmp_path / "fg_map.txt").read_bytes() == (workspace / "fg" / "fg_map.txt").read_bytes()
+    _, partition = pipeline.stage_cd(
+        art, dataset.object_maps, cfg["cd"]["target_m"] + 1, cfg["cd"]["edge_threshold"],
+        cfg["cd"]["markov_time"], cfg["cd"]["distance"], seed=0)
+    cli_partition = community.read_partition(workspace / "comm" / "partition.txt")
+    assert np.array_equal(partition.assignment, cli_partition.assignment)
+
+
+def test_eval_unsupseg_honours_cd_distance_and_use_head(workspace, tmp_path, monkeypatch):
+    seen = {}
+    graph, embed = community.cooccurrence_graph, pipeline.embed_dataset
+
+    def recording_graph(maps, k, d=community.DEFAULT_DISTANCE):
+        seen["d"] = d
+        return graph(maps, k, d=d)
+
+    def recording_embed(dataset, params, use_head=False):
+        seen["use_head"] = use_head
+        return embed(dataset, params, use_head)
+
+    monkeypatch.setattr(community, "cooccurrence_graph", recording_graph)
+    monkeypatch.setattr(pipeline, "embed_dataset", recording_embed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("[cd]\n", "[cd]\ndistance = 2\n")
+                   .replace("[eval]\n", "[eval]\nuse_head = false\n"))
+    assert cli.main(["--config", str(cfg), "eval", "--data", str(workspace / "data"),
+                     "--protocol", "unsupseg",
+                     "--checkpoint", str(workspace / "train" / "checkpoint.lpc")]) == 0
+    assert seen == {"d": 2, "use_head": False}
+
+
+@pytest.mark.parametrize("edge", ["0 7 0.5", "0 1"])
+def test_communities_rejects_malformed_graph(tmp_path, capsys, edge):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"nodes 3\n{edge}\n")
+    assert cli.main(["communities", "--graph", str(graph), "--out", str(tmp_path / "comm"),
+                     "--target-m", "1"]) == 1
+    assert f"{graph}: line 2" in capsys.readouterr().err
 
 
 def test_eval_unsupseg_prints_final_miou(workspace, capsys):
@@ -203,11 +274,3 @@ def test_seed_env_override(tmp_path, monkeypatch):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     monkeypatch.setenv("LEOPART_SEED", "not-an-int")
     assert cli.main(["--config", str(cfg), "gen", "--out", str(tmp_path / "c")]) == 1
-
-
-def test_threads_flag_accepted(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[synth]\nn_images = 2\nraw_dim = 16\n")
-    code = cli.main(["--config", str(cfg), "--threads", "4",
-                     "gen", "--out", str(tmp_path / "d")])
-    assert code == 0

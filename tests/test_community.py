@@ -1,6 +1,7 @@
 """Co-occurrence graph oracles and hand-computed map-equation values."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -502,6 +503,40 @@ def test_graph_read_rejects_missing_header(tmp_path):
     path.write_text("0 1 0.5\n")
     with pytest.raises(ValueError, match="header"):
         community.read_graph(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nodes 3\n0 7 0.5\n", "line 2: node id 7 is out of range for 3 nodes"),
+    ("nodes 3\n0 1\n", "line 2: not enough values"),
+    ("nodes 3\nnode 3 10\n", "line 2: node id 3 is out of range"),
+    ("nodes 3\n\n0 1 heavy\n", "line 3: could not convert"),
+    ("nodes\n", "line 1: not enough values"),
+])
+def test_graph_read_names_the_malformed_line(tmp_path, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        community.read_graph(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n5 0\n", "line 2: node id 5 is out of range for 2 nodes"),
+    ("0 1 2\n", "line 1: too many values"),
+])
+def test_partition_read_names_the_malformed_line(tmp_path, text, message):
+    path = tmp_path / "part.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        community.read_partition(path)
+
+
+def test_disconnect_drops_only_the_edges_of_dropped_nodes():
+    w = np.array([[0, .5, .2], [.5, 0, .7], [.2, .7, 0]])
+    graph = community.CoocGraph(w, np.array([3, 4, 5]))
+    cut = community.disconnect(graph, np.array([True, False, True]))
+    assert np.array_equal(cut.weights, [[0, 0, .2], [0, 0, 0], [.2, 0, 0]])
+    assert np.array_equal(cut.node_counts, graph.node_counts)
+    assert np.array_equal(graph.weights, w)
 
 
 def test_partition_roundtrip(tmp_path):

@@ -55,6 +55,14 @@ def test_unknown_key_rejected_by_name(tmp_path):
         config.load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [("cd", "k"), ("run", "threads")])
+def test_removed_keys_rejected_by_name(tmp_path, section, key):
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(config.ConfigError, match=f"unknown key {section}.{key}"):
+        config.load_config(path)
+
+
 def test_bad_value_rejected_by_name(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[train]\nepochs = soon\n")
