@@ -135,10 +135,25 @@ def write_foreground_map(fg_map: ForegroundMap, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_foreground_map(path: str | Path, threshold: float) -> ForegroundMap:
-    precision = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            _, prec, _ = line.split()
-            precision.append(float(prec))
-    return build_theta(np.array(precision), threshold)
+def read_foreground_map(path: str | Path) -> np.ndarray:
+    """The (K,) fg/bg flags of a map written by :func:`write_foreground_map`.
+
+    The flags come from the fg/bg column as written, not from the rounded
+    precisions. Raises ``ValueError`` naming the file and line of a
+    malformed entry.
+    """
+    theta = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        try:
+            ok = (len(fields) == 3 and int(fields[0]) == len(theta)
+                  and 0.0 <= float(fields[1]) <= 1.0 and fields[2] in ("fg", "bg"))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}:{lineno}: expected '{len(theta)} <precision> fg|bg', "
+                             f"got {line.strip()!r}")
+        theta.append(fields[2] == "fg")
+    return np.array(theta, dtype=bool)

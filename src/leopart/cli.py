@@ -157,7 +157,7 @@ def cmd_cooc(args, cfg: config_mod.Config) -> int:
     maps, k = read_cluster_maps(Path(args.clusters))
     theta = np.ones(k, dtype=bool)
     if args.fg_map:
-        theta = cbfe.read_foreground_map(Path(args.fg_map), cfg["cbfe"]["threshold"]).theta
+        theta = cbfe.read_foreground_map(Path(args.fg_map))
         if len(theta) != k:
             raise ValueError(f"{args.fg_map} labels {len(theta)} clusters, "
                              f"the clusters have k={k}")

@@ -3,14 +3,13 @@
 Crops live in normalized [0,1] coordinates of the source image. Alignment
 resamples a feature grid over a box with bilinear interpolation at a fixed
 output resolution; its adjoint (``align_backward``) scatter-adds gradients
-through the same taps. Both are realized through one explicit linear map so
-the adjoint identity holds exactly.
+through the same taps. Both apply the same pair of 1-D tap matrices, one
+per axis, so the adjoint identity holds exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,64 +163,62 @@ def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> tuple[l
     return crops, box_matrix(crops)
 
 
-@lru_cache(maxsize=4096)
-def _align_matrix(box: tuple[float, float, float, float], src_h: int, src_w: int,
-                  out_h: int, out_w: int) -> np.ndarray:
-    """Dense (out_h*out_w, src_h*src_w) bilinear sampling matrix for *box*.
+def taps(lo: np.ndarray, hi: np.ndarray, src: int, out: int) -> np.ndarray:
+    """(N, out, src) 1-D bilinear sampling matrices for N intervals [lo, hi].
 
-    Output cell (r, c) samples the source at the half-pixel-centered point
-    mapping the regular out grid into the box; samples clamp to the border.
-    Every row sums to 1.
+    Output cell r samples the source axis at the half-pixel-centered point
+    mapping the regular out grid into the interval; samples clamp to the
+    border. Every row sums to 1. The 2-D sampling of a box is the outer
+    product of its y and x taps.
     """
-    x0, y0, x1, y1 = box
-    ys = y0 + (np.arange(out_h) + 0.5) / out_h * (y1 - y0)
-    xs = x0 + (np.arange(out_w) + 0.5) / out_w * (x1 - x0)
-    ty = np.clip(ys * src_h - 0.5, 0.0, src_h - 1.0)
-    tx = np.clip(xs * src_w - 0.5, 0.0, src_w - 1.0)
-    iy0 = np.floor(ty).astype(np.intp)
-    ix0 = np.floor(tx).astype(np.intp)
-    iy1 = np.minimum(iy0 + 1, src_h - 1)
-    ix1 = np.minimum(ix0 + 1, src_w - 1)
-    wy = ty - iy0
-    wx = tx - ix0
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    t = np.clip((lo + (np.arange(out) + 0.5) / out * (hi - lo)) * src - 0.5, 0.0, src - 1.0)
+    i0 = np.floor(t).astype(np.intp)
+    i1 = np.minimum(i0 + 1, src - 1)
+    w = (t - i0)[..., None]
+    cols = np.arange(src)
+    return (1.0 - w) * (cols == i0[..., None]) + w * (cols == i1[..., None])
 
-    mat = np.zeros((out_h * out_w, src_h * src_w))
-    rows = np.arange(out_h * out_w).reshape(out_h, out_w)
-    for yi, ywt in ((iy0, 1.0 - wy), (iy1, wy)):
-        for xi, xwt in ((ix0, 1.0 - wx), (ix1, wx)):
-            cols = yi[:, None] * src_w + xi[None, :]
-            np.add.at(mat, (rows.ravel(), cols.ravel()), np.outer(ywt, xwt).ravel())
-    return mat
+
+def _box_taps(box, src_h: int, src_w: int, out_h: int, out_w: int,
+              dtype) -> tuple[np.ndarray, np.ndarray]:
+    coords = np.asarray(box.coords if isinstance(box, CropBox) else box, dtype=np.float64)
+    if coords.shape[-1:] != (4,):
+        raise ValueError(f"boxes must be (..., 4) arrays of (x0, y0, x1, y1), got {coords.shape}")
+    ry = taps(coords[..., 1], coords[..., 3], src_h, out_h).astype(dtype, copy=False)
+    rx = taps(coords[..., 0], coords[..., 2], src_w, out_w).astype(dtype, copy=False)
+    return ry[..., None, :, :], rx[..., None, :, :]
 
 
 def _as_channels(grid: np.ndarray) -> tuple[np.ndarray, bool]:
     if grid.ndim == 2:
         return grid[None], True
-    if grid.ndim == 3:
+    if grid.ndim >= 3:
         return grid, False
-    raise ValueError(f"feature grid must be (H, W) or (C, H, W), got shape {grid.shape}")
+    raise ValueError(f"feature grid must be (H, W) or (..., C, H, W), got shape {grid.shape}")
 
 
 def align(src: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear region-of-interest resampling of *src* over *box*.
 
-    *src* is (H, W) or (C, H, W); channels are handled independently.
+    *src* is (H, W) or (..., C, H, W); channels are handled independently.
+    *box* is one box, or an (..., 4) array of boxes whose leading dims
+    broadcast against those of *src*, so one call aligns a whole stack of
+    grids, each over its own box. The sampling is separable:
+    ``out = R_y · X · R_xᵀ`` per channel.
     """
-    coords = box.coords if isinstance(box, CropBox) else tuple(box)
     chans, squeeze = _as_channels(src)
-    c, h, w = chans.shape
-    mat = _align_matrix(coords, h, w, out_h, out_w).astype(src.dtype, copy=False)
-    out = chans.reshape(c, h * w) @ mat.T
-    out = out.reshape(c, out_h, out_w)
-    return out[0] if squeeze else out
+    h, w = chans.shape[-2:]
+    ry, rx = _box_taps(box, h, w, out_h, out_w, src.dtype)
+    out = ry @ chans @ np.swapaxes(rx, -1, -2)
+    return out[..., 0, :, :] if squeeze else out
 
 
 def align_backward(grad_out: np.ndarray, box, src_h: int, src_w: int) -> np.ndarray:
-    """Exact adjoint of :func:`align` for the same box and source dims."""
-    coords = box.coords if isinstance(box, CropBox) else tuple(box)
+    """Exact adjoint of :func:`align` for the same boxes and source dims."""
     chans, squeeze = _as_channels(grad_out)
-    c, oh, ow = chans.shape
-    mat = _align_matrix(coords, src_h, src_w, oh, ow).astype(grad_out.dtype, copy=False)
-    grad = chans.reshape(c, oh * ow) @ mat
-    grad = grad.reshape(c, src_h, src_w)
-    return grad[0] if squeeze else grad
+    oh, ow = chans.shape[-2:]
+    ry, rx = _box_taps(box, src_h, src_w, oh, ow, grad_out.dtype)
+    grad = np.swapaxes(ry, -1, -2) @ chans @ rx
+    return grad[..., 0, :, :] if squeeze else grad

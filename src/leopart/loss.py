@@ -1,15 +1,17 @@
-"""Masked swapped-prediction loss over aligned crop pairs.
+"""Masked swapped-prediction loss over aligned crop pairs, for a whole batch.
 
 Teacher assignments of each global crop are the targets; every other crop
-predicts them inside the pairwise intersection, resampled to a fixed
-resolution. Gradients are accumulated by hand through the softmax
-cross-entropy, the alignment resampling, the prototype scoring, the head
-and the token encoder.
+of the same image predicts them inside the pairwise intersection, resampled
+to a fixed resolution. One student forward and one backward cover every
+crop of the batch; the pairs are scored as stacks, one per predictor grid
+size. Gradients are accumulated by hand through the softmax cross-entropy,
+the alignment resampling, the prototype scoring, the head and the token
+encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +21,26 @@ ALIGN_SIZE = 7
 
 
 @dataclass
-class CropView:
-    """One crop of an image: its box and the raw token grid extracted for it."""
+class CropBatch:
+    """The crops of B images, stacked by kind.
 
-    box: crops.CropBox
-    raw: np.ndarray  # (raw_dim, h, w)
+    Views are numbered as :func:`crops.sample_crops` returns them: the G
+    global crops first, then the L local ones. ``boxes[b, i, j]`` is the
+    intersection of views i and j of image b in view-i-local coordinates,
+    NaN where they do not intersect. ``masks`` weights the cells of each
+    global crop (all ones for no foreground masking).
+    """
 
-    @property
-    def grid_hw(self) -> tuple[int, int]:
-        return self.raw.shape[1], self.raw.shape[2]
+    global_raw: np.ndarray  # (B, G, raw_dim, g, g)
+    local_raw: np.ndarray   # (B, L, raw_dim, l, l)
+    boxes: np.ndarray       # (B, G + L, G + L, 4)
+    masks: np.ndarray       # (B, G, g, g) in {0, 1}
+
+
+def box_array(boxmat: crops.BoxMatrix) -> np.ndarray:
+    """(V, V, 4) array of a :class:`crops.BoxMatrix`, NaN for empty entries."""
+    return np.array([[(np.nan,) * 4 if box is None else box for box in row]
+                     for row in boxmat.boxes], dtype=np.float64)
 
 
 @dataclass
@@ -39,147 +52,142 @@ class PairDiagnostics:
 
 
 def softmax_cross_entropy_grid(logits: np.ndarray, targets: np.ndarray,
-                               mask: np.ndarray, tau: float) -> tuple[float, np.ndarray, int]:
+                               mask: np.ndarray, tau: float,
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell CE between temperature-softmaxed logits and target rows.
 
-    ``logits``/``targets`` are (K, h, w); ``mask`` is (h, w) in {0, 1}. The
-    loss is the mean over cells with nonzero mask; the returned gradient is
-    with respect to ``logits`` and already includes that mean.
+    ``logits``/``targets`` are (..., K, h, w); ``mask`` is (..., h, w) in
+    {0, 1}. Each grid's loss is the mean over its cells with nonzero mask
+    (0 when there are none); the returned gradient is with respect to
+    ``logits`` and already includes that mean. Returns the losses, the
+    gradient and the active cell counts, one per grid.
     """
-    n_active = int(mask.sum())
-    if n_active == 0:
-        return 0.0, np.zeros_like(logits), 0
+    n_active = mask.sum(axis=(-2, -1))
+    denom = np.maximum(n_active, 1)
     s = logits / tau
-    s = s - s.max(axis=0, keepdims=True)
-    log_norm = np.log(np.exp(s).sum(axis=0, keepdims=True))
+    s = s - s.max(axis=-3, keepdims=True)
+    log_norm = np.log(np.exp(s).sum(axis=-3, keepdims=True))
     log_p = s - log_norm
-    ce = -(targets * log_p).sum(axis=0)
-    loss = float((ce * mask).sum() / n_active)
+    ce = -(targets * log_p).sum(axis=-3)
+    loss = (ce * mask).sum(axis=(-2, -1)) / denom
     p = np.exp(log_p)
-    g = (p - targets) * (mask / (tau * n_active))
-    return loss, g.astype(logits.dtype, copy=False), n_active
+    g = (p - targets) * (mask / (tau * denom[..., None, None]))[..., None, :, :]
+    return loss, g.astype(logits.dtype, copy=False), n_active.astype(np.int64)
 
 
 def pair_loss(pred_logits: np.ndarray, target_q: np.ndarray,
-              box_pred, box_target, fg_mask: np.ndarray | None,
-              tau: float, out_size: int = ALIGN_SIZE) -> tuple[float, np.ndarray, int]:
-    """Masked cross-entropy of one (predictor, target) crop pair.
+              box_pred: np.ndarray, box_target: np.ndarray, fg_mask: np.ndarray,
+              tau: float, out_size: int = ALIGN_SIZE,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masked cross-entropy of a stack of P (predictor, target) crop pairs.
 
-    ``box_pred`` is the intersection in predictor-local coordinates,
-    ``box_target`` the same region in target-local coordinates. ``fg_mask``
-    is a binary grid at the target crop's resolution, or None for no
-    weighting. Returns (loss, d loss / d pred_logits grid, active cells).
+    ``pred_logits`` is (P, K, h, w), ``target_q`` (P, K, g, g) and
+    ``fg_mask`` (P, g, g), a binary grid at the target crop's resolution.
+    ``box_pred`` (P, 4) is each intersection in predictor-local
+    coordinates, ``box_target`` (P, 4) the same region in target-local
+    coordinates. Returns per-pair losses, d loss / d pred_logits and the
+    active cell counts.
     """
     aligned_pred = crops.align(pred_logits, box_pred, out_size, out_size)
     aligned_q = crops.align(target_q, box_target, out_size, out_size)
-    if fg_mask is None:
-        mask = np.ones((out_size, out_size))
-    else:
-        mask = attention.align_mask(fg_mask, box_target, out_size, out_size).astype(np.float64)
+    mask = attention.align_mask(fg_mask[:, None], box_target, out_size, out_size)[:, 0]
+    mask = mask.astype(np.float64)
     loss, g_aligned, n_active = softmax_cross_entropy_grid(aligned_pred, aligned_q, mask, tau)
-    _, h, w = pred_logits.shape
-    g_pred = crops.align_backward(g_aligned, box_pred, h, w)
-    return loss, g_pred, n_active
+    h, w = pred_logits.shape[-2:]
+    return loss, crops.align_backward(g_aligned, box_pred, h, w), n_active
 
 
-def compute_targets(views: list[CropView], teacher_params: dict[str, np.ndarray],
+def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
                     prototypes: np.ndarray, queue: sinkhorn.FeatureQueue | None,
-                    epsilon: float, n_iters: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Sinkhorn targets for every global crop, jointly over the batch + queue.
+                    epsilon: float, n_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sinkhorn targets for every global crop, image by image.
 
-    Returns one (K, h, w) row-stochastic grid per global view plus the
-    teacher feature rows (for the caller to push onto the queue afterwards).
+    One teacher forward covers all global crops. Each image's rows are then
+    assigned jointly with the queue and pushed onto it before the next
+    image is assigned. Returns (B, G, K, g, g) row-stochastic target grids
+    and the (B, G * g * g, D) teacher rows.
     """
-    global_views = [v for v in views if v.box.kind == "global"]
-    feats = []
-    shapes = []
-    for view in global_views:
-        _, h, w = view.raw.shape
-        raw = view.raw.reshape(view.raw.shape[0], h * w).T
-        tokens = model.encoder_forward(raw, teacher_params)
-        z = model.project(tokens, teacher_params)
-        feats.append(z)
-        shapes.append((h, w))
-    rows = np.concatenate(feats, axis=0)
-    queue_rows = queue.active_rows() if queue is not None else None
-    if queue_rows is not None and len(queue_rows) == 0:
-        queue_rows = None
-    batch = sinkhorn.FeatureBatch.from_rows(rows, queue_rows)
-    q = sinkhorn.assign(batch, prototypes, epsilon=epsilon, n_iters=n_iters).q
-    grids = []
-    offset = 0
-    for h, w in shapes:
-        n = h * w
-        grids.append(q[offset:offset + n].T.reshape(-1, h, w).astype(rows.dtype))
-        offset += n
-    return grids, rows
+    n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
+    raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
+    rows = model.project(model.encoder_forward(raw, teacher_params), teacher_params)
+    rows = rows.reshape(n_img, n_glob * g * g, -1)
+    targets = []
+    for img_rows in rows:
+        queue_rows = queue.active_rows() if queue is not None else None
+        feats = sinkhorn.FeatureBatch.from_rows(img_rows, queue_rows)
+        targets.append(sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q)
+        if queue is not None:
+            queue.push(img_rows.astype(np.float32))
+    q = np.stack(targets).reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
+    return q.astype(rows.dtype), rows
 
 
-def loss_given_targets(views: list[CropView], boxmat: crops.BoxMatrix,
-                       params: dict[str, np.ndarray],
-                       target_grids: list[np.ndarray],
-                       masks: list[np.ndarray | None],
-                       tau: float, out_size: int = ALIGN_SIZE,
+def loss_given_targets(batch: CropBatch, params: dict[str, np.ndarray],
+                       targets: np.ndarray, tau: float, out_size: int = ALIGN_SIZE,
                        ) -> tuple[float, dict[str, np.ndarray], PairDiagnostics]:
     """Swapped-prediction loss and parameter gradients with fixed targets.
 
-    ``target_grids``/``masks`` carry one entry per global view, in view
-    order. The loss sums over ordered pairs (global target j, predictor
-    i != j) and is normalized by the number of contributing pairs.
+    Each image's loss sums over its ordered pairs (global target j,
+    predictor i != j) and is normalized by its number of contributing
+    pairs; the batch loss is the mean over images.
     """
-    global_idx = [i for i, v in enumerate(views) if v.box.kind == "global"]
-    diag = PairDiagnostics()
-    forwards = [model.forward_crop(v.raw, params) for v in views]
-    logit_grads = [np.zeros_like(f[0]) for f in forwards]
-    raw_loss = 0.0
-    for g_pos, j in enumerate(global_idx):
-        for i in range(len(views)):
-            if i == j:
-                continue
-            diag.n_pairs_total += 1
-            box_pred = boxmat[i, j]
-            box_target = boxmat[j, i]
-            if box_pred is None or box_target is None:
-                diag.n_empty_intersections += 1
-                continue
-            loss, g_pred, n_active = pair_loss(
-                forwards[i][0], target_grids[g_pos], box_pred, box_target,
-                masks[g_pos], tau, out_size,
-            )
-            if n_active == 0:
-                diag.n_fully_masked += 1
-                continue
-            diag.n_pairs_contributing += 1
-            raw_loss += loss
-            logit_grads[i] += g_pred
-    n = max(diag.n_pairs_contributing, 1)
-    total = raw_loss / n
-    grads: dict[str, np.ndarray] = {}
-    for (logits, cache), g_grid in zip(forwards, logit_grads):
-        if not np.any(g_grid):
-            continue
-        model.accumulate(grads, model.backward_crop(g_grid / n, cache, params))
-    for name, p in params.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(p)
+    n_img, n_glob = batch.global_raw.shape[:2]
+    stacks = [batch.global_raw, batch.local_raw]
+    flat_logits, cache = model.forward_crop([v.reshape(-1, *v.shape[2:]) for v in stacks],
+                                            params)
+    logits = [f.reshape(v.shape[:2] + f.shape[1:]) for f, v in zip(flat_logits, stacks)]
+
+    # every ordered (target j, predictor i != j) pair of every image, in that order
+    off_diag = ~np.eye(batch.boxes.shape[1], dtype=bool)[:n_glob]
+    img, tgt, pred = np.nonzero(np.broadcast_to(off_diag, (n_img, *off_diag.shape)))
+    box_pred = batch.boxes[img, pred, tgt]
+    box_target = batch.boxes[img, tgt, pred]
+    present = ~np.isnan(box_pred[:, 0])
+    diag = PairDiagnostics(n_pairs_total=len(img),
+                           n_empty_intersections=int((~present).sum()))
+    img, tgt, pred = img[present], tgt[present], pred[present]
+    box_pred, box_target = box_pred[present], box_target[present]
+
+    # one stack of pairs per predictor grid size: global, then local predictors
+    pair_losses = np.zeros(len(img))
+    n_active = np.zeros(len(img), dtype=np.int64)
+    groups = []
+    for kind, (sel, view) in enumerate([(pred < n_glob, pred), (pred >= n_glob, pred - n_glob)]):
+        key = (img[sel], view[sel])
+        loss, g_pred, active = pair_loss(
+            logits[kind][key], targets[img[sel], tgt[sel]], box_pred[sel],
+            box_target[sel], batch.masks[img[sel], tgt[sel]], tau, out_size)
+        pair_losses[sel], n_active[sel] = loss, active
+        groups.append((kind, sel, key, g_pred))
+
+    contributing = n_active > 0
+    diag.n_fully_masked = int((~contributing).sum())
+    diag.n_pairs_contributing = int(contributing.sum())
+    per_image = np.maximum(np.bincount(img[contributing], minlength=n_img), 1)
+    image_loss = np.bincount(img, weights=pair_losses * contributing, minlength=n_img) / per_image
+    total = float(image_loss.mean())
+
+    # d total / d pair loss = 1 / (pairs of its image * images)
+    scale = contributing / (per_image[img] * n_img)
+    g_logits = [np.zeros_like(stack_logits) for stack_logits in logits]
+    for kind, sel, key, g_pred in groups:
+        np.add.at(g_logits[kind], key, g_pred * scale[sel, None, None, None].astype(g_pred.dtype))
+    grads = model.backward_crop([g.reshape(-1, *g.shape[2:]) for g in g_logits], cache, params)
     return total, grads, diag
 
 
-def total_loss(views: list[CropView], boxmat: crops.BoxMatrix,
-               student_params: dict[str, np.ndarray],
+def total_loss(batch: CropBatch, student_params: dict[str, np.ndarray],
                teacher_params: dict[str, np.ndarray],
                queue: sinkhorn.FeatureQueue | None,
-               masks: list[np.ndarray | None],
                tau: float, epsilon: float, n_iters: int,
                out_size: int = ALIGN_SIZE,
-               ) -> tuple[float, dict[str, np.ndarray], PairDiagnostics, np.ndarray]:
+               ) -> tuple[float, dict[str, np.ndarray], PairDiagnostics]:
     """Full swapped-prediction step: Sinkhorn targets (no grad) + student loss.
 
-    Returns the teacher's global-crop feature rows so the trainer can push
-    them onto the queue after the step.
+    The teacher rows of each image are pushed onto *queue* right after that
+    image's assignment.
     """
-    target_grids, teacher_rows = compute_targets(
-        views, teacher_params, student_params["prototypes"], queue, epsilon, n_iters)
-    loss, grads, diag = loss_given_targets(
-        views, boxmat, student_params, target_grids, masks, tau, out_size)
-    return loss, grads, diag, teacher_rows
+    targets, _ = compute_targets(batch, teacher_params, student_params["prototypes"],
+                                 queue, epsilon, n_iters)
+    loss, grads, diag = loss_given_targets(batch, student_params, targets, tau, out_size)
+    return loss, grads, diag

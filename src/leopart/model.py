@@ -7,14 +7,16 @@ forward functions return the caches their backward twins need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 NORM_GUARD = 1e-12
-SQRT2 = np.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so that they keep the dtype of float32 activations
+SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEFAULT_HIDDEN = 2048
 DEFAULT_OUT = 256
@@ -117,36 +119,36 @@ def project(tokens: np.ndarray, params: dict[str, np.ndarray], prefix: str = "")
     return z
 
 
-def forward_crop(raw_grid: np.ndarray, params: dict[str, np.ndarray],
-                 prefix: str = "") -> tuple[np.ndarray, dict]:
-    """raw (raw_dim, h, w) grid -> prototype logits grid (K, h, w) with caches."""
-    _, h, w = raw_grid.shape
-    raw = raw_grid.reshape(raw_grid.shape[0], h * w).T  # tokens as rows
+def forward_crop(grids: list[np.ndarray], params: dict[str, np.ndarray],
+                 prefix: str = "") -> tuple[list[np.ndarray], dict]:
+    """Prototype logits of stacks of crops in one pass over all their tokens.
+
+    Each entry of *grids* is an (N, raw_dim, h, w) stack of same-size raw
+    crops; the result holds one (N, K, h, w) logits stack per entry, plus
+    the caches :func:`backward_crop` needs.
+    """
+    raw = np.concatenate([g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1]) for g in grids])
     tokens = encoder_forward(raw, params, prefix)
     z, cache = head_forward(tokens, params, prefix)
     logits = z @ params["prototypes"].T
-    cache.update({"raw": raw, "grid_hw": (h, w)})
-    return logits.T.reshape(-1, h, w), cache
+    shapes = [g.shape[:1] + g.shape[2:] for g in grids]  # (N, h, w) per stack
+    cache.update({"raw": raw, "shapes": shapes})
+    out, start = [], 0
+    for n, h, w in shapes:
+        stop = start + n * h * w
+        out.append(logits[start:stop].reshape(n, h, w, logits.shape[1]).transpose(0, 3, 1, 2))
+        start = stop
+    return out, cache
 
 
-def backward_crop(g_logits_grid: np.ndarray, cache: dict,
+def backward_crop(g_logits: list[np.ndarray], cache: dict,
                   params: dict[str, np.ndarray], prefix: str = "") -> dict[str, np.ndarray]:
-    """Backprop a (K, h, w) logits gradient to encoder/head/prototype grads."""
-    h, w = cache["grid_hw"]
-    g_logits = g_logits_grid.reshape(-1, h * w).T  # (n_tokens, K)
-    grads = {"prototypes": g_logits.T @ cache["z"]}
-    gz = g_logits @ params["prototypes"]
+    """Backprop (N, K, h, w) logits gradients, one per stack given to
+    :func:`forward_crop`, to encoder/head/prototype grads in one pass."""
+    g = np.concatenate([gs.transpose(0, 2, 3, 1).reshape(-1, gs.shape[1]) for gs in g_logits])
+    grads = {"prototypes": g.T @ cache["z"]}
+    gz = g @ params["prototypes"]
     g_tokens, head_grads = head_backward(gz, cache, params, prefix)
     grads.update(head_grads)
     grads.update(encoder_backward(g_tokens, cache["raw"], prefix))
     return grads
-
-
-def accumulate(into: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               strip_prefix: str = "") -> None:
-    for name, g in grads.items():
-        key = name.removeprefix(strip_prefix)
-        if key in into:
-            into[key] = into[key] + g
-        else:
-            into[key] = g.copy()

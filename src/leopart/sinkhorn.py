@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_ITERS = 3
@@ -62,6 +61,12 @@ class Assignment:
     plan_col_sums: np.ndarray
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along *axis*, shifted by the maximum for stability."""
+    peak = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+
+
 def assign(features: FeatureBatch, prototypes: np.ndarray,
            epsilon: float = DEFAULT_EPSILON, n_iters: int = DEFAULT_ITERS) -> Assignment:
     """Sinkhorn-Knopp assignment of feature rows to prototypes.
@@ -78,20 +83,21 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
     if m < k:
         warnings.warn(f"fewer features ({m}) than prototypes ({k}); "
                       "equipartition is unattainable", stacklevel=2)
-    log_kernel = (z @ c.T) / epsilon
+    # prototypes x rows, so that both scalings reduce along contiguous memory
+    log_kernel = (c @ z.T) / epsilon
     log_col_target = np.log(m / k)
     u = np.zeros(m)
     v = np.zeros(k)
     for _ in range(n_iters):
-        v = log_col_target - logsumexp(log_kernel + u[:, None], axis=0)
-        u = -logsumexp(log_kernel + v[None, :], axis=1)
-    log_plan = log_kernel + u[:, None] + v[None, :]
+        v = log_col_target - _logsumexp(log_kernel + u[None, :], axis=1)
+        u = -_logsumexp(log_kernel + v[:, None], axis=0)
+    log_plan = log_kernel + u[None, :] + v[:, None]
     if not np.all(np.isfinite(log_plan)):
         raise FloatingPointError("non-finite Sinkhorn plan; inputs must be finite")
     plan = np.exp(log_plan)
-    q = plan[features.is_batch]
-    q = q / q.sum(axis=1, keepdims=True)
-    return Assignment(q=q, plan_col_sums=plan.sum(axis=0))
+    q = plan[:, features.is_batch]
+    q = q / q.sum(axis=0, keepdims=True)
+    return Assignment(q=q.T, plan_col_sums=plan.sum(axis=1))
 
 
 @dataclass
@@ -121,10 +127,13 @@ class FeatureQueue:
             self._buf = np.zeros((self.capacity, self.dim), dtype=rows.dtype)
         if rows.shape[1] != self.dim:
             raise ValueError(f"row dim {rows.shape[1]} != queue dim {self.dim}")
-        for row in rows[-self.capacity:]:
-            self._buf[self._head] = row
-            self._head = (self._head + 1) % self.capacity
-            self._fill = min(self._fill + 1, self.capacity)
+        rows = rows[-self.capacity:]
+        n = len(rows)
+        first = min(n, self.capacity - self._head)  # up to the end of the buffer
+        self._buf[self._head:self._head + first] = rows[:first]
+        self._buf[:n - first] = rows[first:]  # the rest wraps to the front
+        self._head = (self._head + n) % self.capacity
+        self._fill = min(self._fill + n, self.capacity)
 
     def snapshot(self) -> np.ndarray:
         """Stored rows, oldest first."""

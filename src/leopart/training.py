@@ -59,30 +59,41 @@ class TrainConfig:
         return tensor_io.config_hash(repr(sorted(asdict(self).items())))
 
 
-def make_views(raw_grid: np.ndarray, boxes: list[crops.CropBox],
-               cfg: TrainConfig) -> list[loss_mod.CropView]:
-    views = []
-    for box in boxes:
-        g = cfg.global_grid if box.kind == "global" else cfg.local_grid
-        views.append(loss_mod.CropView(box=box, raw=crops.align(raw_grid, box, g, g)))
-    return views
+def crop_masks(attn_stacks: list[np.ndarray], global_boxes: np.ndarray,
+               cfg: TrainConfig) -> np.ndarray:
+    """(n, G, g, g) foreground masks of the G global crops of n images.
+
+    ``attn_stacks`` holds each image's (heads, H, W) attention and
+    ``global_boxes`` (n, G, 4) its global boxes; head counts may differ
+    between images. ``"bg"`` masking returns the background instead.
+    """
+    g = cfg.global_grid
+    merged = np.stack([
+        attention.merge_heads(np.maximum(crops.align(stack.astype(np.float64), boxes, g, g), 0.0))
+        for stack, boxes in zip(attn_stacks, global_boxes)])
+    fg = attention.foreground_mask(merged[:, :, None])  # one head left per map
+    return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
 
 
-def crop_masks(attn_stack: np.ndarray | None, boxes: list[crops.CropBox],
-               cfg: TrainConfig) -> list[np.ndarray | None]:
-    """One foreground mask per global crop from the image attention stack."""
-    masks: list[np.ndarray | None] = []
-    for box in boxes:
-        if box.kind != "global":
-            continue
-        if cfg.fg_masking == "all" or attn_stack is None:
-            masks.append(None)
-            continue
-        g = cfg.global_grid
-        cropped = crops.align(attn_stack.astype(np.float64), box, g, g)
-        fg = attention.foreground_mask(np.maximum(cropped, 0.0))
-        masks.append(fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8))
-    return masks
+def crop_batch(images: list[tuple[np.ndarray, np.ndarray | None]],
+               crop_seeds: list[list[int]], cfg: TrainConfig) -> loss_mod.CropBatch:
+    """Sample each image's crops from its seed; stack their grids and masks."""
+    spec = cfg.crop_spec()
+    sampled = [crops.sample_crops(spec, np.random.default_rng(seed)) for seed in crop_seeds]
+    coords = np.array([[box.coords for box in boxes] for boxes, _ in sampled])  # (B, V, 4)
+    raw = np.stack([grid for grid, _ in images]).astype(np.float32)[:, None]  # (B, 1, D, H, W)
+    n_glob, g, l = cfg.n_global, cfg.global_grid, cfg.local_grid
+    masks = np.ones((len(images), n_glob, g, g), dtype=np.uint8)
+    with_attn = [b for b, (_, attn) in enumerate(images) if attn is not None]
+    if cfg.fg_masking != "all" and with_attn:
+        masks[with_attn] = crop_masks([images[b][1] for b in with_attn],
+                                      coords[with_attn, :n_glob], cfg)
+    return loss_mod.CropBatch(
+        global_raw=crops.align(raw, coords[:, :n_glob], g, g),
+        local_raw=crops.align(raw, coords[:, n_glob:], l, l),
+        boxes=np.stack([loss_mod.box_array(boxmat) for _, boxmat in sampled]),
+        masks=masks,
+    )
 
 
 @dataclass
@@ -123,25 +134,17 @@ def _lr_table(cfg: TrainConfig, step: int, total_steps: int) -> dict[str, float]
 def train_step(images: list[tuple[np.ndarray, np.ndarray | None]],
                state: TrainState, cfg: TrainConfig, total_steps: int,
                crop_seeds: list[list[int]]) -> float:
-    """One optimizer step over a batch of (raw_grid, attention_stack) images."""
-    batch_loss = 0.0
-    batch_grads: dict[str, np.ndarray] = {}
-    for (raw_grid, attn), seed in zip(images, crop_seeds):
-        boxes, boxmat = crops.sample_crops(cfg.crop_spec(), np.random.default_rng(seed))
-        views = make_views(raw_grid.astype(np.float32), boxes, cfg)
-        masks = crop_masks(attn, boxes, cfg)
-        img_loss, grads, _, teacher_rows = loss_mod.total_loss(
-            views, boxmat, state.student, state.teacher, state.queue, masks,
-            tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
-            out_size=cfg.align_size,
-        )
-        state.queue.push(teacher_rows.astype(np.float32))
-        batch_loss += img_loss
-        model.accumulate(batch_grads, grads)
-    n = len(images)
-    batch_loss /= n
-    for name in batch_grads:
-        batch_grads[name] = batch_grads[name] / n
+    """One optimizer step over a batch of (raw_grid, attention_stack) images.
+
+    All crops of the batch go through one teacher forward, one student
+    forward and one backward; the Sinkhorn targets stay per image, each
+    image's teacher rows joining the queue before the next image is assigned.
+    """
+    batch_loss, batch_grads, _ = loss_mod.total_loss(
+        crop_batch(images, crop_seeds, cfg), state.student, state.teacher, state.queue,
+        tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
+        out_size=cfg.align_size,
+    )
 
     lrs = _lr_table(cfg, state.step, total_steps)
     lr = {name: lrs["__encoder__"] if name.startswith("encoder.") else lrs["__head__"]

@@ -58,7 +58,8 @@ def trained_params(canonical):
 
 
 def test_criterion_01_gradient_suite():
-    """Every analytic gradient matches central finite differences in f64."""
+    """Every analytic gradient of the batched training loss matches central
+    finite differences in f64."""
     worst = 0.0
     for instance in range(3):
         rng = np.random.default_rng(100 + instance)
@@ -70,18 +71,18 @@ def test_criterion_01_gradient_suite():
                  crops.CropBox(0.15, 0.1, 0.95, 0.9, kind="global"),
                  crops.CropBox(0.2, 0.25, 0.6, 0.65, kind="local"),
                  crops.CropBox(0.3, 0.2, 0.7, 0.6, kind="local")]
-        views = [loss.CropView(box=b, raw=rng.normal(size=(8, 3, 3)))
-                 for b in boxes]
-        boxmat = crops.box_matrix(boxes)
-        masks = [None, None]
-        targets, _ = loss.compute_targets(views, teacher, student["prototypes"],
+        n_img = 2  # two images with the same boxes, so per-image normalization is checked
+        batch = loss.CropBatch(
+            global_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
+            local_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
+            boxes=np.stack([loss.box_array(crops.box_matrix(boxes))] * n_img),
+            masks=np.ones((n_img, 2, 3, 3), dtype=np.uint8))
+        targets, _ = loss.compute_targets(batch, teacher, student["prototypes"],
                                           None, epsilon=0.05, n_iters=3)
-        _, grads, _ = loss.loss_given_targets(views, boxmat, student, targets,
-                                              masks, tau=0.1, out_size=3)
+        _, grads, _ = loss.loss_given_targets(batch, student, targets, tau=0.1, out_size=3)
 
         def scalar():
-            val, _, _ = loss.loss_given_targets(views, boxmat, student, targets,
-                                                masks, tau=0.1, out_size=3)
+            val, _, _ = loss.loss_given_targets(batch, student, targets, tau=0.1, out_size=3)
             return val
 
         eps = 1e-6

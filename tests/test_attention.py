@@ -146,3 +146,27 @@ def test_threshold_scale_invariance(seed, scale):
         attention.threshold_mass(grid, 0.6),
         attention.threshold_mass(grid * scale, 0.6),
     )
+
+
+def test_stacked_chain_equals_map_by_map():
+    """A stack of head stacks gives bit for bit the masks of one call per
+    stack, at each step of the chain, tiny grids and value ties included."""
+    rng = np.random.default_rng(7)
+    for h, w in [(5, 5), (2, 3), (1, 1), (9, 4)]:
+        stacks = rng.uniform(size=(3, 2, 2, h, w))
+        stacks[0, 1] = np.round(stacks[0, 1], 1)  # ties
+        merged = attention.merge_heads(stacks)
+        smooth = attention.gaussian_smooth(merged)
+        masks = attention.foreground_mask(stacks)
+        assert masks.shape == (3, 2, h, w)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(merged[idx], attention.merge_heads(stacks[idx]))
+            assert np.array_equal(smooth[idx], attention.gaussian_smooth(merged[idx]))
+            assert np.array_equal(masks[idx], attention.threshold_mass(smooth[idx]))
+
+
+def test_threshold_rejects_one_all_zero_map_in_a_stack():
+    grids = np.ones((3, 2, 2))
+    grids[1] = 0.0
+    with pytest.raises(ValueError, match="all-zero"):
+        attention.threshold_mass(grids)

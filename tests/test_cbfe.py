@@ -183,6 +183,22 @@ def test_foreground_map_roundtrip(tmp_path):
     fg = cbfe.build_theta(precisions, cbfe.THRESHOLD_SINGLE_DATASET)
     path = tmp_path / "fg.txt"
     cbfe.write_foreground_map(fg, path)
-    back = cbfe.read_foreground_map(path, cbfe.THRESHOLD_SINGLE_DATASET)
-    assert np.array_equal(back.theta, fg.theta)
-    assert np.allclose(back.precision, fg.precision, atol=1e-6)
+    assert np.array_equal(cbfe.read_foreground_map(path), fg.theta)
+
+
+def test_foreground_map_read_keeps_the_written_labels(tmp_path):
+    """A precision just under the threshold rounds to it when written; the
+    written bg label still reads back as bg."""
+    fg = cbfe.build_theta(np.array([0.3499996, 0.9, 0.1]), 0.35)
+    path = tmp_path / "fg.txt"
+    cbfe.write_foreground_map(fg, path)
+    assert path.read_text().splitlines()[0] == "0 0.350000 bg"
+    assert cbfe.read_foreground_map(path).tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("bad", ["1 0.5 fg", "0 0.5", "0 0.5 maybe", "0 half fg", "x 0.5 fg", "0 1.5 fg"])
+def test_foreground_map_read_names_the_malformed_line(tmp_path, bad):
+    path = tmp_path / "fg.txt"
+    path.write_text(f"\n{bad}\n1 0.2 bg\n")
+    with pytest.raises(ValueError, match=f"{path}:2"):
+        cbfe.read_foreground_map(path)

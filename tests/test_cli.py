@@ -104,7 +104,7 @@ def test_cbfe_and_cooc_take_k_from_centroids(workspace, tmp_path):
     assert cli.main(c + ["cooc", "--clusters", str(clusters), "--out", str(cooc),
                          "--fg-map", str(fg / "fg_map.txt")]) == 0
     assert community.read_graph(cooc / "graph.txt").n == k
-    assert len(cbfe.read_foreground_map(fg / "fg_map.txt", 0.5).theta) == k
+    assert len(cbfe.read_foreground_map(fg / "fg_map.txt")) == k
 
 
 def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
@@ -115,6 +115,14 @@ def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
     tensor_io.write_tensor(cm, clusters / "zzz_clusters.lpt")
     assert cli.main(["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_cooc_rejects_malformed_fg_map(workspace, tmp_path, capsys):
+    fg_map = tmp_path / "fg_map.txt"
+    fg_map.write_text("0 0.500000 fg\n1 0.200000\n")
+    assert cli.main(["cooc", "--clusters", str(workspace / "clusters"),
+                     "--out", str(tmp_path / "cooc"), "--fg-map", str(fg_map)]) == 1
+    assert f"{fg_map}:2" in capsys.readouterr().err
 
 
 def test_cbfe_pairs_cluster_maps_with_records_by_id(workspace, tmp_path):

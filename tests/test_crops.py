@@ -160,6 +160,32 @@ def test_align_linear_in_source(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def test_align_stack_matches_one_box_at_a_time():
+    """A stack of grids over a stack of boxes, and one grid broadcast over
+    many boxes, equal single-box calls."""
+    rng = np.random.default_rng(8)
+    src = rng.normal(size=(4, 3, 6, 5))
+    boxes = np.array([random_box(rng) for _ in range(4)])
+    stacked = crops.align(src, boxes, 3, 4)
+    shared = crops.align(src[0], boxes, 3, 4)
+    back = crops.align_backward(stacked, boxes, 6, 5)
+    for n in range(4):
+        np.testing.assert_allclose(stacked[n], crops.align(src[n], boxes[n], 3, 4), rtol=1e-14)
+        np.testing.assert_allclose(shared[n], crops.align(src[0], boxes[n], 3, 4), rtol=1e-14)
+        np.testing.assert_allclose(back[n], crops.align_backward(stacked[n], boxes[n], 6, 5),
+                                   rtol=1e-14)
+    channels = crops.align(src[:, 0], boxes, 3, 4)  # a 3-D array is one (C, H, W) grid
+    assert channels.shape == (4, 4, 3, 4)
+
+
+def test_taps_rows_are_bilinear_weights():
+    lo, hi = np.array([0.0, 0.25, 0.9]), np.array([1.0, 0.5, 1.0])
+    r = crops.taps(lo, hi, 4, 3)
+    assert r.shape == (3, 3, 4)
+    np.testing.assert_allclose(r.sum(axis=2), 1.0, atol=1e-15)
+    assert np.all(r >= 0) and np.all((r > 0).sum(axis=2) <= 2)
+
+
 # --------------------------------------------------------------------------
 # align backward
 

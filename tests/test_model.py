@@ -142,18 +142,21 @@ def test_init_params_shapes_and_prototype_norms():
 
 
 def test_forward_crop_gradients_match_fd():
-    """Every parameter gradient through forward/backward_crop vs central FD."""
+    """Every parameter gradient through forward/backward_crop vs central FD,
+    over two stacks of crops of different sizes."""
     dims = small_dims()
     params = f64_params(dims, seed=8)
     rng = np.random.default_rng(9)
-    raw_grid = rng.normal(size=(dims.raw_dim, 3, 3))
-    weights = rng.normal(size=(dims.n_prototypes, 3, 3))
+    grids = [rng.normal(size=(2, dims.raw_dim, 3, 3)), rng.normal(size=(1, dims.raw_dim, 2, 2))]
+    weights = [rng.normal(size=(2, dims.n_prototypes, 3, 3)),
+               rng.normal(size=(1, dims.n_prototypes, 2, 2))]
 
     def scalar(ps):
-        logits, _ = model.forward_crop(raw_grid, ps)
-        return float((logits * weights).sum())
+        logits, _ = model.forward_crop(grids, ps)
+        return float(sum((lg * wt).sum() for lg, wt in zip(logits, weights)))
 
-    logits, cache = model.forward_crop(raw_grid, params)
+    logits, cache = model.forward_crop(grids, params)
+    assert [lg.shape for lg in logits] == [wt.shape for wt in weights]
     grads = model.backward_crop(weights, cache, params)
     for name in params:
         fd = fd_grad_params(scalar, params, name)
@@ -174,12 +177,3 @@ def test_encoder_backward_matches_fd():
     for name in ("encoder.w", "encoder.b"):
         fd = fd_grad_params(scalar, params, name)
         assert rel_err(grads[name], fd) < 1e-7, name
-
-
-def test_accumulate_sums_and_copies():
-    into = {}
-    a = {"p": np.ones(3)}
-    model.accumulate(into, a)
-    assert into["p"] is not a["p"]
-    model.accumulate(into, {"p": np.full(3, 2.0)})
-    assert np.all(into["p"] == 3.0)

@@ -110,6 +110,27 @@ def test_warns_when_fewer_features_than_prototypes():
         sinkhorn.assign(feats, protos)
 
 
+def test_rejects_non_finite_plan():
+    rng = np.random.default_rng(5)
+    feats = sinkhorn.FeatureBatch.from_rows(unit_rows(rng, 6, 4))
+    protos = unit_rows(rng, 3, 4)
+    protos[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        sinkhorn.assign(feats, protos)
+
+
+def test_logsumexp_matches_direct_sum():
+    rng = np.random.default_rng(6)
+    a = rng.normal(scale=30.0, size=(7, 5))
+    for axis in (0, 1):
+        direct = np.log(np.exp(a.astype(np.longdouble)).sum(axis=axis))
+        np.testing.assert_allclose(sinkhorn._logsumexp(a, axis), direct.astype(np.float64),
+                                   rtol=1e-12)
+    # far past exp's range, the shift keeps it finite
+    np.testing.assert_allclose(sinkhorn._logsumexp(np.array([[1000.0, 1000.0]]), 1),
+                               [1000.0 + np.log(2.0)], rtol=1e-15)
+
+
 def test_rejects_unnormalized_rows():
     with pytest.raises(ValueError, match="unit-norm"):
         sinkhorn.FeatureBatch.from_rows(np.ones((2, 3)))
@@ -140,3 +161,31 @@ def test_queue_half_full_gate():
     assert len(q.active_rows()) == 0
     q.push(np.ones((1, 2)))
     assert len(q.active_rows()) == 5
+
+
+class LoopQueue:
+    """The row-at-a-time push the slice writes replaced (reference)."""
+
+    def __init__(self, capacity):
+        self.capacity, self.buf, self.fill, self.head = capacity, None, 0, 0
+
+    def push(self, rows):
+        if self.buf is None:
+            self.buf = np.zeros((self.capacity, rows.shape[1]), dtype=rows.dtype)
+        for row in rows[-self.capacity:]:
+            self.buf[self.head] = row
+            self.head = (self.head + 1) % self.capacity
+            self.fill = min(self.fill + 1, self.capacity)
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 16])
+def test_queue_push_matches_row_loop(capacity):
+    """Pushes shorter and longer than the capacity, wrapping the ring buffer."""
+    rng = np.random.default_rng(capacity)
+    q, ref = sinkhorn.FeatureQueue(capacity=capacity), LoopQueue(capacity)
+    for n in [3, 1, capacity, capacity + 4, 2, 0, 3 * capacity + 1, capacity - 1, 7]:
+        rows = rng.normal(size=(n, 3))
+        q.push(rows)
+        ref.push(rows)
+        assert (q.fill, q._head) == (ref.fill, ref.head)
+        np.testing.assert_array_equal(q._buf, ref.buf)

@@ -182,3 +182,62 @@ def test_cli_truncated_checkpoint_exits_1(tmp_path, capsys, cut):
                      "--out", str(tmp_path / "o"), "--checkpoint", str(path)])
     assert code == 1
     assert "cut.lpc: truncated or malformed checkpoint" in capsys.readouterr().err
+
+
+class _FailingFile:
+    """A file whose write stores half of the data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("kind", ["tensor", "checkpoint"])
+def test_failed_write_keeps_old_file_and_leaves_no_part(tmp_path, monkeypatch, kind, existing):
+    def ckpt(step):
+        return tensor_io.Checkpoint(tensors={"student/w": np.ones((3, 2), np.float32)},
+                                    step=step, config_hash="abc")
+
+    if kind == "tensor":
+        path = tmp_path / "t.lpt"
+        write = lambda v: tensor_io.write_tensor(np.full(12, v, dtype=np.float32), path)
+        error = tensor_io.TensorFormatError
+    else:
+        path = tmp_path / "c.lpc"
+        write = lambda v: tensor_io.save_checkpoint(ckpt(v), path)
+        error = OSError
+    if existing:
+        write(1)
+        old = path.read_bytes()
+    monkeypatch.setattr(tensor_io, "open", lambda p, mode: _FailingFile(open(p, mode)),
+                        raising=False)
+    with pytest.raises(error, match="no space"):
+        write(2)
+    if existing:
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_overwrite_replaces_the_file_and_keeps_identical_bytes(tmp_path):
+    path = tmp_path / "t.lpt"
+    tensor_io.write_tensor(np.zeros(3, dtype=np.float32), path)
+    tensor_io.write_tensor(np.ones((2, 2), dtype=np.uint8), path)
+    np.testing.assert_array_equal(tensor_io.read_tensor(path), np.ones((2, 2), dtype=np.uint8))
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    inode = path.stat().st_ino
+    tensor_io.write_tensor(np.ones((2, 2), dtype=np.uint8), path)  # same bytes: left alone
+    assert path.stat().st_ino == inode
+    tensor_io.write_tensor(np.ones((2, 2), dtype=np.float32), path)
+    assert tensor_io.read_tensor(path).dtype == np.float32

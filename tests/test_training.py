@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leopart import crops, synth, tensor_io, training
+from leopart import attention, crops, model, synth, tensor_io, training
 
 
 @pytest.fixture(scope="module")
@@ -37,32 +37,49 @@ def test_config_rejects_bad_values():
         training.TrainConfig(fg_masking="sideways")
 
 
-def test_make_views_grid_sizes():
+def test_crop_batch_stacks_each_images_crops():
+    """Every view is the image aligned over its sampled box; every mask is the
+    foreground of the attention aligned over its global box."""
     cfg = tiny_config()
     rng = np.random.default_rng(0)
-    raw = rng.normal(size=(16, 10, 10)).astype(np.float32)
-    boxes = [crops.CropBox(0.0, 0.0, 0.8, 0.8, kind="global"),
-             crops.CropBox(0.2, 0.2, 0.5, 0.5, kind="local")]
-    views = training.make_views(raw, boxes, cfg)
-    assert views[0].raw.shape == (16, 5, 5)
-    assert views[1].raw.shape == (16, 3, 3)
+    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32),
+               rng.uniform(size=(heads, 10, 10)).astype(np.float32)) for heads in (2, 1, 3)]
+    images[1] = (images[1][0], None)
+    seeds = [[cfg.seed, 13, 0, i] for i in range(3)]
+    batch = training.crop_batch(images, seeds, cfg)
+    assert batch.global_raw.shape == (3, 2, 16, 5, 5)
+    assert batch.local_raw.shape == (3, 2, 16, 3, 3)
+    assert batch.boxes.shape == (3, 4, 4, 4)
+    for b, ((raw, attn), seed) in enumerate(zip(images, seeds)):
+        boxes, boxmat = crops.sample_crops(cfg.crop_spec(), np.random.default_rng(seed))
+        for i, box in enumerate(boxes):
+            grid = batch.global_raw[b, i] if i < 2 else batch.local_raw[b, i - 2]
+            np.testing.assert_allclose(grid, crops.align(raw, box, *grid.shape[1:]), atol=1e-6)
+            for j in range(4):
+                if boxmat[i, j] is None:
+                    assert np.isnan(batch.boxes[b, i, j]).all()
+                else:
+                    assert tuple(batch.boxes[b, i, j]) == boxmat[i, j]
+        for i, box in enumerate(boxes[:2]):
+            expected = (np.ones((5, 5)) if attn is None else attention.foreground_mask(
+                np.maximum(crops.align(attn.astype(np.float64), box, 5, 5), 0.0)))
+            assert np.array_equal(batch.masks[b, i], expected)
 
 
 def test_crop_masks_fg_and_bg_complement():
     cfg_fg = tiny_config(fg_masking="fg")
     cfg_bg = tiny_config(fg_masking="bg")
-    cfg_all = tiny_config(fg_masking="all")
     rng = np.random.default_rng(1)
     attn = rng.uniform(size=(2, 10, 10)).astype(np.float32)
-    boxes = [crops.CropBox(0.1, 0.1, 0.9, 0.9, kind="global"),
-             crops.CropBox(0.2, 0.2, 0.5, 0.5, kind="local")]
-    fg = training.crop_masks(attn, boxes, cfg_fg)
-    bg = training.crop_masks(attn, boxes, cfg_bg)
-    allm = training.crop_masks(attn, boxes, cfg_all)
-    assert len(fg) == 1  # one entry per global crop only
-    assert allm == [None]
-    assert set(np.unique(fg[0])) <= {0, 1}
-    assert np.array_equal(fg[0] + bg[0], np.ones_like(fg[0]))
+    boxes = np.array([[(0.1, 0.1, 0.9, 0.9), (0.0, 0.2, 0.6, 0.8)]])
+    fg = training.crop_masks([attn], boxes, cfg_fg)
+    bg = training.crop_masks([attn], boxes, cfg_bg)
+    assert fg.shape == (1, 2, 5, 5)  # one mask per global crop
+    assert set(np.unique(fg)) <= {0, 1}
+    assert np.array_equal(fg + bg, np.ones_like(fg))
+    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32), attn)]
+    unmasked = training.crop_batch(images, [[0]], tiny_config(fg_masking="all"))
+    assert np.all(unmasked.masks == 1)
 
 
 def test_train_is_deterministic(tiny_dataset, tmp_path):
@@ -155,6 +172,18 @@ def test_embed_features_shape_and_head(tiny_dataset):
     assert proj.shape == (cfg.out_dim, 10, 10)
     norms = np.linalg.norm(proj.reshape(cfg.out_dim, -1), axis=0)
     assert np.allclose(norms, 1.0, atol=1e-5)
+
+
+def test_float32_parameters_keep_float32_features(tiny_dataset):
+    """The GELU constants are Python floats, so the head does not promote
+    float32 activations to float64."""
+    manifest, _ = tiny_dataset
+    state = training.init_state(tiny_config(epochs=1), raw_dim=16)
+    raw = manifest.load_features(manifest.records[0]).astype(np.float32)
+    assert training.embed_features(raw, state.student).dtype == np.float32
+    assert training.embed_features(raw, state.student, use_head=True).dtype == np.float32
+    tokens = model.encoder_forward(raw.reshape(16, -1).T, state.student)
+    assert model.project(tokens, state.student).dtype == np.float32
 
 
 def test_write_loss_curve(tmp_path):
