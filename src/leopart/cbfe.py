@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
+from . import tensor_io
+
 DEFAULT_K = 200
 THRESHOLD_SINGLE_DATASET = 0.35
 BOUNDARY_TOL_FRACTION = 0.0075  # of the image diagonal
@@ -132,7 +134,7 @@ def boundary_f1(pred: np.ndarray, gt: np.ndarray, tol_px: float | None = None) -
 def write_foreground_map(fg_map: ForegroundMap, path: str | Path) -> None:
     lines = [f"{k} {fg_map.precision[k]:.6f} {'fg' if fg_map.theta[k] else 'bg'}"
              for k in range(len(fg_map.theta))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    tensor_io.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_foreground_map(path: str | Path) -> np.ndarray:
@@ -143,7 +145,7 @@ def read_foreground_map(path: str | Path) -> np.ndarray:
     malformed entry.
     """
     theta = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(tensor_io.read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()

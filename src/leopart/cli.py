@@ -37,7 +37,7 @@ def write_outputs_manifest(out_dir: Path, command: str, cfg: config_mod.Config,
     lines = [f"command {command}", f"config_hash {cfg.hash()}"]
     lines += [f"output {p.name}" for p in sorted(outputs)]
     path = out_dir / f"{command}_outputs.txt"
-    path.write_text("\n".join(lines) + "\n")
+    tensor_io.write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -102,6 +102,8 @@ def cmd_train(args, cfg: config_mod.Config) -> int:
     train_cfg = cfg.train_config(seed=effective_seed(cfg))
     resume = tensor_io.load_checkpoint(Path(args.resume)) if args.resume else None
     ckpt, losses = training.train(manifest, train_cfg, resume=resume)
+    if not losses:
+        raise ValueError(f"nothing left to train: the run already ends at step {ckpt.step}")
     ckpt_path = out / "checkpoint.lpc"
     curve_path = out / "loss_curve.csv"
     tensor_io.save_checkpoint(ckpt, ckpt_path)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor_io
+
 DEFAULT_EDGE_THRESHOLD = 0.09
 DEFAULT_MARKOV_TIME = 2.0
 DEFAULT_DISTANCE = 1
@@ -470,12 +472,12 @@ def write_graph(graph: CoocGraph, path: str | Path) -> None:
         for j in range(i + 1, graph.n):
             if graph.weights[i, j] > 0:
                 lines.append(f"{i} {j} {float(graph.weights[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    tensor_io.write_text(path, "\n".join(lines) + "\n")
 
 
 def _content_lines(path: str | Path) -> list[tuple[str, list[str]]]:
     """("<path>: line <n>", fields) for each non-blank line of *path*."""
-    lines = Path(path).read_text().splitlines()
+    lines = tensor_io.read_text(path).splitlines()
     return [(f"{path}: line {i}", ln.split()) for i, ln in enumerate(lines, start=1)
             if ln.strip()]
 
@@ -497,21 +499,33 @@ def _node_id(text: str, n: int) -> int:
 
 
 def read_graph(path: str | Path) -> CoocGraph:
+    """The graph of a :func:`write_graph` file. Every node needs its ``node``
+    line, which bounds the header's node count before the dense weights are
+    allocated. Raises ``ValueError`` naming the file (and line)."""
     lines = _content_lines(path)
     if not lines or lines[0][1][0] != "nodes":
         raise ValueError(f"{path}: missing node-count header")
     with _named(*lines[0]):
         _, n = lines[0][1]
-        weights, counts = np.zeros((int(n), int(n))), np.zeros(int(n), dtype=np.int64)
+        n = int(n)
+    nodes, edges = [], []
     for where, fields in lines[1:]:
         with _named(where, fields):
             if fields[0] == "node":
                 _, node, count = fields
-                counts[_node_id(node, len(counts))] = int(count)
+                nodes.append((_node_id(node, n), int(count)))
             else:
                 a, b, w = fields
-                i, j = _node_id(a, len(counts)), _node_id(b, len(counts))
-                weights[i, j] = weights[j, i] = float(w)
+                edges.append((_node_id(a, n), _node_id(b, n), float(w)))
+    ids = {node for node, _ in nodes}
+    if len(nodes) != n or len(ids) != n:
+        raise ValueError(f"{path}: expected one node line for each of the {n} nodes, "
+                         f"got {len(nodes)} lines for {len(ids)} nodes")
+    weights, counts = np.zeros((n, n)), np.zeros(n, dtype=np.int64)
+    for node, count in nodes:
+        counts[node] = count
+    for i, j, w in edges:
+        weights[i, j] = weights[j, i] = w
     return CoocGraph(weights=weights, node_counts=counts)
 
 
@@ -519,7 +533,7 @@ def write_partition(partition: Partition, path: str | Path) -> None:
     lines = []
     for node, comm in enumerate(partition.assignment):
         lines.append(f"{node} {'bg' if comm == BACKGROUND else int(comm)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    tensor_io.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_partition(path: str | Path) -> Partition:

@@ -9,6 +9,7 @@ per axis, so the adjoint identity holds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,81 +21,6 @@ FULL_BOX = (0.0, 0.0, 1.0, 1.0)
 
 class CropSamplingError(RuntimeError):
     """Raised when rejection sampling cannot satisfy the intersection constraint."""
-
-
-@dataclass(frozen=True)
-class CropBox:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    kind: str = "global"  # "global" or "local"
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
-            raise ValueError(f"invalid crop box {self.coords}")
-        if self.kind not in ("global", "local"):
-            raise ValueError(f"unknown crop kind {self.kind!r}")
-
-    @property
-    def coords(self) -> tuple[float, float, float, float]:
-        return (self.x0, self.y0, self.x1, self.y1)
-
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-
-def intersection_area(a: CropBox, b: CropBox) -> float:
-    w = min(a.x1, b.x1) - max(a.x0, b.x0)
-    h = min(a.y1, b.y1) - max(a.y0, b.y0)
-    return max(w, 0.0) * max(h, 0.0)
-
-
-def intersection_in_local(a: CropBox, b: CropBox) -> tuple[float, float, float, float] | None:
-    """Intersection of *a* and *b* expressed in a-local normalized coordinates."""
-    x0 = max(a.x0, b.x0)
-    y0 = max(a.y0, b.y0)
-    x1 = min(a.x1, b.x1)
-    y1 = min(a.y1, b.y1)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return (
-        (x0 - a.x0) / (a.x1 - a.x0),
-        (y0 - a.y0) / (a.y1 - a.y0),
-        (x1 - a.x0) / (a.x1 - a.x0),
-        (y1 - a.y0) / (a.y1 - a.y0),
-    )
-
-
-@dataclass
-class BoxMatrix:
-    """V x V grid; entry (i, j) is the i/j intersection in crop-i-local coords."""
-
-    boxes: list[list[tuple[float, float, float, float] | None]]
-
-    def __post_init__(self) -> None:
-        n = len(self.boxes)
-        for i in range(n):
-            if len(self.boxes[i]) != n:
-                raise ValueError("BoxMatrix must be square")
-            if self.boxes[i][i] != FULL_BOX:
-                raise ValueError("BoxMatrix diagonal must be the full box")
-            for j in range(n):
-                if (self.boxes[i][j] is None) != (self.boxes[j][i] is None):
-                    raise ValueError(f"BoxMatrix presence not symmetric at ({i},{j})")
-
-    def __getitem__(self, ij: tuple[int, int]):
-        return self.boxes[ij[0]][ij[1]]
-
-
-def box_matrix(crops: list[CropBox]) -> BoxMatrix:
-    n = len(crops)
-    entries = [
-        [FULL_BOX if i == j else intersection_in_local(crops[i], crops[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return BoxMatrix(entries)
 
 
 @dataclass
@@ -118,49 +44,59 @@ class CropSpec:
             raise ValueError("need at least one global crop")
 
 
-def _sample_box(rng: np.random.Generator, scale: tuple[float, float],
-                aspect: tuple[float, float], kind: str) -> CropBox | None:
-    area = rng.uniform(*scale)
-    ratio = np.exp(rng.uniform(np.log(aspect[0]), np.log(aspect[1])))
-    w = float(np.sqrt(area * ratio))
-    h = float(np.sqrt(area / ratio))
-    if w > 1.0 or h > 1.0:
-        return None
-    x0 = rng.uniform(0.0, 1.0 - w)
-    y0 = rng.uniform(0.0, 1.0 - h)
-    return CropBox(x0, y0, x0 + w, y0 + h, kind)
-
-
-def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> tuple[list[CropBox], BoxMatrix]:
-    """Sample n_global + n_local crops under the pairwise intersection constraint.
+def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> np.ndarray:
+    """(V, 4) boxes ``(x0, y0, x1, y1)`` of n_global global crops, then n_local local ones.
 
     Every pair involving at least one global crop must intersect by at least
     ``spec.min_intersection`` of the unit image area; local/local pairs are
     unconstrained. Each crop gets a rejection budget of ``RETRY_BUDGET``.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    kinds = ["global"] * spec.n_global + ["local"] * spec.n_local
-    scales = [spec.global_scale] * spec.n_global + [spec.local_scale] * spec.n_local
-    crops: list[CropBox] = []
-    for kind, scale in zip(kinds, scales):
+    log_aspect = (np.log(spec.aspect[0]), np.log(spec.aspect[1]))
+    boxes: list[tuple[float, float, float, float]] = []
+    for view in range(spec.n_global + spec.n_local):
+        is_global = view < spec.n_global
+        # a global crop must meet every earlier crop, a local one every global crop
+        others = boxes if is_global else boxes[:spec.n_global]
         for _ in range(RETRY_BUDGET):
-            cand = _sample_box(rng, scale, spec.aspect, kind)
-            if cand is None:
+            area = rng.uniform(*(spec.global_scale if is_global else spec.local_scale))
+            ratio = np.exp(rng.uniform(*log_aspect))
+            w = math.sqrt(area * ratio)
+            h = math.sqrt(area / ratio)
+            if w > 1.0 or h > 1.0:
                 continue
-            ok = all(
-                intersection_area(cand, prev) >= spec.min_intersection
-                for prev in crops
-                if kind == "global" or prev.kind == "global"
-            )
-            if ok:
-                crops.append(cand)
+            x0 = rng.uniform(0.0, 1.0 - w)
+            y0 = rng.uniform(0.0, 1.0 - h)
+            x1, y1 = x0 + w, y0 + h
+            if all(max(min(x1, b[2]) - max(x0, b[0]), 0.0)
+                   * max(min(y1, b[3]) - max(y0, b[1]), 0.0) >= spec.min_intersection
+                   for b in others):
+                boxes.append((x0, y0, x1, y1))
                 break
         else:
+            kind = "global" if is_global else "local"
             raise CropSamplingError(
                 f"could not place a {kind} crop within {RETRY_BUDGET} tries; "
                 "loosen the scale ranges or lower min_intersection"
             )
-    return crops, box_matrix(crops)
+    return np.array(boxes)
+
+
+def pair_boxes(coords: np.ndarray) -> np.ndarray:
+    """(..., V, V, 4) pairwise intersections of the (..., V, 4) boxes *coords*.
+
+    Entry ``[..., i, j]`` is the intersection of boxes i and j in box-i-local
+    normalized coordinates, so the diagonal is ``FULL_BOX``; it is NaN where
+    the two boxes do not intersect.
+    """
+    own = coords[..., :, None, :]
+    other = coords[..., None, :, :]
+    lo = np.maximum(own[..., :2], other[..., :2])
+    hi = np.minimum(own[..., 2:], other[..., 2:])
+    origin, size = own[..., :2], own[..., 2:] - own[..., :2]
+    local = np.concatenate([(lo - origin) / size, (hi - origin) / size], axis=-1)
+    local[np.any(lo >= hi, axis=-1)] = np.nan
+    return local
 
 
 def taps(lo: np.ndarray, hi: np.ndarray, src: int, out: int) -> np.ndarray:
@@ -183,7 +119,7 @@ def taps(lo: np.ndarray, hi: np.ndarray, src: int, out: int) -> np.ndarray:
 
 def _box_taps(box, src_h: int, src_w: int, out_h: int, out_w: int,
               dtype) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.asarray(box.coords if isinstance(box, CropBox) else box, dtype=np.float64)
+    coords = np.asarray(box, dtype=np.float64)
     if coords.shape[-1:] != (4,):
         raise ValueError(f"boxes must be (..., 4) arrays of (x0, y0, x1, y1), got {coords.shape}")
     ry = taps(coords[..., 1], coords[..., 3], src_h, out_h).astype(dtype, copy=False)

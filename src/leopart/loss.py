@@ -27,20 +27,15 @@ class CropBatch:
     Views are numbered as :func:`crops.sample_crops` returns them: the G
     global crops first, then the L local ones. ``boxes[b, i, j]`` is the
     intersection of views i and j of image b in view-i-local coordinates,
-    NaN where they do not intersect. ``masks`` weights the cells of each
-    global crop (all ones for no foreground masking).
+    NaN where they do not intersect (:func:`crops.pair_boxes`). ``masks``
+    weights the cells of each global crop (all ones for no foreground
+    masking).
     """
 
     global_raw: np.ndarray  # (B, G, raw_dim, g, g)
     local_raw: np.ndarray   # (B, L, raw_dim, l, l)
     boxes: np.ndarray       # (B, G + L, G + L, 4)
     masks: np.ndarray       # (B, G, g, g) in {0, 1}
-
-
-def box_array(boxmat: crops.BoxMatrix) -> np.ndarray:
-    """(V, V, 4) array of a :class:`crops.BoxMatrix`, NaN for empty entries."""
-    return np.array([[(np.nan,) * 4 if box is None else box for box in row]
-                     for row in boxmat.boxes], dtype=np.float64)
 
 
 @dataclass

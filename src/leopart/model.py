@@ -23,12 +23,16 @@ DEFAULT_OUT = 256
 DEFAULT_PROTOTYPES = 300
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of *x*, and its gate ``1 + erf(x / sqrt 2)`` (twice the standard
+    normal CDF of *x*), which :func:`gelu_grad` reuses."""
+    gate = 1.0 + erf(x / SQRT2)
+    return 0.5 * x * gate, gate
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / SQRT2)) + x * np.exp(-0.5 * x * x) * INV_SQRT_2PI
+def gelu_grad(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """d gelu / dx at *x*, given the gate that :func:`gelu` returned for *x*."""
+    return 0.5 * gate + x * np.exp(-0.5 * x * x) * INV_SQRT_2PI
 
 
 def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,13 +87,13 @@ def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
     """Three affine layers with GELU gates, then a row-wise L2 bottleneck."""
     p = lambda name: params[f"{prefix}head.{name}"]
     h1 = tokens @ p("l1.w") + p("l1.b")
-    a1 = gelu(h1)
+    a1, gate1 = gelu(h1)
     h2 = a1 @ p("l2.w") + p("l2.b")
-    a2 = gelu(h2)
+    a2, gate2 = gelu(h2)
     h3 = a2 @ p("l3.w") + p("l3.b")
     z, norms = l2_normalize_rows(h3)
-    cache = {"tokens": tokens, "h1": h1, "a1": a1, "h2": h2, "a2": a2,
-             "norms": norms, "z": z}
+    cache = {"tokens": tokens, "h1": h1, "gate1": gate1, "a1": a1, "h2": h2,
+             "gate2": gate2, "a2": a2, "norms": norms, "z": z}
     return z, cache
 
 
@@ -102,11 +106,11 @@ def head_backward(gz: np.ndarray, cache: dict, params: dict[str, np.ndarray],
         f"{prefix}head.l3.b": gh3.sum(axis=0),
     }
     ga2 = gh3 @ p("l3.w").T
-    gh2 = ga2 * gelu_grad(cache["h2"])
+    gh2 = ga2 * gelu_grad(cache["h2"], cache["gate2"])
     grads[f"{prefix}head.l2.w"] = cache["a1"].T @ gh2
     grads[f"{prefix}head.l2.b"] = gh2.sum(axis=0)
     ga1 = gh2 @ p("l2.w").T
-    gh1 = ga1 * gelu_grad(cache["h1"])
+    gh1 = ga1 * gelu_grad(cache["h1"], cache["gate1"])
     grads[f"{prefix}head.l1.w"] = cache["tokens"].T @ gh1
     grads[f"{prefix}head.l1.b"] = gh1.sum(axis=0)
     g_tokens = gh1 @ p("l1.w").T

@@ -19,34 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, cbfe, cluster_eval, community, tensor_io, training
+from . import attention, cbfe, cluster_eval, community, training
 from .cluster_eval import hungarian_matched_miou
-
-
-@dataclass
-class Dataset:
-    """In-memory view of a manifest: raw features, attention, ground truth."""
-
-    features: list[np.ndarray]           # (D, H, W) raw token grids
-    attn_stacks: list[np.ndarray | None]
-    object_maps: list[np.ndarray]        # 0 = background
-    part_maps: list[np.ndarray]
-
-
-def load_dataset(manifest: tensor_io.DatasetManifest) -> Dataset:
-    features, attns, objs, parts = [], [], [], []
-    for rec in manifest.records:
-        features.append(manifest.load_features(rec))
-        attns.append(manifest.load_attention(rec))
-        mask = manifest.load_mask(rec)
-        if mask is None:
-            objs.append(None)
-            parts.append(None)
-        else:
-            objs.append(mask[0].astype(np.int64))
-            parts.append(mask[1].astype(np.int64) if mask.shape[0] > 1 else None)
-    return Dataset(features=features, attn_stacks=attns,
-                   object_maps=objs, part_maps=parts)
+from .tensor_io import Dataset, load_dataset  # noqa: F401  (pipeline.load_dataset is public)
 
 
 def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,

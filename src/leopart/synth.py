@@ -189,8 +189,8 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[tensor_io.DatasetMan
             )
 
     tensor_io.write_tensor(prototypes.astype(np.float32), out_dir / "prototypes.lpt")
-    (out_dir / "key.txt").write_text(
-        "\n".join([f"parts={spec.n_parts} fg={spec.n_fg_parts}"] + key_lines) + "\n")
+    tensor_io.write_text(out_dir / "key.txt", "\n".join(
+        [f"parts={spec.n_parts} fg={spec.n_fg_parts}"] + key_lines) + "\n")
     manifest = tensor_io.DatasetManifest(
         records=records, token_grid=spec.grid, feature_dim=spec.raw_dim,
         root=out_dir,

@@ -1,4 +1,5 @@
-"""Binary tensor files, dataset manifests and checkpoint serialization.
+"""Binary tensor files, dataset manifests, in-memory datasets and checkpoint
+serialization.
 
 The on-disk tensor format is deliberately minimal and fixed little-endian
 so that files are byte-identical across platforms:
@@ -52,35 +53,70 @@ def _check_tensor(t: np.ndarray) -> np.ndarray:
     return t.astype(dt, copy=False)
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Write *data* to *path*; a failed or interrupted write never destroys
-    the old file, and never leaves a part of the new one that loads.
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether *path* already holds exactly *data* (a deterministic re-run
+    rewrites identical bytes, which then need no write)."""
+    try:
+        return path.stat().st_size == len(data) and path.read_bytes() == data
+    except FileNotFoundError:
+        return False
 
-    An existing file is replaced through a temporary file beside it and
-    ``os.replace``, unless it already holds exactly *data* (a deterministic
-    re-run rewrites identical bytes), in which case it is left as it is. A
-    new file is written in place and removed if the write fails; a process
-    killed midway can leave a truncated new file, which the LPT1/LPC1
-    readers reject since both formats record their own length. Both
-    shortcuts matter on ext4, where a create and a rename per file made
-    dataset generation measurably slower.
+
+def _replace(path: Path, data: bytes) -> None:
+    """Write *data* to a temporary file beside *path*, then ``os.replace`` it
+    over *path*, so readers see the old file or the new one, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Write LPT1/LPC1 *data* to *path*: an existing file through
+    :func:`_replace` (unless it already holds *data*), a new one in place,
+    removed if the write fails. A process killed midway can leave a
+    truncated new file, which the readers reject since both formats record
+    their own length; on ext4 a create and a rename per file made dataset
+    generation measurably slower.
     """
     path = Path(path)
     try:
-        fh, target = open(path, "xb"), path
+        fh = open(path, "xb")
     except FileExistsError:
-        if path.stat().st_size == len(data) and path.read_bytes() == data:
-            return
-        target = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        fh = open(target, "wb")
+        if not _holds(path, data):
+            _replace(path, data)
+        return
     try:
         with fh:
             fh.write(data)
-        if target is not path:
-            os.replace(target, path)
     except BaseException:
-        target.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of *path*; raises ``ValueError`` naming the file when
+    it is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text artifact atomically.
+
+    Text formats do not record their own length, so a truncated file could
+    load as a valid shorter one: every write goes through :func:`_replace`,
+    unless the file already holds exactly this text.
+    """
+    path, data = Path(path), text.encode()
+    if not _holds(path, data):
+        _replace(path, data)
 
 
 def write_tensor(t: np.ndarray, path: str | Path) -> None:
@@ -210,17 +246,20 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     feature_dim = None
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             meta = line.lstrip("#").strip()
-            if meta.startswith("grid="):
-                h, w = meta.removeprefix("grid=").split("x")
-                token_grid = (int(h), int(w))
-            elif meta.startswith("dim="):
-                feature_dim = int(meta.removeprefix("dim="))
+            try:
+                if meta.startswith("grid="):
+                    h, w = meta.removeprefix("grid=").split("x")
+                    token_grid = (int(h), int(w))
+                elif meta.startswith("dim="):
+                    feature_dim = int(meta.removeprefix("dim="))
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{lineno}: malformed {meta!r}: {exc}") from None
             continue
         fields = {}
         for part in line.split():
@@ -266,7 +305,27 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         if rec.mask_path is not None:
             parts.append(f"mask={rec.mask_path}")
         lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+@dataclass
+class Dataset:
+    """In-memory view of a manifest: raw features, attention, ground truth."""
+
+    features: list[np.ndarray]           # (D, H, W) raw token grids
+    attn_stacks: list[np.ndarray | None]
+    object_maps: list[np.ndarray | None]  # 0 = background
+
+
+def load_dataset(manifest: DatasetManifest) -> Dataset:
+    """Every record of *manifest*, read once into memory."""
+    features, attns, objs = [], [], []
+    for rec in manifest.records:
+        features.append(manifest.load_features(rec))
+        attns.append(manifest.load_attention(rec))
+        mask = manifest.load_mask(rec)
+        objs.append(None if mask is None else mask[0].astype(np.int64))
+    return Dataset(features=features, attn_stacks=attns, object_maps=objs)
 
 
 PROTO_NORM_TOL = 1e-5
@@ -325,6 +384,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             offset += 2
             name = buf[offset : offset + name_len].decode()
             offset += name_len
+            if name in tensors:
+                raise TensorFormatError(f"{path}: duplicate tensor {name!r}")
             tensors[name], offset = _read_tensor_from(buf, offset, f"{path}:{name}")
     except (struct.error, UnicodeDecodeError) as exc:
         raise TensorFormatError(f"{path}: truncated or malformed checkpoint: {exc}") from exc

@@ -79,8 +79,8 @@ def crop_batch(images: list[tuple[np.ndarray, np.ndarray | None]],
                crop_seeds: list[list[int]], cfg: TrainConfig) -> loss_mod.CropBatch:
     """Sample each image's crops from its seed; stack their grids and masks."""
     spec = cfg.crop_spec()
-    sampled = [crops.sample_crops(spec, np.random.default_rng(seed)) for seed in crop_seeds]
-    coords = np.array([[box.coords for box in boxes] for boxes, _ in sampled])  # (B, V, 4)
+    coords = np.stack([crops.sample_crops(spec, np.random.default_rng(seed))
+                       for seed in crop_seeds])  # (B, V, 4)
     raw = np.stack([grid for grid, _ in images]).astype(np.float32)[:, None]  # (B, 1, D, H, W)
     n_glob, g, l = cfg.n_global, cfg.global_grid, cfg.local_grid
     masks = np.ones((len(images), n_glob, g, g), dtype=np.uint8)
@@ -91,7 +91,7 @@ def crop_batch(images: list[tuple[np.ndarray, np.ndarray | None]],
     return loss_mod.CropBatch(
         global_raw=crops.align(raw, coords[:, :n_glob], g, g),
         local_raw=crops.align(raw, coords[:, n_glob:], l, l),
-        boxes=np.stack([loss_mod.box_array(boxmat) for _, boxmat in sampled]),
+        boxes=crops.pair_boxes(coords),
         masks=masks,
     )
 
@@ -157,14 +157,6 @@ def train_step(images: list[tuple[np.ndarray, np.ndarray | None]],
     return batch_loss
 
 
-def _load_image(manifest: tensor_io.DatasetManifest, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
-    rec = manifest.records[idx]
-    return (
-        manifest.load_features(rec).astype(np.float32),
-        manifest.load_attention(rec),
-    )
-
-
 def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
           resume: tensor_io.Checkpoint | None = None,
           stop_after: int | None = None,
@@ -177,14 +169,15 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
     n_images = len(manifest)
     if n_images == 0:
         raise ValueError("empty dataset")
-    first = manifest.load_features(manifest.records[0])
+    dataset = tensor_io.load_dataset(manifest)
+    raw_dim = dataset.features[0].shape[0]
     steps_per_epoch = (n_images + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
     if resume is not None:
-        state = state_from_checkpoint(resume, cfg, raw_dim=first.shape[0])
+        state = state_from_checkpoint(resume, cfg, raw_dim)
     else:
-        state = init_state(cfg, raw_dim=first.shape[0])
+        state = init_state(cfg, raw_dim)
 
     start_epoch = state.step // steps_per_epoch
     for epoch in range(start_epoch, cfg.epochs):
@@ -197,7 +190,7 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
             if stop_after is not None and state.step >= stop_after:
                 return checkpoint_from_state(state, cfg), state.losses
             idxs = order[b_start:b_start + cfg.batch_size]
-            images = [_load_image(manifest, int(i)) for i in idxs]
+            images = [(dataset.features[i], dataset.attn_stacks[i]) for i in idxs]
             seeds = [[cfg.seed, 13, epoch, int(i)] for i in idxs]
             train_step(images, state, cfg, total_steps, seeds)
     return checkpoint_from_state(state, cfg), state.losses
@@ -221,28 +214,41 @@ def checkpoint_from_state(state: TrainState, cfg: TrainConfig) -> tensor_io.Chec
 
 def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
                           raw_dim: int) -> TrainState:
+    """The training state saved in *ckpt*, which must hold exactly the
+    tensors, shapes and dtypes that a run of *cfg* on *raw_dim*-dimensional
+    tokens saves at its step; ``TensorFormatError`` names the first that differs."""
     if ckpt.config_hash != cfg.hash():
         raise ValueError("checkpoint config hash does not match the given config")
     state = init_state(cfg, raw_dim)
-    student, teacher = {}, {}
-    adam = optim.AdamState(t=ckpt.step)
-    queue = sinkhorn.FeatureQueue(capacity=cfg.queue_capacity)
+    if ckpt.step > 0:  # Adam moments exist from the first step on
+        state.adam.ensure(state.student)
+    expected = checkpoint_from_state(state, cfg).tensors
+    missing = sorted(expected.keys() - ckpt.tensors.keys())
+    if missing:
+        raise tensor_io.TensorFormatError(f"checkpoint has no tensor {missing[0]!r}")
+    for name, t in sorted(ckpt.tensors.items()):
+        if name == "queue/rows":
+            ok = t.ndim == 2 and t.shape[0] <= cfg.queue_capacity and t.shape[1] == cfg.out_dim
+            want = f"(rows <= {cfg.queue_capacity}, {cfg.out_dim})"
+        elif name in expected:
+            ok = t.shape == expected[name].shape
+            want = str(expected[name].shape)
+        else:
+            raise tensor_io.TensorFormatError(f"checkpoint tensor {name!r} is not part of "
+                                              "a training state")
+        if not ok or t.dtype != np.float32:
+            raise tensor_io.TensorFormatError(
+                f"checkpoint tensor {name!r} is {t.dtype} {t.shape}; this config and "
+                f"{raw_dim}-dimensional tokens need float32 {want}")
+    scopes = {"student": state.student, "teacher": state.teacher,
+              "adam_m": state.adam.m, "adam_v": state.adam.v}
     for name, t in ckpt.tensors.items():
         scope, _, rest = name.partition("/")
-        if scope == "student":
-            student[rest] = t.copy()
-        elif scope == "teacher":
-            teacher[rest] = t.copy()
-        elif scope == "adam_m":
-            adam.m[rest] = t.copy()
-        elif scope == "adam_v":
-            adam.v[rest] = t.copy()
-        elif scope == "queue":
-            queue.push(t)
-    state.student = student
-    state.teacher = teacher
-    state.adam = adam
-    state.queue = queue
+        if scope == "queue":
+            state.queue.push(t)
+        else:
+            scopes[scope][rest] = t.copy()
+    state.adam.t = ckpt.step
     state.step = ckpt.step
     return state
 
@@ -260,5 +266,4 @@ def embed_features(raw_grid: np.ndarray, params: dict[str, np.ndarray],
 
 def write_loss_curve(losses: list[tuple[int, float]], path) -> None:
     lines = ["step,loss"] + [f"{s},{v:.8f}" for s, v in losses]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tensor_io.write_text(path, "\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ module-scoped fixtures.
 import contextlib
 import io
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -67,15 +68,13 @@ def test_criterion_01_gradient_suite():
                                out_dim=8, n_prototypes=5)
         student = model.init_params(dims, rng, dtype=np.float64)
         teacher = model.init_params(dims, rng, dtype=np.float64)
-        boxes = [crops.CropBox(0.0, 0.0, 0.8, 0.8, kind="global"),
-                 crops.CropBox(0.15, 0.1, 0.95, 0.9, kind="global"),
-                 crops.CropBox(0.2, 0.25, 0.6, 0.65, kind="local"),
-                 crops.CropBox(0.3, 0.2, 0.7, 0.6, kind="local")]
+        boxes = np.array([(0.0, 0.0, 0.8, 0.8), (0.15, 0.1, 0.95, 0.9),    # global
+                          (0.2, 0.25, 0.6, 0.65), (0.3, 0.2, 0.7, 0.6)])  # local
         n_img = 2  # two images with the same boxes, so per-image normalization is checked
         batch = loss.CropBatch(
             global_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
             local_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
-            boxes=np.stack([loss.box_array(crops.box_matrix(boxes))] * n_img),
+            boxes=np.stack([crops.pair_boxes(boxes)] * n_img),
             masks=np.ones((n_img, 2, 3, 3), dtype=np.uint8))
         targets, _ = loss.compute_targets(batch, teacher, student["prototypes"],
                                           None, epsilon=0.05, n_iters=3)
@@ -300,9 +299,17 @@ def test_criterion_08_fg_masking_beats_bg_masking(canonical):
         for mode in ("fg", "bg"):
             params = _train(manifest, seed=seed, epochs=30, fg=mode)
             emb = pipeline.embed_dataset(dataset, params, use_head=True)
-            mean, _, _ = cluster_eval.overcluster_eval(
-                emb, dataset.object_maps, k=20, n_classes=4,
-                n_seeds=2, ignore_label=0, seed=seed)
+            # with the background ignored, some of the 20 clusters hold only
+            # background pixels; the evaluation warns and assigns them class 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                mean, _, _ = cluster_eval.overcluster_eval(
+                    emb, dataset.object_maps, k=20, n_classes=4,
+                    n_seeds=2, ignore_label=0, seed=seed)
+            for w in caught:
+                assert w.category is UserWarning and re.fullmatch(
+                    r"\d+ clusters have no non-ignored pixels; assigned class 0",
+                    str(w.message)), w
             scores[mode] = mean
         ok = ok and scores["fg"] >= scores["bg"]
         details.append(f"seed {seed} fg {scores['fg']:.3f} bg {scores['bg']:.3f}")

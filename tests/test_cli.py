@@ -228,6 +228,46 @@ def test_eval_refuses_mismatched_checkpoint_without_force(workspace, tmp_path, c
     assert cli.main(args + ["--force"]) == 0
 
 
+def resume_training(workspace, tmp_path, ckpt_path, cfg_text=SMALL_CFG, data=None):
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(cfg_text)
+    return cli.main(["--config", str(cfg), "train", "--data", str(data or workspace / "data"),
+                     "--out", str(tmp_path / "resumed"), "--resume", str(ckpt_path)])
+
+
+def test_resume_rejects_checkpoint_without_a_tensor(workspace, tmp_path, capsys):
+    ckpt = tensor_io.load_checkpoint(workspace / "train" / "checkpoint.lpc")
+    del ckpt.tensors["student/prototypes"]
+    path = tmp_path / "partial.lpc"
+    tensor_io.save_checkpoint(ckpt, path)
+    capsys.readouterr()
+    assert resume_training(workspace, tmp_path, path) == 1
+    assert "no tensor 'student/prototypes'" in capsys.readouterr().err
+
+
+def test_resume_rejects_checkpoint_of_another_raw_dim(workspace, tmp_path, capsys):
+    """Same train config, so the hash matches, but the data has 24-dim tokens."""
+    cfg_text = SMALL_CFG.replace("n_images = 24", "n_images = 2").replace("raw_dim = 16",
+                                                                          "raw_dim = 24")
+    cfg = tmp_path / "dim24.cfg"
+    cfg.write_text(cfg_text)
+    data = tmp_path / "data24"
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert resume_training(workspace, tmp_path, workspace / "train" / "checkpoint.lpc",
+                           cfg_text, data) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint tensor 'adam_m/encoder.b' is float32 (16,)" in err
+    assert "24-dimensional tokens need float32 (24,)" in err
+
+
+def test_resume_of_a_finished_run_has_nothing_to_train(workspace, tmp_path, capsys):
+    capsys.readouterr()
+    assert resume_training(workspace, tmp_path, workspace / "train" / "checkpoint.lpc") == 1
+    assert "nothing left to train: the run already ends at step 12" in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "checkpoint.lpc").exists()
+
+
 def test_render_cluster_map(workspace, tmp_path):
     maps = sorted((workspace / "clusters").glob("*_clusters.lpt"))
     out = tmp_path / "img.ppm"

@@ -520,6 +520,20 @@ def test_graph_read_names_the_malformed_line(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("nodes 100000000\n", "expected one node line for each of the 100000000 nodes, got 0 "),
+    ("nodes 2\nnode 0 4\nnode 0 5\n", "expected .* 2 nodes, got 2 lines for 1 nodes"),
+    ("nodes 2\nnode 0 4\nnode 1 5\nnode 1 5\n", "expected .* 2 nodes, got 3 lines"),
+])
+def test_graph_read_requires_one_node_line_per_node(tmp_path, text, message):
+    """The header's node count is checked before the dense weights of that
+    many nodes are allocated."""
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        community.read_graph(path)
+
+
+@pytest.mark.parametrize("text, message", [
     ("0 1\n5 0\n", "line 2: node id 5 is out of range for 2 nodes"),
     ("0 1 2\n", "line 1: too many values"),
 ])

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,17 @@ from leopart import crops
 # --------------------------------------------------------------------------
 # oracles
 
-def pixel_membership_intersection(a: crops.CropBox, b: crops.CropBox, n: int = 100) -> float:
-    """Rasterized intersection area on an n x n grid (oracle)."""
+def pixel_membership_intersection(a, b, n: int = 100) -> float:
+    """Rasterized intersection area of two (x0, y0, x1, y1) boxes on an n x n grid (oracle)."""
     xs = (np.arange(n) + 0.5) / n
     ys = (np.arange(n) + 0.5) / n
-    in_a = ((xs[None, :] >= a.x0) & (xs[None, :] <= a.x1)
-            & (ys[:, None] >= a.y0) & (ys[:, None] <= a.y1))
-    in_b = ((xs[None, :] >= b.x0) & (xs[None, :] <= b.x1)
-            & (ys[:, None] >= b.y0) & (ys[:, None] <= b.y1))
-    return float((in_a & in_b).sum()) / (n * n)
+
+    def inside(box):
+        x0, y0, x1, y1 = box
+        return ((xs[None, :] >= x0) & (xs[None, :] <= x1)
+                & (ys[:, None] >= y0) & (ys[:, None] <= y1))
+
+    return float((inside(a) & inside(b)).sum()) / (n * n)
 
 
 def bilinear_oracle(src: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
@@ -49,45 +53,198 @@ def random_box(rng) -> tuple[float, float, float, float]:
 
 
 # --------------------------------------------------------------------------
+# reference sampler
+#
+# The object-based sampler that the array one replaced: a list of CropBox
+# objects, then a V x V BoxMatrix of tuples (None where empty) built from one
+# intersection_in_local call per pair, converted to the (V, V, 4) array the
+# training step uses. Kept as the oracle for sample_crops and pair_boxes.
+
+
+@dataclass(frozen=True)
+class CropBox:
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+    kind: str = "global"  # "global" or "local"
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
+            raise ValueError(f"invalid crop box {self.coords}")
+
+    @property
+    def coords(self) -> tuple[float, float, float, float]:
+        return (self.x0, self.y0, self.x1, self.y1)
+
+
+def reference_intersection_area(a: CropBox, b: CropBox) -> float:
+    w = min(a.x1, b.x1) - max(a.x0, b.x0)
+    h = min(a.y1, b.y1) - max(a.y0, b.y0)
+    return max(w, 0.0) * max(h, 0.0)
+
+
+def reference_intersection_in_local(a: CropBox, b: CropBox):
+    x0, y0 = max(a.x0, b.x0), max(a.y0, b.y0)
+    x1, y1 = min(a.x1, b.x1), min(a.y1, b.y1)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return ((x0 - a.x0) / (a.x1 - a.x0), (y0 - a.y0) / (a.y1 - a.y0),
+            (x1 - a.x0) / (a.x1 - a.x0), (y1 - a.y0) / (a.y1 - a.y0))
+
+
+def reference_box_matrix(boxes: list[CropBox]) -> list[list]:
+    n = len(boxes)
+    mat = [[crops.FULL_BOX if i == j else reference_intersection_in_local(boxes[i], boxes[j])
+            for j in range(n)] for i in range(n)]
+    for i in range(n):
+        assert mat[i][i] == crops.FULL_BOX
+        for j in range(n):
+            assert (mat[i][j] is None) == (mat[j][i] is None)
+    return mat
+
+
+def reference_box_array(mat: list[list]) -> np.ndarray:
+    return np.array([[(np.nan,) * 4 if box is None else box for box in row] for row in mat],
+                    dtype=np.float64)
+
+
+def reference_sample_box(rng, scale, aspect, kind):
+    area = rng.uniform(*scale)
+    ratio = np.exp(rng.uniform(np.log(aspect[0]), np.log(aspect[1])))
+    w = float(np.sqrt(area * ratio))
+    h = float(np.sqrt(area / ratio))
+    if w > 1.0 or h > 1.0:
+        return None
+    x0 = rng.uniform(0.0, 1.0 - w)
+    y0 = rng.uniform(0.0, 1.0 - h)
+    return CropBox(x0, y0, x0 + w, y0 + h, kind)
+
+
+def reference_sample_crops(spec: crops.CropSpec, seed: int) -> list[CropBox]:
+    rng = np.random.default_rng(seed)
+    kinds = ["global"] * spec.n_global + ["local"] * spec.n_local
+    scales = [spec.global_scale] * spec.n_global + [spec.local_scale] * spec.n_local
+    boxes: list[CropBox] = []
+    for kind, scale in zip(kinds, scales):
+        for _ in range(crops.RETRY_BUDGET):
+            cand = reference_sample_box(rng, scale, spec.aspect, kind)
+            if cand is None:
+                continue
+            if all(reference_intersection_area(cand, prev) >= spec.min_intersection
+                   for prev in boxes if kind == "global" or prev.kind == "global"):
+                boxes.append(cand)
+                break
+        else:
+            raise crops.CropSamplingError(f"could not place a {kind} crop")
+    return boxes
+
+
+# --------------------------------------------------------------------------
 # sampling and box algebra
+
+ACCEPTANCE_SPEC = crops.CropSpec()
+SAMPLING_SPECS = {
+    "acceptance": ACCEPTANCE_SPEC,
+    "two_locals": crops.CropSpec(n_local=2),
+    "no_locals": crops.CropSpec(n_local=0),
+    # small globals that must overlap a lot: most candidates are rejected
+    "tight": crops.CropSpec(n_global=3, n_local=3, global_scale=(0.1, 0.4),
+                            local_scale=(0.02, 0.2), min_intersection=0.06,
+                            aspect=(0.3, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_SPECS))
+def test_sampling_matches_reference_sampler(name):
+    """Over 2,000 seeds, the sampled (V, 4) boxes and their pair_boxes equal
+    the object-based reference bit for bit, and both fail on the same seeds."""
+    spec = SAMPLING_SPECS[name]
+    n_views = spec.n_global + spec.n_local
+    failures = 0
+    for seed in range(2000):
+        try:
+            want = reference_sample_crops(spec, seed)
+        except crops.CropSamplingError:
+            failures += 1
+            with pytest.raises(crops.CropSamplingError):
+                crops.sample_crops(spec, np.random.default_rng(seed))
+            continue
+        got = crops.sample_crops(spec, np.random.default_rng(seed))
+        assert got.shape == (n_views, 4) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, [box.coords for box in want])
+        np.testing.assert_array_equal(crops.pair_boxes(got),
+                                      reference_box_array(reference_box_matrix(want)))
+    assert failures < 20
+
+
+def test_pair_boxes_broadcast_over_leading_dims():
+    """A (B, V, 4) stack gives each image's (V, V, 4) pair boxes."""
+    spec = crops.CropSpec()
+    coords = np.stack([crops.sample_crops(spec, seed) for seed in range(5)])
+    stacked = crops.pair_boxes(coords)
+    assert stacked.shape == (5, 6, 6, 4)
+    for b in range(5):
+        np.testing.assert_array_equal(stacked[b], crops.pair_boxes(coords[b]))
+
 
 def test_sample_crops_respects_min_intersection():
     spec = crops.CropSpec(n_global=2, n_local=4, min_intersection=0.01)
-    boxes, mat = crops.sample_crops(spec, rng_seed=42)
-    assert len(boxes) == 6
-    assert sum(b.kind == "global" for b in boxes) == 2
+    boxes = crops.sample_crops(spec, rng_seed=42)
+    assert boxes.shape == (6, 4)
     for i, a in enumerate(boxes):
         for j, b in enumerate(boxes):
-            if i != j and (a.kind == "global" or b.kind == "global"):
-                assert crops.intersection_area(a, b) >= 0.01
+            if i != j and (i < 2 or j < 2):
+                assert pixel_membership_intersection(a, b, n=400) >= 0.01 - 2 / 400
 
 
 def test_full_image_crops_give_full_boxes():
-    a = crops.CropBox(0, 0, 1, 1, "global")
-    b = crops.CropBox(0, 0, 1, 1, "global")
-    mat = crops.box_matrix([a, b])
+    mat = crops.pair_boxes(np.array([crops.FULL_BOX, crops.FULL_BOX]))
     for i in range(2):
         for j in range(2):
-            assert mat[i, j] == crops.FULL_BOX
+            assert tuple(mat[i, j]) == crops.FULL_BOX
 
 
 def test_intersection_local_coords_hand_case():
-    a = crops.CropBox(0, 0, 0.5, 0.5, "global")
-    b = crops.CropBox(0.25, 0.25, 1, 1, "global")
-    assert crops.intersection_in_local(a, b) == pytest.approx((0.5, 0.5, 1.0, 1.0))
+    a, b = (0, 0, 0.5, 0.5), (0.25, 0.25, 1, 1)
+    mat = crops.pair_boxes(np.array([a, b], dtype=np.float64))
+    assert tuple(mat[0, 1]) == pytest.approx((0.5, 0.5, 1.0, 1.0))
+    assert tuple(mat[1, 0]) == pytest.approx((0.0, 0.0, 1 / 3, 1 / 3))
     # cross-check area against the rasterized oracle
-    area = crops.intersection_area(a, b)
+    area = local_area(mat[0, 1]) * 0.25
     assert abs(area - pixel_membership_intersection(a, b)) <= 2 * 100 / 100**2
 
 
+def local_area(box) -> float:
+    return float((box[2] - box[0]) * (box[3] - box[1]))
+
+
 def test_intersection_matches_pixel_oracle_many():
+    """The area of each intersection, from either crop's local box, matches
+    the rasterized oracle; disjoint crops get NaN both ways."""
     rng = np.random.default_rng(3)
     for _ in range(50):
-        a = crops.CropBox(*random_box(rng), "global")
-        b = crops.CropBox(*random_box(rng), "local")
-        area = crops.intersection_area(a, b)
+        a, b = random_box(rng), random_box(rng)
+        mat = crops.pair_boxes(np.array([a, b]))
         approx = pixel_membership_intersection(a, b)
-        assert abs(area - approx) <= 2 * 100 / 100**2  # +/- ~1 pixel row
+        for i, own in ((0, a), (1, b)):
+            box = mat[i, 1 - i]
+            area = 0.0 if np.isnan(box[0]) else local_area(box) * local_area(own)
+            assert abs(area - approx) <= 2 * 100 / 100**2  # +/- ~1 pixel row
+
+
+def test_pair_boxes_presence_is_symmetric_with_full_diagonal():
+    """Disjoint crops are NaN in both directions; touching edges count as
+    disjoint; every crop's box of itself is the full box."""
+    coords = np.array([(0.0, 0.0, 0.5, 0.5), (0.5, 0.0, 1.0, 0.5),
+                       (0.6, 0.6, 0.9, 0.9), (0.1, 0.1, 0.7, 0.7)])
+    mat = crops.pair_boxes(coords)
+    absent = np.isnan(mat[..., 0])
+    assert np.array_equal(absent, np.isnan(mat).any(axis=-1))
+    assert np.array_equal(absent, absent.T)
+    assert absent[0, 1] and absent[0, 2] and not absent[0, 3] and not absent[2, 3]
+    for i in range(4):
+        assert tuple(mat[i, i]) == crops.FULL_BOX
 
 
 def test_sampling_error_on_impossible_spec():
@@ -95,12 +252,6 @@ def test_sampling_error_on_impossible_spec():
                           min_intersection=0.5)
     with pytest.raises(crops.CropSamplingError):
         crops.sample_crops(spec, rng_seed=0)
-
-
-def test_box_matrix_rejects_asymmetric_presence():
-    with pytest.raises(ValueError):
-        crops.BoxMatrix([[crops.FULL_BOX, None],
-                         [(0, 0, 1, 1), crops.FULL_BOX]])
 
 
 # --------------------------------------------------------------------------

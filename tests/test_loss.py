@@ -267,15 +267,14 @@ def reference_total_loss(batch, student, teacher, queue, tau, epsilon, n_iters,
 # ------------------------------------------------- batched loss
 
 
-def make_batch(rng, boxes_per_image, raw_dim=8, g=3, l=3, masks=None):
-    """A CropBatch over hand-placed boxes (same kinds in every image)."""
-    n_global = sum(b.kind == "global" for b in boxes_per_image[0])
+def make_batch(rng, boxes_per_image, raw_dim=8, g=3, l=3, masks=None, n_global=2):
+    """A CropBatch over hand-placed (x0, y0, x1, y1) boxes, globals first."""
     n_img = len(boxes_per_image)
     views = len(boxes_per_image[0])
     return loss.CropBatch(
         global_raw=rng.normal(size=(n_img, n_global, raw_dim, g, g)),
         local_raw=rng.normal(size=(n_img, views - n_global, raw_dim, l, l)),
-        boxes=np.stack([loss.box_array(crops.box_matrix(bx)) for bx in boxes_per_image]),
+        boxes=crops.pair_boxes(np.array(boxes_per_image, dtype=np.float64)),
         masks=(np.ones((n_img, n_global, g, g), dtype=np.uint8) if masks is None
                else masks),
     )
@@ -283,17 +282,15 @@ def make_batch(rng, boxes_per_image, raw_dim=8, g=3, l=3, masks=None):
 
 def overlapping_boxes(n_global=2, n_local=2):
     """Crop boxes that all pairwise intersect."""
-    boxes = [crops.CropBox(0.05 * i, 0.05 * i, 0.7 + 0.05 * i, 0.7 + 0.05 * i, kind="global")
-             for i in range(n_global)]
-    boxes += [crops.CropBox(0.2 + 0.04 * i, 0.25, 0.6 + 0.04 * i, 0.65, kind="local")
-              for i in range(n_local)]
+    boxes = [(0.05 * i, 0.05 * i, 0.7 + 0.05 * i, 0.7 + 0.05 * i) for i in range(n_global)]
+    boxes += [(0.2 + 0.04 * i, 0.25, 0.6 + 0.04 * i, 0.65) for i in range(n_local)]
     return boxes
 
 
 DISJOINT_BOXES = [
-    crops.CropBox(0.0, 0.0, 0.45, 0.45, kind="global"),
-    crops.CropBox(0.0, 0.0, 0.5, 0.5, kind="global"),
-    crops.CropBox(0.6, 0.6, 0.9, 0.9, kind="local"),  # off in a corner
+    (0.0, 0.0, 0.45, 0.45),  # global
+    (0.0, 0.0, 0.5, 0.5),    # global
+    (0.6, 0.6, 0.9, 0.9),    # local, off in a corner
 ]
 
 
@@ -437,7 +434,7 @@ def test_full_gradient_suite_matches_fd():
     masks = np.ones((2, 2, 3, 3), dtype=np.uint8)
     masks[0, 0, 0, 0] = 0
     masks[1, 1] = 0
-    local = crops.CropBox(0.2, 0.25, 0.6, 0.65, kind="local")
+    local = (0.2, 0.25, 0.6, 0.65)
     batch = make_batch(rng, [DISJOINT_BOXES, overlapping_boxes(2, 0) + [local]], masks=masks)
     targets, _ = loss.compute_targets(batch, teacher, student["prototypes"],
                                       None, epsilon=0.05, n_iters=3)

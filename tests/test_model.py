@@ -1,5 +1,7 @@
 """Forward oracles and finite-difference gradient checks for the model."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -42,20 +44,38 @@ def f64_params(dims, seed=0):
 
 
 def test_gelu_known_values():
-    assert model.gelu(np.array([0.0]))[0] == 0.0
+    def gelu(v):
+        return model.gelu(np.array([v]))[0][0]
+
+    assert gelu(0.0) == 0.0
     # For large |x| the gate saturates to the identity / zero.
-    assert model.gelu(np.array([20.0]))[0] == pytest.approx(20.0, abs=1e-12)
-    assert model.gelu(np.array([-20.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert gelu(20.0) == pytest.approx(20.0, abs=1e-12)
+    assert gelu(-20.0) == pytest.approx(0.0, abs=1e-12)
     # gelu(1) = 0.5 * (1 + erf(1/sqrt(2)))
     expected = 0.5 * (1.0 + erf(1.0 / np.sqrt(2.0)))
-    assert model.gelu(np.array([1.0]))[0] == pytest.approx(expected, rel=1e-12)
+    assert gelu(1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gelu_grad_matches_finite_differences():
     xs = np.linspace(-4.0, 4.0, 33)
     eps = 1e-6
-    fd = (model.gelu(xs + eps) - model.gelu(xs - eps)) / (2 * eps)
-    assert np.allclose(model.gelu_grad(xs), fd, atol=1e-8)
+    fd = (model.gelu(xs + eps)[0] - model.gelu(xs - eps)[0]) / (2 * eps)
+    assert np.allclose(model.gelu_grad(xs, model.gelu(xs)[1]), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gate_reuse_is_bit_identical(dtype):
+    """The gate kept from the forward pass gives the bits of the formulas
+    that called erf twice, so losses and checkpoints do not move."""
+    xs = np.random.default_rng(0).normal(scale=3.0, size=4096).astype(dtype)
+    act, gate = model.gelu(xs)
+    sqrt2, inv_sqrt_2pi = math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+    old_gelu = 0.5 * xs * (1.0 + erf(xs / sqrt2))
+    old_grad = 0.5 * (1.0 + erf(xs / sqrt2)) + xs * np.exp(-0.5 * xs * xs) * inv_sqrt_2pi
+    grad = model.gelu_grad(xs, gate)
+    assert act.dtype == grad.dtype == dtype
+    np.testing.assert_array_equal(act, old_gelu)
+    np.testing.assert_array_equal(grad, old_grad)
 
 
 # ---------------------------------------------------------------- l2 normalize

@@ -22,7 +22,6 @@ def test_load_dataset_shapes(small_world):
     assert dataset.attn_stacks[0].shape == (1, 10, 10)
     assert dataset.object_maps[0].shape == (10, 10)
     assert np.array_equal(dataset.object_maps[3], key.object_maps[3])
-    assert np.array_equal(dataset.part_maps[3], key.part_maps[3])
 
 
 def test_hungarian_matched_miou_is_permutation_invariant(small_world):

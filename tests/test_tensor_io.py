@@ -241,3 +241,72 @@ def test_overwrite_replaces_the_file_and_keeps_identical_bytes(tmp_path):
     assert path.stat().st_ino == inode
     tensor_io.write_tensor(np.ones((2, 2), dtype=np.float32), path)
     assert tensor_io.read_tensor(path).dtype == np.float32
+
+
+def _text_writers(tmp_path):
+    """name -> (path, write(v)) for every text artifact the pipeline writes."""
+    from pathlib import Path
+
+    from leopart import cbfe, cli, community, config, training
+
+    def manifest(v):
+        records = [tensor_io.ManifestRecord(id=f"r{v}", feature_path=Path("r.lpt"))]
+        tensor_io.write_manifest(tensor_io.DatasetManifest(records=records), tmp_path / "m.txt")
+
+    def graph(v):
+        w = np.array([[0.0, v / 4], [v / 4, 0.0]])
+        community.write_graph(community.CoocGraph(w, np.array([3, v])), tmp_path / "g.txt")
+
+    def fg_map(v):
+        fg = cbfe.ForegroundMap(theta=np.array([True, v == 2]),
+                                precision=np.array([0.9, v / 4]), threshold=0.35)
+        cbfe.write_foreground_map(fg, tmp_path / "fg_map.txt")
+
+    return {
+        "manifest": (tmp_path / "m.txt", manifest),
+        "graph": (tmp_path / "g.txt", graph),
+        "partition": (tmp_path / "p.txt", lambda v: community.write_partition(
+            community.Partition(np.array([0, v, -1])), tmp_path / "p.txt")),
+        "fg_map": (tmp_path / "fg_map.txt", fg_map),
+        "loss_curve": (tmp_path / "c.csv",
+                       lambda v: training.write_loss_curve([(1, v)], tmp_path / "c.csv")),
+        "outputs": (tmp_path / "train_outputs.txt", lambda v: cli.write_outputs_manifest(
+            tmp_path, "train", config.Config(), [tmp_path / f"o{v}.lpc"])),
+        "text": (tmp_path / "key.txt", lambda v: tensor_io.write_text(tmp_path / "key.txt",
+                                                                      f"parts={v}\n")),
+    }
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("name", ["manifest", "graph", "partition", "fg_map", "loss_curve",
+                                  "outputs", "text"])
+def test_failed_text_write_keeps_old_file_and_leaves_no_part(tmp_path, monkeypatch, name,
+                                                             existing):
+    """A text file records no length, so even a new one appears only once
+    complete: a write that fails halfway leaves the old file or none."""
+    path, write = _text_writers(tmp_path)[name]
+    if existing:
+        write(1)
+        old = path.read_bytes()
+    monkeypatch.setattr(tensor_io, "open", lambda p, mode: _FailingFile(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(2)
+    if existing:
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    else:
+        assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    write(2)
+    assert path.read_bytes() != (old if existing else b"")
+
+
+def test_checkpoint_rejects_duplicate_tensor_names(tmp_path):
+    raw = small_checkpoint_bytes(tmp_path)
+    count_at = 4 + 10 + len("0123456789abcdef")
+    entry = raw[count_at + 4:]  # the one tensor: name length, name, LPT1 bytes
+    path = tmp_path / "dup.lpc"
+    path.write_bytes(raw[:count_at] + struct.pack("<I", 2) + entry + entry)
+    with pytest.raises(tensor_io.TensorFormatError, match="duplicate tensor 'student/encoder.w'"):
+        tensor_io.load_checkpoint(path)
