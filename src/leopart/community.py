@@ -154,16 +154,18 @@ def _plogp(x: np.ndarray | float) -> np.ndarray | float:
 def _module_stats(weights: np.ndarray, p: np.ndarray, assignment: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P_m, cut_m, community ids) for assigned nodes."""
-    comms = np.unique(assignment[assignment != BACKGROUND])
-    p_m = np.zeros(len(comms))
-    cut_m = np.zeros(len(comms))
-    deg = weights.sum(axis=1)
-    for idx, m in enumerate(comms):
-        members = assignment == m
-        p_m[idx] = p[members].sum()
-        internal = weights[np.ix_(members, members)].sum() / 2.0
-        cut_m[idx] = deg[members].sum() - 2.0 * internal
-    return p_m, cut_m, comms
+    nodes = np.flatnonzero(assignment != BACKGROUND)
+    comms, index = np.unique(assignment[nodes], return_inverse=True)
+    module = np.full(len(assignment), -1)
+    module[nodes] = index
+    p_m = np.bincount(index, weights=p[nodes], minlength=len(comms))
+    deg_m = np.bincount(index, weights=weights[nodes].sum(axis=1), minlength=len(comms))
+    # both directions of each internal edge, so twice the internal weight
+    i, j = np.nonzero(weights)
+    inside = (module[i] == module[j]) & (module[i] >= 0)
+    internal2 = np.bincount(module[i[inside]], weights=weights[i[inside], j[inside]],
+                            minlength=len(comms))
+    return p_m, deg_m - internal2, comms
 
 
 def _map_equation_terms(p_m: np.ndarray, cut_m: np.ndarray, two_w: float,

@@ -114,6 +114,10 @@ class FeatureQueue:
     _fill: int = 0
     _head: int = 0  # next write slot
 
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise ValueError(f"sinkhorn.queue_capacity must be at least 1, got {self.capacity}")
+
     @property
     def fill(self) -> int:
         return self._fill

@@ -20,6 +20,10 @@ PLACEMENT_RETRIES = 100
 SEPARATION_RETRIES = 1000
 
 
+class SynthError(ValueError):
+    """The spec asks for a dataset the generator cannot produce."""
+
+
 @dataclass
 class SynthSpec:
     n_images: int = 200
@@ -72,7 +76,7 @@ def _sample_prototypes(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         np.fill_diagonal(gram, -1.0)
         if gram.max() <= max_cos:
             return protos
-    raise RuntimeError(
+    raise SynthError(
         f"could not sample {spec.n_parts} prototypes with pairwise angle "
         f">= {spec.min_angle_deg} deg in dimension {spec.raw_dim}"
     )
@@ -183,7 +187,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[tensor_io.DatasetMan
     if spec.noise_sigma <= 0.1 and spec.min_angle_deg >= 60.0:
         rate = 1.0 - mismatches / max(total_tokens, 1)
         if rate < 0.99:
-            raise RuntimeError(
+            raise SynthError(
                 f"planted-part recovery rate {rate:.4f} below 0.99; "
                 "the generated dataset is not a usable oracle"
             )

@@ -299,6 +299,27 @@ def test_validation_failure_exits_1(tmp_path, capsys):
     assert "train.epochs" in capsys.readouterr().err
 
 
+def test_gen_rejects_an_unsatisfiable_spec(tmp_path, capsys):
+    cfg = tmp_path / "dim8.cfg"
+    cfg.write_text("[synth]\nn_images = 2\nraw_dim = 8\n")
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not sample 13 prototypes")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, capacity):
+    cfg = tmp_path / "queue.cfg"
+    cfg.write_text(SMALL_CFG.replace("queue_capacity = 128", f"queue_capacity = {capacity}"))
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "train", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "train")]) == 1
+    assert (f"error: sinkhorn.queue_capacity must be at least 1, got {capacity}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "train" / "checkpoint.lpc").exists()
+
+
 def test_missing_target_m_is_validation_error(workspace, tmp_path, capsys):
     cfg = tmp_path / "no_target.cfg"
     cfg.write_text("[cbfe]\nk = 16\n")

@@ -1,11 +1,15 @@
 """Oracles for K-means, matching and the segmentation protocols."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from leopart import cluster_eval
+from leopart import cluster_eval, pipeline, synth
 
 
 # ---------------------------------------------------------------- resizing
@@ -143,18 +147,66 @@ def assert_lloyd_matches_reference(points, init, max_iter):
     assert got.inertia == want.inertia
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts the assignment passes that _lloyd takes with few centroids
+    moved: "partial", or "fallback" to the full matrix on a close call."""
+    counts = collections.Counter()
+    update = cluster_eval._Assignment.update
+
+    def counted(self, centroids, moved):
+        update(self, centroids, moved)
+        if 0 < len(moved) <= cluster_eval._PARTIAL_SHARE * len(centroids):
+            counts["fallback" if self.exact else "partial"] += 1
+
+    monkeypatch.setattr(cluster_eval._Assignment, "update", counted)
+    return counts
+
+
+def planted_tokens(seed, n_images, d=8):
+    feats, _ = planted_features(np.random.default_rng(seed), n_images=n_images, n_classes=5,
+                                h=10, w=10, d=d, noise=0.3)
+    return np.concatenate([f.reshape(d, -1).T for f in feats])
+
+
 @pytest.mark.parametrize("k", [7, 20, 150])
 def test_lloyd_bitwise_matches_reference(k):
-    rng = np.random.default_rng(k)
-    points = planted_features(rng, n_images=40, n_classes=5, h=10, w=10, d=8, noise=0.3)
-    points = np.concatenate([f.reshape(8, -1).T for f in points[0]])
+    points = planted_tokens(k, n_images=40)
     init = cluster_eval._kmeans_pp_init(points, k, np.random.default_rng([0, 17, 0]))
     assert_lloyd_matches_reference(points, init, 100)
 
 
-def test_lloyd_reseeds_empty_clusters_like_reference():
+def test_lloyd_matches_reference_where_subset_products_round_differently(passes):
+    """At k = 200 the blocked BLAS products of row and column subsets round
+    many entries differently from the full matrix on some CPUs; partial
+    passes must still reach the reference's labels, centroids and inertia."""
+    points = planted_tokens(200, n_images=60)
+    init = cluster_eval._kmeans_pp_init(points, 200, np.random.default_rng([0, 17, 0]))
+    assert_lloyd_matches_reference(points, init, 100)
+    assert passes["partial"] > 0
+
+
+@pytest.fixture(scope="module")
+def canonical_tokens(tmp_path_factory):
+    """The raw tokens of the default dataset at seed 0: 20,000 x 32."""
+    manifest, _ = synth.generate(synth.SynthSpec(seed=0), tmp_path_factory.mktemp("canonical"))
+    features = pipeline.load_dataset(manifest).features
+    return cluster_eval.token_rows(features).astype(np.float64)
+
+
+@pytest.mark.parametrize("pp_seed", range(4))
+def test_lloyd_matches_reference_on_canonical_tokens(canonical_tokens, pp_seed, passes):
+    """The paper's overclustering size, k = 150, from k-means++ seeds 0-3."""
+    init = cluster_eval._kmeans_pp_init(canonical_tokens, 150,
+                                        np.random.default_rng([0, 17, pp_seed]))
+    assert_lloyd_matches_reference(canonical_tokens, init, 100)
+    assert passes["partial"] > 10
+
+
+def test_lloyd_reseeds_empty_clusters_like_reference(passes):
     """Duplicated points and far-off starting centroids leave clusters
-    empty, including ones emptied by an earlier cluster's reseed."""
+    empty, including ones emptied by an earlier cluster's reseed; exact
+    ties between duplicates send partial passes back to the full matrix."""
     rng = np.random.default_rng(1)
     for trial in range(300):
         n, k, n_distinct = rng.integers(8, 40), int(rng.integers(2, 8)), rng.integers(1, 6)
@@ -167,6 +219,81 @@ def test_lloyd_reseeds_empty_clusters_like_reference():
         else:
             init = points[rng.integers(n, size=k)].copy()
         assert_lloyd_matches_reference(points, init, 20)
+    assert passes["partial"] > 0 and passes["fallback"] > 0
+
+
+@st.composite
+def lloyd_inputs(draw):
+    """Points drawn from a few distinct rows (so duplicated), of any floats
+    or of small integers (so full of exact ties), a k of 1, n or in
+    between, starting centroids on points or anywhere, and an iteration
+    cap of 1 to 5."""
+    coordinates = draw(st.sampled_from([st.floats(-1e3, 1e3), st.integers(-3, 3).map(float)]))
+    d = draw(st.integers(1, 4))
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, 16)), d), elements=coordinates))
+    n = draw(st.integers(1, 40))
+    points = distinct[draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(distinct) - 1)))]
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    if draw(st.booleans()):
+        init = points[draw(hnp.arrays(np.intp, k, elements=st.integers(0, n - 1)))]
+    else:
+        init = draw(hnp.arrays(np.float64, (k, d), elements=coordinates))
+    return points, init, draw(st.integers(1, 5))
+
+
+@given(lloyd_inputs())
+@settings(max_examples=300, deadline=None)
+def test_lloyd_matches_reference_on_random_inputs(case):
+    points, init, max_iter = case
+    assert_lloyd_matches_reference(points, init, max_iter)
+
+
+def assert_subset_distances_within_tolerance(points, centroids, seed):
+    """Row subsets (one row too) and column subsets (one column too) of the
+    distance matrix, computed by _sq_dists in either orientation, stay
+    within half the tolerance of the full matrix: the property partial
+    passes rely on. Bit equality does not hold on every BLAS: gemv, small-
+    matrix kernels and the edge tiles of blocked gemm round differently."""
+    n, k = len(points), len(centroids)
+    assignment = cluster_eval._Assignment(points, centroids)
+    two_points, sq_norms = assignment.two_points, assignment.sq_norms
+    c_sq = (centroids**2).sum(axis=1)
+    full = cluster_eval._sq_dists(two_points, sq_norms, centroids, c_sq, np.empty((n, k)))
+    half = assignment.tolerance(c_sq) / 2
+    rng = np.random.default_rng(seed)
+    for r in sorted({1, 2, 8, min(100, n), n - 1} - {0}):
+        rows = np.sort(rng.choice(n, r, replace=False))
+        sub = cluster_eval._sq_dists(two_points[rows], sq_norms[rows], centroids, c_sq,
+                                     np.empty((r, k)))
+        assert np.all(np.abs(sub - full[rows]) <= half[rows, None]), r
+    for m in sorted({1, 2, min(20, k), k - 1} - {0}):
+        cols = np.sort(rng.choice(k, m, replace=False))
+        sub = cluster_eval._sq_dists(two_points, sq_norms, centroids[cols], c_sq[cols],
+                                     np.empty((n, m)))
+        assert np.all(np.abs(sub - full[:, cols]) <= half[:, None]), m
+        sub = cluster_eval._sq_dists(centroids[cols], c_sq[cols], two_points, sq_norms,
+                                     np.empty((m, n)))
+        assert np.all(np.abs(sub.T - full[:, cols]) <= half[:, None]), m
+
+
+def test_subset_distances_within_tolerance_on_canonical_tokens(canonical_tokens):
+    init = cluster_eval._kmeans_pp_init(canonical_tokens, 150, np.random.default_rng([0, 17, 0]))
+    assert_subset_distances_within_tolerance(canonical_tokens, init, 0)
+
+
+@pytest.mark.parametrize("n,k,d,scale,offset", [
+    (600, 7, 1, 1.0, 0.0),
+    (1000, 150, 8, 1e3, 0.0),
+    (300, 150, 40, 1.0, 1e4),   # far from the origin: heavy cancellation
+    (2000, 200, 64, 1e-3, 0.0),
+    (500, 193, 32, 1e-160, 0.0),  # products underflow
+    (40, 30, 33, 1.0, 1.0),
+])
+def test_subset_distances_within_tolerance_on_float64_data(n, k, d, scale, offset):
+    rng = np.random.default_rng([n, k, d])
+    points = offset + scale * rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    centroids = offset + scale * rng.normal(size=(k, d))
+    assert_subset_distances_within_tolerance(points, centroids, k)
 
 
 # ---------------------------------------------------------------- matching

@@ -230,6 +230,49 @@ def test_detect_is_deterministic():
 # ---------------------------------------------------------------- reference mover
 
 
+def reference_module_stats(weights, p, assignment):
+    """Per-module loop over node masks: the oracle for community._module_stats."""
+    comms = np.unique(assignment[assignment != community.BACKGROUND])
+    p_m = np.zeros(len(comms))
+    cut_m = np.zeros(len(comms))
+    deg = weights.sum(axis=1)
+    for idx, m in enumerate(comms):
+        members = assignment == m
+        p_m[idx] = p[members].sum()
+        internal = weights[np.ix_(members, members)].sum() / 2.0
+        cut_m[idx] = deg[members].sum() - 2.0 * internal
+    return p_m, cut_m, comms
+
+
+def reference_map_equation(graph, partition, markov_time):
+    deg = graph.degrees()
+    p = deg / deg.sum()
+    p_m, cut_m, _ = reference_module_stats(graph.weights, p, partition.assignment)
+    return community._map_equation_terms(p_m, cut_m, deg.sum(), markov_time,
+                                         community._plogp(p).sum())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_map_equation_matches_module_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 160))
+    graph = planted_graph(n, int(rng.integers(1, 8)), seed) if seed % 2 else random_graph(n, seed)
+    deg = graph.degrees()
+    for _ in range(5):
+        assignment = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        assignment[deg == 0] = rng.choice([community.BACKGROUND, 0], size=int((deg == 0).sum()))
+        part = community.Partition(assignment)
+        t = float(rng.uniform(0.5, 2.0))
+        got = community.map_equation(graph, part, t)
+        want = reference_map_equation(graph, part, t)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        got_stats = community._module_stats(graph.weights, deg / deg.sum(), assignment)
+        want_stats = reference_module_stats(graph.weights, deg / deg.sum(), assignment)
+        assert np.array_equal(got_stats[2], want_stats[2])
+        assert np.allclose(got_stats[0], want_stats[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(got_stats[1], want_stats[1], rtol=1e-12, atol=1e-12 * deg.sum())
+
+
 class ReferenceMover:
     """Full-recompute local mover: the oracle for community._LocalMover.
 
@@ -251,7 +294,7 @@ class ReferenceMover:
         self.node_entropy = float(community._plogp(self.p).sum())
 
     def level_bits(self):
-        p_m, cut_m, _ = community._module_stats(self.w, self.p, self.assignment)
+        p_m, cut_m, _ = reference_module_stats(self.w, self.p, self.assignment)
         return community._map_equation_terms(p_m, cut_m, self.two_w, self.t,
                                              self.node_entropy)
 
@@ -405,12 +448,13 @@ def cli_k150_graph(tmp_path_factory):
     return community.filter_edges(graph, community.DEFAULT_EDGE_THRESHOLD)
 
 
-def assert_mover_matches_reference(graph, seed, t, mover_cls=community._LocalMover):
+def assert_mover_matches_reference(graph, seed, t):
     """Run the shared local phase, then merge down to one community and split
     up to three more than the local optimum; partitions and description
-    lengths must match the reference at every step."""
+    lengths must match the reference at every step, and every delta the
+    incremental mover scores must match two full map_equation runs."""
     ref = ReferenceMover(graph, t, np.random.default_rng([seed, 29]))
-    new = mover_cls(graph, t, np.random.default_rng([seed, 29]))
+    new = CheckedMover(graph, t, np.random.default_rng([seed, 29]))
     ref.run()
     new.run()
     assert np.array_equal(new.assignment, ref.assignment)
@@ -445,15 +489,12 @@ def test_detect_matches_reference_on_cli_k150_graph(cli_k150_graph):
 @pytest.mark.parametrize("n", [20, 50, 100, 150])
 @pytest.mark.parametrize("kind", ["planted", "random"])
 def test_mover_matches_reference(kind, n):
-    # every scored delta is checked too, except at n = 150 where the full
-    # recomputation of each one would take as long as the reference run
-    mover_cls = CheckedMover if n <= 100 else community._LocalMover
     # uniform random graphs form a single module at the default Markov time
     if kind == "planted":
-        mover = assert_mover_matches_reference(planted_graph(n, 5, seed=n), n, 2.0, mover_cls)
+        mover = assert_mover_matches_reference(planted_graph(n, 5, seed=n), n, 2.0)
     else:
-        mover = assert_mover_matches_reference(random_graph(n, seed=n), n, 1.0, mover_cls)
-    assert mover_cls is not CheckedMover or mover.checked > 0
+        mover = assert_mover_matches_reference(random_graph(n, seed=n), n, 1.0)
+    assert mover.checked > 0
 
 
 # ---------------------------------------------------------------- merging

@@ -155,6 +155,12 @@ def test_queue_fifo_eviction():
     np.testing.assert_array_equal(q.snapshot(), np.concatenate([b, c]))
 
 
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_queue_rejects_capacity_below_one(capacity):
+    with pytest.raises(ValueError, match="sinkhorn.queue_capacity must be at least 1"):
+        sinkhorn.FeatureQueue(capacity=capacity)
+
+
 def test_queue_half_full_gate():
     q = sinkhorn.FeatureQueue(capacity=10)
     q.push(np.ones((4, 2)))

@@ -49,6 +49,26 @@ def test_prototype_separation():
     assert gram.max() <= np.cos(np.deg2rad(spec.min_angle_deg)) + 1e-12
 
 
+def test_unsatisfiable_separation_is_a_synth_error(tmp_path):
+    with pytest.raises(synth.SynthError, match="could not sample 13 prototypes"):
+        synth.generate(small_spec(raw_dim=8), tmp_path)
+    assert issubclass(synth.SynthError, ValueError)
+
+
+def test_low_recovery_rate_is_a_synth_error(tmp_path, monkeypatch):
+    """Parts sharing one prototype cannot be told apart."""
+    sample = synth._sample_prototypes
+
+    def shared(spec, rng):
+        protos = sample(spec, rng)
+        protos[1:] = protos[0]
+        return protos
+
+    monkeypatch.setattr(synth, "_sample_prototypes", shared)
+    with pytest.raises(synth.SynthError, match="recovery rate"):
+        synth.generate(small_spec(), tmp_path)
+
+
 def test_object_and_part_maps_agree(tmp_path):
     spec = small_spec()
     _, key = synth.generate(spec, tmp_path)
