@@ -92,10 +92,9 @@ def threshold_mass(grid: np.ndarray, rho: float = DEFAULT_RHO) -> np.ndarray:
     return mask.reshape(grid.shape)
 
 
-def foreground_mask(stack: np.ndarray, kernel: int = DEFAULT_KERNEL,
-                    sigma: float = DEFAULT_SIGMA, rho: float = DEFAULT_RHO) -> np.ndarray:
+def foreground_mask(stack: np.ndarray) -> np.ndarray:
     """Full average -> smooth -> threshold chain on an (..., heads, H, W) stack."""
-    return threshold_mass(gaussian_smooth(merge_heads(stack), kernel, sigma), rho)
+    return threshold_mass(gaussian_smooth(merge_heads(stack)))
 
 
 def align_mask(mask: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:

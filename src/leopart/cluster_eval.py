@@ -20,6 +20,8 @@ from . import crops, model, optim
 
 EVAL_MASK_SIZE = 100
 DEFAULT_SEEDS = 5
+PROBE_EPOCHS = 100
+PROBE_LR = 1e-2
 
 
 # --------------------------------------------------------------------------
@@ -259,15 +261,8 @@ class _Assignment:
             rows = todo[start:start + self.block]
             r = len(rows)
             sub = flat[:r * k].reshape(r, k)
-            gathered = flat[r * k:r * (k + dim)]
-            # np.take copies a source it cannot gather along a contiguous
-            # axis; token rows (cluster_eval.token_rows) are column-major
-            if self.two_points.flags.f_contiguous:
-                two_points = np.take(self.two_points.T, rows, axis=1, mode="clip",
-                                     out=gathered.reshape(dim, r)).T
-            else:
-                two_points = np.take(self.two_points, rows, axis=0, mode="clip",
-                                     out=gathered.reshape(r, dim))
+            two_points = np.take(self.two_points, rows, axis=0, mode="clip",
+                                 out=flat[r * k:r * (k + dim)].reshape(r, dim))
             _sq_dists(two_points, self.sq_norms[rows], centroids, c_sq, sub)
             j = sub.argmin(axis=1)
             at = np.arange(r)
@@ -308,7 +303,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
 def kmeans(points: np.ndarray, k: int, n_seeds: int = DEFAULT_SEEDS,
            max_iter: int = 100, seed: int = 0) -> KMeansResult:
     """k-means++ / Lloyd; the best of *n_seeds* runs by inertia."""
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     best: KMeansResult | None = None
@@ -442,27 +437,27 @@ def split_maps(values: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.nda
     return [v.reshape(s) for v, s in zip(np.split(values, ends), shapes)]
 
 
-def cluster_maps_for(features: list[np.ndarray], k: int, seed: int,
-                     max_iter: int = 100) -> tuple[list[np.ndarray], KMeansResult]:
+def cluster_maps_for(features: list[np.ndarray], k: int,
+                     seed: int) -> tuple[list[np.ndarray], KMeansResult]:
     """Run one K-means over all spatial tokens; per-image cluster-id grids."""
-    result = kmeans(token_rows(features), k, n_seeds=1, max_iter=max_iter, seed=seed)
+    result = kmeans(token_rows(features), k, n_seeds=1, seed=seed)
     maps = split_maps(result.labels.astype(np.uint16), [f.shape[1:] for f in features])
     return maps, result
 
 
 def overcluster_eval(features: list[np.ndarray], gt_maps: list[np.ndarray],
                      k: int, n_classes: int, n_seeds: int = DEFAULT_SEEDS,
-                     ignore_label: int | None = None, seed: int = 0,
-                     eval_size: int = EVAL_MASK_SIZE) -> tuple[float, float, list[float]]:
+                     ignore_label: int | None = None,
+                     seed: int = 0) -> tuple[float, float, list[float]]:
     """Overclustering protocol: K-means, greedy merge, Hungarian, mIoU.
 
     Returns (mean, std, per-seed values) over *n_seeds* K-means runs.
     """
-    gt_small = [resize_nearest(g, eval_size, eval_size) for g in gt_maps]
+    gt_small = [resize_nearest(g, EVAL_MASK_SIZE, EVAL_MASK_SIZE) for g in gt_maps]
     scores = []
     for s in range(n_seeds):
         maps, _ = cluster_maps_for(features, k, seed=seed * 1000 + s)
-        maps_up = [resize_nearest(m, eval_size, eval_size) for m in maps]
+        maps_up = [resize_nearest(m, EVAL_MASK_SIZE, EVAL_MASK_SIZE) for m in maps]
         merged, _ = greedy_precision_match(maps_up, gt_small, n_classes, k, ignore_label)
         scores.append(hungarian_matched_miou(merged, gt_small, n_classes, ignore_label))
     return float(np.mean(scores)), float(np.std(scores)), scores
@@ -484,7 +479,7 @@ def probe_loss_and_grads(w: np.ndarray, b: np.ndarray, tokens: np.ndarray,
 
 def linear_probe(train_features: list[np.ndarray], train_gt: list[np.ndarray],
                  eval_features: list[np.ndarray], eval_gt: list[np.ndarray],
-                 n_classes: int, epochs: int = 25, lr: float = 1e-2,
+                 n_classes: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
                  ignore_label: int | None = None, seed: int = 0,
                  ) -> tuple[float, dict[str, np.ndarray]]:
     """Multinomial logistic regression on frozen tokens, evaluated by mIoU.

@@ -1,22 +1,23 @@
 """Structured-text run configuration.
 
 Configs are INI-style ``key = value`` files with one section per pipeline
-stage. Every key has a typed default mirroring the module constants, so an
-empty file is a complete configuration, and some command reads every key
-(``eval --protocol unsupseg`` the same ``[cbfe]``/``[cd]``/``[eval]`` keys
-as the CLI stages). Unknown sections or keys are rejected by name; the
-canonical serialized form feeds the config hash that ties artifacts to the
-settings that produced them.
+stage. Every key has a typed default, so an empty file is a complete
+configuration; the ``[synth]`` and ``[train]`` keys are the fields of
+``SynthSpec`` and ``TrainConfig``. Some command reads every key (``eval
+--protocol unsupseg`` the same ``[cbfe]``/``[cd]``/``[eval]`` keys as the
+CLI stages). Unknown sections or keys are rejected by name; the canonical
+serialized form feeds the config hash that ties artifacts to the settings
+that produced them.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from . import cbfe, community, model, sinkhorn, synth, tensor_io, training
+from . import cbfe, cluster_eval, community, sinkhorn, synth, tensor_io, training
 
 
 class ConfigError(ValueError):
@@ -29,7 +30,6 @@ def _pair(kind):
         if len(parts) != 2:
             raise ValueError(f"expected two values, got {text!r}")
         return (kind(parts[0]), kind(parts[1]))
-    parse.__name__ = f"pair_of_{kind.__name__}"
     return parse
 
 
@@ -48,43 +48,35 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# section -> key -> (parser, default)
+# a dataclass field's annotation -> the parser of its config value
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": _optional_int,
+    "tuple[int, int]": _pair(int),
+    "tuple[float, float]": _pair(float),
+}
+
+
+def _fields_section(spec, exclude: set[str]) -> dict[str, tuple[Any, Any]]:
+    """One config key per field of the dataclass *spec*, apart from *exclude*."""
+    section = {}
+    for f in fields(spec):
+        if f.name in exclude:
+            continue
+        if f.type not in _PARSERS:
+            raise TypeError(f"{spec.__name__}.{f.name}: no config parser for {f.type!r}")
+        section[f.name] = (_PARSERS[f.type], f.default)
+    return section
+
+
+# section -> key -> (parser, default); the seed comes from [run], and the
+# TrainConfig fields of the Sinkhorn and the queue from [sinkhorn]
 SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
-    "synth": {
-        "n_images": (int, 200),
-        "grid": (_pair(int), (10, 10)),
-        "raw_dim": (int, 32),
-        "n_objects": (int, 3),
-        "parts_per_object": (int, 3),
-        "n_bg_parts": (int, 4),
-        "min_angle_deg": (float, 60.0),
-        "noise_sigma": (float, 0.1),
-        "objects_per_image": (_pair(int), (1, 3)),
-        "attention_flip": (float, 0.1),
-    },
-    "train": {
-        "temperature": (float, 0.1),
-        "lr_head": (float, 1e-4),
-        "lr_encoder": (float, 1e-5),
-        "weight_decay": (float, 0.0),
-        "epochs": (int, 50),
-        "batch_size": (int, 32),
-        "ema_start": (float, 0.9995),
-        "n_prototypes": (int, model.DEFAULT_PROTOTYPES),
-        "fg_masking": (str, "fg"),
-        "hidden_dim": (int, model.DEFAULT_HIDDEN),
-        "out_dim": (int, model.DEFAULT_OUT),
-        "token_dim": (_optional_int, None),
-        "align_size": (int, 7),
-        "global_grid": (int, 7),
-        "local_grid": (int, 5),
-        "n_global": (int, 2),
-        "n_local": (int, 4),
-        "global_scale": (_pair(float), (0.4, 1.0)),
-        "local_scale": (_pair(float), (0.05, 0.4)),
-        "min_intersection": (float, 0.01),
-        "aspect": (_pair(float), (0.75, 4 / 3)),
-    },
+    "synth": _fields_section(synth.SynthSpec, {"seed"}),
+    "train": _fields_section(training.TrainConfig,
+                             {"seed", "epsilon", "sinkhorn_iters", "queue_capacity"}),
     "sinkhorn": {
         "epsilon": (float, sinkhorn.DEFAULT_EPSILON),
         "n_iters": (int, sinkhorn.DEFAULT_ITERS),
@@ -102,9 +94,9 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "eval": {
         "k": (int, 20),
-        "n_seeds": (int, 5),
-        "probe_epochs": (int, 100),
-        "probe_lr": (float, 1e-2),
+        "n_seeds": (int, cluster_eval.DEFAULT_SEEDS),
+        "probe_epochs": (int, cluster_eval.PROBE_EPOCHS),
+        "probe_lr": (float, cluster_eval.PROBE_LR),
         "use_head": (_bool, True),
     },
     "run": {
@@ -155,7 +147,9 @@ class Config:
 
 
 def load_config(path: str | Path | None) -> Config:
-    """Parse and validate a config file; None gives all defaults."""
+    """Parse and validate a config file, with the checks of ``SynthSpec`` and
+    ``TrainConfig``, so that every command rejects a bad setting; None gives
+    all defaults."""
     if path is None:
         return Config()
     parser = configparser.ConfigParser(interpolation=None)
@@ -177,7 +171,13 @@ def load_config(path: str | Path | None) -> Config:
                 values[section][key] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {exc}") from exc
-    return Config(values=values)
+    cfg = Config(values=values)
+    for section, build in (("synth", cfg.synth_spec), ("train", cfg.train_config)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    return cfg
 
 
 def default_config_text() -> str:

@@ -74,18 +74,17 @@ def init_params(dims: ModelDims, rng: np.random.Generator,
     return params
 
 
-def encoder_forward(raw: np.ndarray, params: dict[str, np.ndarray], prefix: str = "") -> np.ndarray:
-    return raw @ params[f"{prefix}encoder.w"] + params[f"{prefix}encoder.b"]
+def encoder_forward(raw: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+    return raw @ params["encoder.w"] + params["encoder.b"]
 
 
-def encoder_backward(g: np.ndarray, raw: np.ndarray, prefix: str = "") -> dict[str, np.ndarray]:
-    return {f"{prefix}encoder.w": raw.T @ g, f"{prefix}encoder.b": g.sum(axis=0)}
+def encoder_backward(g: np.ndarray, raw: np.ndarray) -> dict[str, np.ndarray]:
+    return {"encoder.w": raw.T @ g, "encoder.b": g.sum(axis=0)}
 
 
-def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
-                 prefix: str = "") -> tuple[np.ndarray, dict]:
+def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict]:
     """Three affine layers with GELU gates, then a row-wise L2 bottleneck."""
-    p = lambda name: params[f"{prefix}head.{name}"]
+    p = lambda name: params[f"head.{name}"]
     h1 = tokens @ p("l1.w") + p("l1.b")
     a1, gate1 = gelu(h1)
     h2 = a1 @ p("l2.w") + p("l2.b")
@@ -97,34 +96,34 @@ def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
     return z, cache
 
 
-def head_backward(gz: np.ndarray, cache: dict, params: dict[str, np.ndarray],
-                  prefix: str = "") -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    p = lambda name: params[f"{prefix}head.{name}"]
+def head_backward(gz: np.ndarray, cache: dict,
+                  params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    p = lambda name: params[f"head.{name}"]
     gh3 = l2_normalize_rows_backward(gz, cache["z"], cache["norms"])
     grads = {
-        f"{prefix}head.l3.w": cache["a2"].T @ gh3,
-        f"{prefix}head.l3.b": gh3.sum(axis=0),
+        "head.l3.w": cache["a2"].T @ gh3,
+        "head.l3.b": gh3.sum(axis=0),
     }
     ga2 = gh3 @ p("l3.w").T
     gh2 = ga2 * gelu_grad(cache["h2"], cache["gate2"])
-    grads[f"{prefix}head.l2.w"] = cache["a1"].T @ gh2
-    grads[f"{prefix}head.l2.b"] = gh2.sum(axis=0)
+    grads["head.l2.w"] = cache["a1"].T @ gh2
+    grads["head.l2.b"] = gh2.sum(axis=0)
     ga1 = gh2 @ p("l2.w").T
     gh1 = ga1 * gelu_grad(cache["h1"], cache["gate1"])
-    grads[f"{prefix}head.l1.w"] = cache["tokens"].T @ gh1
-    grads[f"{prefix}head.l1.b"] = gh1.sum(axis=0)
+    grads["head.l1.w"] = cache["tokens"].T @ gh1
+    grads["head.l1.b"] = gh1.sum(axis=0)
     g_tokens = gh1 @ p("l1.w").T
     return g_tokens, grads
 
 
-def project(tokens: np.ndarray, params: dict[str, np.ndarray], prefix: str = "") -> np.ndarray:
+def project(tokens: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     """Head forward without caches; rows come back unit-norm."""
-    z, _ = head_forward(tokens, params, prefix)
+    z, _ = head_forward(tokens, params)
     return z
 
 
-def forward_crop(grids: list[np.ndarray], params: dict[str, np.ndarray],
-                 prefix: str = "") -> tuple[list[np.ndarray], dict]:
+def forward_crop(grids: list[np.ndarray],
+                 params: dict[str, np.ndarray]) -> tuple[list[np.ndarray], dict]:
     """Prototype logits of stacks of crops in one pass over all their tokens.
 
     Each entry of *grids* is an (N, raw_dim, h, w) stack of same-size raw
@@ -132,8 +131,8 @@ def forward_crop(grids: list[np.ndarray], params: dict[str, np.ndarray],
     the caches :func:`backward_crop` needs.
     """
     raw = np.concatenate([g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1]) for g in grids])
-    tokens = encoder_forward(raw, params, prefix)
-    z, cache = head_forward(tokens, params, prefix)
+    tokens = encoder_forward(raw, params)
+    z, cache = head_forward(tokens, params)
     logits = z @ params["prototypes"].T
     shapes = [g.shape[:1] + g.shape[2:] for g in grids]  # (N, h, w) per stack
     cache.update({"raw": raw, "shapes": shapes})
@@ -146,13 +145,13 @@ def forward_crop(grids: list[np.ndarray], params: dict[str, np.ndarray],
 
 
 def backward_crop(g_logits: list[np.ndarray], cache: dict,
-                  params: dict[str, np.ndarray], prefix: str = "") -> dict[str, np.ndarray]:
+                  params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Backprop (N, K, h, w) logits gradients, one per stack given to
     :func:`forward_crop`, to encoder/head/prototype grads in one pass."""
     g = np.concatenate([gs.transpose(0, 2, 3, 1).reshape(-1, gs.shape[1]) for gs in g_logits])
     grads = {"prototypes": g.T @ cache["z"]}
     gz = g @ params["prototypes"]
-    g_tokens, head_grads = head_backward(gz, cache, params, prefix)
+    g_tokens, head_grads = head_backward(gz, cache, params)
     grads.update(head_grads)
-    grads.update(encoder_backward(g_tokens, cache["raw"], prefix))
+    grads.update(encoder_backward(g_tokens, cache["raw"]))
     return grads

@@ -145,7 +145,7 @@ class FeatureQueue:
             return np.zeros((0, self.dim or 0))
         if self._fill < self.capacity:
             return self._buf[: self._fill].copy()
-        return np.roll(self._buf, -self._head, axis=0).copy()
+        return np.roll(self._buf, -self._head, axis=0)
 
     def active_rows(self) -> np.ndarray:
         if self._fill * 2 < self.capacity:

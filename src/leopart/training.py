@@ -7,7 +7,7 @@ the uninterrupted run bit-for-bit (single-threaded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -34,12 +34,13 @@ class TrainConfig:
     align_size: int = loss_mod.ALIGN_SIZE
     global_grid: int = 7
     local_grid: int = 5
-    n_global: int = 2
-    n_local: int = 4
-    global_scale: tuple[float, float] = (0.4, 1.0)
-    local_scale: tuple[float, float] = (0.05, 0.4)
-    min_intersection: float = 0.01
-    aspect: tuple[float, float] = (3 / 4, 4 / 3)
+    # the crops.CropSpec fields, flat so that the config hash keeps its form
+    n_global: int = crops.CropSpec.n_global
+    n_local: int = crops.CropSpec.n_local
+    global_scale: tuple[float, float] = crops.CropSpec.global_scale
+    local_scale: tuple[float, float] = crops.CropSpec.local_scale
+    min_intersection: float = crops.CropSpec.min_intersection
+    aspect: tuple[float, float] = crops.CropSpec.aspect
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,13 +48,10 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.fg_masking not in ("all", "fg", "bg"):
             raise ValueError(f"unknown fg_masking mode {self.fg_masking!r}")
+        self.crop_spec()  # checks the crop ranges
 
     def crop_spec(self) -> crops.CropSpec:
-        return crops.CropSpec(
-            n_global=self.n_global, n_local=self.n_local,
-            global_scale=self.global_scale, local_scale=self.local_scale,
-            min_intersection=self.min_intersection, aspect=self.aspect,
-        )
+        return crops.CropSpec(**{f.name: getattr(self, f.name) for f in fields(crops.CropSpec)})
 
     def hash(self) -> str:
         return tensor_io.config_hash(repr(sorted(asdict(self).items())))

@@ -299,6 +299,22 @@ def test_validation_failure_exits_1(tmp_path, capsys):
     assert "train.epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("[train]\ntemperature = -1", "[train] temperature must be positive"),
+    ("[train]\nglobal_scale = 0 2", "[train] invalid scale range (0.0, 2.0)"),
+    ("[synth]\nattention_flip = 2", "[synth] attention_flip must be in [0, 1)"),
+])
+def test_every_command_rejects_a_setting_the_dataclasses_reject(workspace, tmp_path, capsys,
+                                                                setting, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "cooc", "--clusters", str(workspace / "clusters"),
+                     "--out", str(tmp_path / "cooc")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "cooc").exists()
+
+
 def test_gen_rejects_an_unsatisfiable_spec(tmp_path, capsys):
     cfg = tmp_path / "dim8.cfg"
     cfg.write_text("[synth]\nn_images = 2\nraw_dim = 8\n")

@@ -1,8 +1,11 @@
 """Config parsing, defaults, validation and hashing."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from leopart import config
+from leopart import config, crops, synth, training
 
 
 def test_empty_config_is_all_defaults():
@@ -15,6 +18,31 @@ def test_empty_config_is_all_defaults():
     assert cfg["cd"]["edge_threshold"] == 0.09
     assert cfg["cd"]["markov_time"] == 2.0
     assert cfg["run"]["seed"] == 0
+    # the defaults, and so every checkpoint's and manifest's config hash, are pinned
+    assert cfg.hash() == "70fcd1b916aa6944"
+    assert training.TrainConfig().hash() == "d0c577acbf39f503"
+    text = config.default_config_text().encode()
+    assert hashlib.sha256(text).hexdigest().startswith("f50803ab77cc33da")
+    assert cfg.train_config() == training.TrainConfig()
+    assert cfg.synth_spec() == synth.SynthSpec()
+    assert training.TrainConfig().crop_spec() == crops.CropSpec()
+    # every dataclass field is a key, apart from those that other sections set
+    for section, spec, elsewhere in [
+            ("synth", synth.SynthSpec, {"seed"}),
+            ("train", training.TrainConfig,
+             {"seed", "epsilon", "sinkhorn_iters", "queue_capacity"})]:
+        names = {f.name for f in dataclasses.fields(spec)}
+        assert elsewhere <= names
+        assert set(cfg[section]) == names - elsewhere
+
+
+def test_a_field_type_without_a_parser_is_refused():
+    @dataclasses.dataclass
+    class Spec:
+        flag: "bool" = False
+
+    with pytest.raises(TypeError, match="Spec.flag: no config parser for 'bool'"):
+        config._fields_section(Spec, set())
 
 
 def test_load_none_gives_defaults():
