@@ -39,6 +39,20 @@ def _optional_int(text: str):
     return int(text)
 
 
+def _ranged(parse, ok, requirement: str):
+    """*parse*, refusing a value that fails *ok* (None always passes)."""
+    def checked(text: str):
+        value = parse(text)
+        if value is not None and not ok(value):
+            raise ValueError(f"must be {requirement}, got {value}")
+        return value
+    return checked
+
+
+_count = _ranged(int, lambda v: v >= 1, "at least 1")
+_positive = _ranged(float, lambda v: v > 0, "positive")
+
+
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -83,20 +97,22 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "queue_capacity": (int, sinkhorn.QUEUE_CAPACITY),
     },
     "cbfe": {
-        "k": (int, cbfe.DEFAULT_K),
-        "threshold": (float, cbfe.THRESHOLD_SINGLE_DATASET),
+        "k": (_count, cbfe.DEFAULT_K),
+        "threshold": (_ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                      cbfe.THRESHOLD_SINGLE_DATASET),
     },
     "cd": {
         "edge_threshold": (float, community.DEFAULT_EDGE_THRESHOLD),
-        "markov_time": (float, community.DEFAULT_MARKOV_TIME),
+        "markov_time": (_positive, community.DEFAULT_MARKOV_TIME),
         "distance": (int, community.DEFAULT_DISTANCE),
-        "target_m": (_optional_int, None),  # None: #classes - 1
+        "target_m": (_ranged(_optional_int, lambda v: v >= 1, "at least 1"),
+                     None),  # None: #classes - 1
     },
     "eval": {
-        "k": (int, 20),
-        "n_seeds": (int, cluster_eval.DEFAULT_SEEDS),
-        "probe_epochs": (int, cluster_eval.PROBE_EPOCHS),
-        "probe_lr": (float, cluster_eval.PROBE_LR),
+        "k": (_count, 20),
+        "n_seeds": (_count, cluster_eval.DEFAULT_SEEDS),
+        "probe_epochs": (_count, cluster_eval.PROBE_EPOCHS),
+        "probe_lr": (_positive, cluster_eval.PROBE_LR),
         "use_head": (_bool, True),
     },
     "run": {
@@ -147,9 +163,10 @@ class Config:
 
 
 def load_config(path: str | Path | None) -> Config:
-    """Parse and validate a config file, with the checks of ``SynthSpec`` and
-    ``TrainConfig``, so that every command rejects a bad setting; None gives
-    all defaults."""
+    """Parse and validate a config file: each value's type and range, then
+    the checks of ``SynthSpec`` and ``TrainConfig`` (an error in a
+    ``[sinkhorn]`` key names that section), so that every command rejects a
+    bad setting; None gives all defaults."""
     if path is None:
         return Config()
     parser = configparser.ConfigParser(interpolation=None)
@@ -172,7 +189,11 @@ def load_config(path: str | Path | None) -> Config:
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {exc}") from exc
     cfg = Config(values=values)
-    for section, build in (("synth", cfg.synth_spec), ("train", cfg.train_config)):
+    checks = (("synth", cfg.synth_spec),
+              # the [sinkhorn] keys alone, every [train] key at its default
+              ("sinkhorn", Config(values={"sinkhorn": cfg["sinkhorn"]}).train_config),
+              ("train", cfg.train_config))
+    for section, build in checks:
         try:
             build()
         except ValueError as exc:

@@ -95,26 +95,41 @@ def pair_loss(pred_logits: np.ndarray, target_q: np.ndarray,
 def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
                     prototypes: np.ndarray, queue: sinkhorn.FeatureQueue | None,
                     epsilon: float, n_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sinkhorn targets for every global crop, image by image.
+    """Sinkhorn targets for every global crop, each image against the queue
+    as it stands once the images before it were pushed.
 
-    One teacher forward covers all global crops. Each image's rows are then
-    assigned jointly with the queue and pushed onto it before the next
-    image is assigned. Returns (B, G, K, g, g) row-stochastic target grids
+    One teacher forward covers all global crops. In S = [queue snapshot,
+    oldest first; the batch's rows as float32], image b's queue rows are the
+    L_b rows just before its own, L_b = min(fill + b * n, capacity) (0 while
+    that is below half the capacity, as ``FeatureQueue.active_rows`` gates
+    it). So every image's window (its own rows, then those) indexes one set
+    of rows, one ``sinkhorn.assign`` call assigns them all, and the batch's
+    rows are pushed once. Returns (B, G, K, g, g) row-stochastic target grids
     and the (B, G * g * g, D) teacher rows.
     """
     n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
     raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
     rows = model.project(model.encoder_forward(raw, teacher_params), teacher_params)
-    rows = rows.reshape(n_img, n_glob * g * g, -1)
-    targets = []
-    for img_rows in rows:
-        queue_rows = queue.active_rows() if queue is not None else None
-        feats = sinkhorn.FeatureBatch.from_rows(img_rows, queue_rows)
-        targets.append(sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q)
-        if queue is not None:
-            queue.push(img_rows.astype(np.float32))
-    q = np.stack(targets).reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
-    return q.astype(rows.dtype), rows
+    n = n_glob * g * g
+    pushed = rows.astype(np.float32)
+    held = queue.snapshot() if queue is not None and queue.fill else pushed[:0]
+    starts = len(held) + n * np.arange(n_img)  # where each image's rows sit in S
+    lengths = np.zeros(n_img, dtype=np.intp)
+    if queue is not None:
+        lengths = np.minimum(starts, queue.capacity)
+        lengths[2 * lengths < queue.capacity] = 0
+    seq, own = [held, pushed], starts
+    if rows.dtype != pushed.dtype:  # wider rows enter their own windows unrounded
+        seq.append(rows)
+        own = starts + len(rows)
+    windows = [np.concatenate([np.arange(o, o + n), np.arange(s - l, s)])
+               for o, s, l in zip(own.tolist(), starts.tolist(), lengths.tolist())]
+    feats = sinkhorn.FeatureBatch(np.concatenate(seq, dtype=np.float64), windows, n)
+    q = sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q
+    if queue is not None:
+        queue.push(pushed)
+    q = q.reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
+    return q.astype(rows.dtype), rows.reshape(n_img, n, -1)
 
 
 def loss_given_targets(batch: CropBatch, params: dict[str, np.ndarray],
@@ -179,8 +194,9 @@ def total_loss(batch: CropBatch, student_params: dict[str, np.ndarray],
                ) -> tuple[float, dict[str, np.ndarray], PairDiagnostics]:
     """Full swapped-prediction step: Sinkhorn targets (no grad) + student loss.
 
-    The teacher rows of each image are pushed onto *queue* right after that
-    image's assignment.
+    Each image is assigned against the queue as it stands once the images
+    before it were pushed; the batch's teacher rows are then pushed onto
+    *queue*.
     """
     targets, _ = compute_targets(batch, teacher_params, student_params["prototypes"],
                                  queue, epsilon, n_iters)

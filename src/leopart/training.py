@@ -48,6 +48,14 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.fg_masking not in ("all", "fg", "bg"):
             raise ValueError(f"unknown fg_masking mode {self.fg_masking!r}")
+        # the [sinkhorn] keys, under their config names
+        if not self.epsilon >= sinkhorn.MIN_EPSILON:  # NaN too
+            raise ValueError(f"epsilon must be at least sinkhorn.MIN_EPSILON = "
+                             f"{sinkhorn.MIN_EPSILON:.6f}, got {self.epsilon}")
+        if self.sinkhorn_iters < 1:
+            raise ValueError(f"n_iters must be at least 1, got {self.sinkhorn_iters}")
+        if self.queue_capacity < 1:
+            raise ValueError(f"queue_capacity must be at least 1, got {self.queue_capacity}")
         self.crop_spec()  # checks the crop ranges
 
     def crop_spec(self) -> crops.CropSpec:
@@ -63,12 +71,17 @@ def crop_masks(attn_stacks: list[np.ndarray], global_boxes: np.ndarray,
 
     ``attn_stacks`` holds each image's (heads, H, W) attention and
     ``global_boxes`` (n, G, 4) its global boxes; head counts may differ
-    between images. ``"bg"`` masking returns the background instead.
+    between images, and the images of one stack shape are aligned in one
+    call. ``"bg"`` masking returns the background instead.
     """
     g = cfg.global_grid
-    merged = np.stack([
-        attention.merge_heads(np.maximum(crops.align(stack.astype(np.float64), boxes, g, g), 0.0))
-        for stack, boxes in zip(attn_stacks, global_boxes)])
+    merged = np.empty((len(attn_stacks), global_boxes.shape[1], g, g))
+    shapes = [stack.shape for stack in attn_stacks]
+    for shape in dict.fromkeys(shapes):
+        sel = [i for i, s in enumerate(shapes) if s == shape]
+        stacks = np.stack([attn_stacks[i] for i in sel]).astype(np.float64)[:, None]
+        aligned = crops.align(stacks, global_boxes[sel], g, g)  # (n, G, heads, g, g)
+        merged[sel] = attention.merge_heads(np.maximum(aligned, 0.0))
     fg = attention.foreground_mask(merged[:, :, None])  # one head left per map
     return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
 
@@ -135,8 +148,9 @@ def train_step(images: list[tuple[np.ndarray, np.ndarray | None]],
     """One optimizer step over a batch of (raw_grid, attention_stack) images.
 
     All crops of the batch go through one teacher forward, one student
-    forward and one backward; the Sinkhorn targets stay per image, each
-    image's teacher rows joining the queue before the next image is assigned.
+    forward and one backward. Each image's Sinkhorn targets are assigned
+    against the queue as it stands once the images before it were pushed,
+    all in one call (``loss.compute_targets``).
     """
     batch_loss, batch_grads, _ = loss_mod.total_loss(
         crop_batch(images, crop_seeds, cfg), state.student, state.teacher, state.queue,

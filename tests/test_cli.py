@@ -331,9 +331,43 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
     capsys.readouterr()
     assert cli.main(["--config", str(cfg), "train", "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "train")]) == 1
-    assert (f"error: sinkhorn.queue_capacity must be at least 1, got {capacity}"
-            in capsys.readouterr().err)
+    assert (capsys.readouterr().err
+            == f"error: {cfg}: [sinkhorn] queue_capacity must be at least 1, got {capacity}\n")
     assert not (tmp_path / "train" / "checkpoint.lpc").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("[sinkhorn]\nepsilon = 0.001",
+     "[sinkhorn] epsilon must be at least sinkhorn.MIN_EPSILON = 0.005647, got 0.001"),
+    ("[sinkhorn]\nn_iters = 0", "[sinkhorn] n_iters must be at least 1, got 0"),
+    ("[sinkhorn]\nqueue_capacity = 0", "[sinkhorn] queue_capacity must be at least 1, got 0"),
+    ("[eval]\nn_seeds = 0", "bad value for eval.n_seeds: must be at least 1, got 0"),
+    ("[eval]\nprobe_lr = 0", "bad value for eval.probe_lr: must be positive, got 0.0"),
+    ("[cbfe]\nthreshold = 1.5", "bad value for cbfe.threshold: must be in [0, 1], got 1.5"),
+    ("[cd]\nmarkov_time = -1", "bad value for cd.markov_time: must be positive, got -1.0"),
+    ("[cd]\ntarget_m = 0", "bad value for cd.target_m: must be at least 1, got 0"),
+])
+def test_every_command_rejects_an_out_of_range_setting(workspace, tmp_path, capsys,
+                                                       setting, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    for argv in (["cooc", "--clusters", str(workspace / "clusters"), "--out", str(tmp_path / "o")],
+                 ["cluster", "--data", str(workspace / "data"), "--out", str(tmp_path / "o")]):
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg)] + argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_overcluster_eval_with_no_seeds_exits_1(workspace, tmp_path, capsys):
+    cfg = tmp_path / "no_seeds.cfg"
+    cfg.write_text(SMALL_CFG.replace("n_seeds = 2", "n_seeds = 0"))
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "eval", "--data", str(workspace / "data"),
+                     "--protocol", "overcluster"]) == 1
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err == f"error: {cfg}: bad value for eval.n_seeds: must be at least 1, got 0\n"
 
 
 def test_missing_target_m_is_validation_error(workspace, tmp_path, capsys):

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from leopart import config, crops, synth, training
+from leopart import config, crops, sinkhorn, synth, training
 
 
 def test_empty_config_is_all_defaults():
@@ -144,3 +144,41 @@ def test_default_config_text_roundtrips(tmp_path):
     path.write_text(text)
     cfg = config.load_config(path)
     assert cfg.values == config.Config().values
+
+
+@pytest.mark.parametrize("setting", [
+    "[eval]\nk = 0", "[eval]\nn_seeds = -2", "[eval]\nprobe_epochs = 0",
+    "[eval]\nprobe_lr = -0.1", "[eval]\nprobe_lr = nan", "[cbfe]\nk = 0",
+    "[cbfe]\nthreshold = -0.01", "[cbfe]\nthreshold = 1.01", "[cd]\nmarkov_time = 0",
+    "[cd]\ntarget_m = -1",
+])
+def test_out_of_range_values_are_refused_by_key(tmp_path, setting):
+    section, line = setting[1:].split("]\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(setting + "\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(config.ConfigError, match=rf"bad value for {section}\.{key}: must be"):
+        config.load_config(path)
+
+
+@pytest.mark.parametrize("setting", [
+    "[eval]\nk = 1\nn_seeds = 1\nprobe_epochs = 1\nprobe_lr = 1e-9",
+    "[cbfe]\nk = 1\nthreshold = 0\n[cd]\nmarkov_time = 1e-9\ntarget_m = none",
+    "[cbfe]\nthreshold = 1\n[cd]\ntarget_m = 1",
+    f"[sinkhorn]\nepsilon = {sinkhorn.MIN_EPSILON!r}\nn_iters = 1\nqueue_capacity = 1",
+])
+def test_range_edges_are_accepted(tmp_path, setting):
+    path = tmp_path / "run.cfg"
+    path.write_text(setting + "\n")
+    config.load_config(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", 0.005, "epsilon must be at least sinkhorn.MIN_EPSILON"),
+    ("epsilon", float("nan"), "epsilon must be at least sinkhorn.MIN_EPSILON"),
+    ("sinkhorn_iters", 0, "n_iters must be at least 1, got 0"),
+    ("queue_capacity", -4, "queue_capacity must be at least 1, got -4"),
+])
+def test_train_config_rejects_sinkhorn_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        training.TrainConfig(**{field: value})

@@ -1,9 +1,12 @@
 """Hand oracles and finite-difference checks for the swapped-prediction loss."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from leopart import attention, crops, loss, model, sinkhorn, training
+from test_sinkhorn import reference_assign
 
 
 def rel_err(a, b):
@@ -378,6 +381,50 @@ def test_queue_rows_change_targets():
     # both images' 18 rows went in, image 0's first
     np.testing.assert_array_equal(queue.snapshot()[-36:],
                                   rows.reshape(36, 8).astype(np.float32))
+
+
+def per_image_targets(batch, teacher, prototypes, queue, epsilon, n_iters):
+    """compute_targets as a loop (oracle): each image is assigned, in the log
+    domain, against ``queue.active_rows()`` and pushed before the next."""
+    n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
+    raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
+    rows = model.project(model.encoder_forward(raw, teacher), teacher)
+    targets = []
+    for img_rows in rows.reshape(n_img, n_glob * g * g, -1):
+        held = queue.active_rows() if queue is not None else img_rows[:0]
+        window = np.concatenate([img_rows, held]) if len(held) else img_rows
+        targets.append(reference_assign(window, len(img_rows), prototypes, epsilon, n_iters)[0])
+        if queue is not None:
+            queue.push(img_rows.astype(np.float32))
+    q = np.stack(targets).reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
+    return q.astype(rows.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("capacity", [None, 1, 7, 16, 18, 49, 50, 64, 100, 512])
+def test_compute_targets_matches_per_image_loop(capacity, dtype):
+    """Three steps from an empty queue: the half-full gate (exactly half full
+    at capacity 18), ragged warm-up windows, a capacity below one image's
+    rows, capacity 1 and wrap-around."""
+    student, teacher = make_params(seed=4)
+    teacher = {name: p.astype(dtype) for name, p in teacher.items()}
+    for n_img, n_glob in itertools.product(range(1, 6), (1, 2)):
+        rng = np.random.default_rng([n_img, n_glob])
+        queue, ref_queue = (None, None) if capacity is None else (
+            sinkhorn.FeatureQueue(capacity=capacity), sinkhorn.FeatureQueue(capacity=capacity))
+        for _ in range(3):
+            batch = make_batch(rng, [overlapping_boxes(n_glob, 1)] * n_img, n_global=n_glob)
+            batch.global_raw = batch.global_raw.astype(dtype)
+            got, _ = loss.compute_targets(batch, teacher, student["prototypes"], queue,
+                                          epsilon=0.05, n_iters=3)
+            want = per_image_targets(batch, teacher, student["prototypes"], ref_queue,
+                                     epsilon=0.05, n_iters=3)
+            assert got.dtype == want.dtype == dtype
+            tol = 1e-12 if dtype == np.float64 else 1e-6
+            assert np.abs(got - want).max() <= tol, (n_img, n_glob)
+            if queue is not None:
+                assert queue.fill == ref_queue.fill
+                np.testing.assert_array_equal(queue.snapshot(), ref_queue.snapshot())
 
 
 def test_batched_loss_matches_per_image_reference():

@@ -13,6 +13,39 @@ def unit_rows(rng, m, d):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along *axis*, shifted by the maximum for stability."""
+    peak = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+
+
+def reference_assign(rows, n_batch, prototypes, epsilon, n_iters):
+    """One window's Sinkhorn-Knopp assignment with every scaling in the log
+    domain (oracle): the q of its first *n_batch* rows and the plan's column
+    sums."""
+    z = np.asarray(rows, dtype=np.float64)
+    c = np.asarray(prototypes, dtype=np.float64)
+    m, k = len(z), len(c)
+    log_kernel = (c @ z.T) / epsilon
+    u, v = np.zeros(m), np.zeros(k)
+    for _ in range(n_iters):
+        v = np.log(m / k) - _logsumexp(log_kernel + u[None, :], axis=1)
+        u = -_logsumexp(log_kernel + v[:, None], axis=0)
+    plan = np.exp(log_kernel + u[None, :] + v[:, None])
+    q = plan[:, :n_batch]
+    return (q / q.sum(axis=0, keepdims=True)).T, plan.sum(axis=1)
+
+
+def assert_matches_reference(out, feats, prototypes, epsilon, n_iters):
+    """Each window of *feats* against the oracle run on that window alone."""
+    n = feats.n_batch
+    assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.plan_col_sums))
+    for w, window in enumerate(feats.windows):
+        q, col_sums = reference_assign(feats.rows[window], n, prototypes, epsilon, n_iters)
+        assert np.abs(out.q[w * n:(w + 1) * n] - q).max() <= 1e-12 * np.abs(q).max()
+        np.testing.assert_allclose(out.plan_col_sums[w], col_sums, rtol=1e-12)
+
+
 def brute_force_assignment(sim: np.ndarray) -> tuple[int, ...]:
     """Max-similarity perfect matching by enumeration (oracle, square only)."""
     n = sim.shape[0]
@@ -124,11 +157,74 @@ def test_logsumexp_matches_direct_sum():
     a = rng.normal(scale=30.0, size=(7, 5))
     for axis in (0, 1):
         direct = np.log(np.exp(a.astype(np.longdouble)).sum(axis=axis))
-        np.testing.assert_allclose(sinkhorn._logsumexp(a, axis), direct.astype(np.float64),
+        np.testing.assert_allclose(_logsumexp(a, axis), direct.astype(np.float64),
                                    rtol=1e-12)
     # far past exp's range, the shift keeps it finite
-    np.testing.assert_allclose(sinkhorn._logsumexp(np.array([[1000.0, 1000.0]]), 1),
+    np.testing.assert_allclose(_logsumexp(np.array([[1000.0, 1000.0]]), 1),
                                [1000.0 + np.log(2.0)], rtol=1e-15)
+
+
+@pytest.mark.parametrize("epsilon, n_iters", [(0.05, 3), (0.01, 40), (0.5, 1)])
+def test_one_window_matches_log_domain_reference(epsilon, n_iters):
+    rng = np.random.default_rng(7)
+    feats = sinkhorn.FeatureBatch.from_rows(unit_rows(rng, 12, 6), unit_rows(rng, 40, 6))
+    protos = unit_rows(rng, 5, 6)
+    out = sinkhorn.assign(feats, protos, epsilon, n_iters)
+    assert out.q.shape == (12, 5) and out.plan_col_sums.shape == (1, 5)
+    assert_matches_reference(out, feats, protos, epsilon, n_iters)
+
+
+def test_windows_of_shared_rows_match_reference_per_window():
+    """Ragged windows over one set of rows, as a batch's images read the
+    queue: no queue rows, a warm-up window, overlapping full windows, and
+    windows whose batch rows sit apart from their queue rows."""
+    rng = np.random.default_rng(8)
+    n = 6
+    rows = unit_rows(rng, 60, 5)
+    protos = unit_rows(rng, 4, 5)
+    batch = [np.arange(s, s + n) for s in (0, 6, 12, 18, 24, 30, 54)]
+    queue = [[], [], np.arange(40, 43), np.arange(36, 48), np.arange(30, 42),
+             np.arange(42, 54), np.arange(36, 48)]
+    windows = [np.concatenate([b, np.asarray(q, dtype=int)]) for b, q in zip(batch, queue)]
+    feats = sinkhorn.FeatureBatch(rows, windows, n)
+    for epsilon, n_iters in [(0.05, 3), (0.02, 25)]:
+        out = sinkhorn.assign(feats, protos, epsilon, n_iters)
+        assert out.q.shape == (len(windows) * n, 4)
+        assert_matches_reference(out, feats, protos, epsilon, n_iters)
+
+
+@pytest.mark.parametrize("n_iters", [1, 3, 50])
+def test_min_epsilon_keeps_antipodal_kernels_finite(n_iters):
+    """At the floor the log-kernel spans its full 2(1 + NORM_TOL)/ε: rows and
+    prototypes are antipodal, and one prototype is far from every row."""
+    e1, e2 = np.eye(2)
+    mixed = np.array([e1] * 30 + [-e1] * 9 + [e2])
+    same = np.array([e1] * 40)  # -e1 gets its share of the plan through e^-span alone
+    for rows, protos in [(mixed, [e1, -e1]), (mixed, [e1, -e1, e2]),
+                         (mixed, [-e1, -e1, -e1, e1]), (same, [e1, -e1]), (same, [-e1, e1, e2])]:
+        protos = np.array(protos)
+        feats = sinkhorn.FeatureBatch.from_rows(rows[:10], rows[10:])
+        out = sinkhorn.assign(feats, protos, sinkhorn.MIN_EPSILON, n_iters)
+        assert_matches_reference(out, feats, protos, sinkhorn.MIN_EPSILON, n_iters)
+
+
+def test_min_epsilon_is_the_float64_floor():
+    span = 2 * (1 + sinkhorn.NORM_TOL) / sinkhorn.MIN_EPSILON
+    assert 0.005 < sinkhorn.MIN_EPSILON < 0.006
+    # the widest product, e^(2 * span), is still a normal float64, and just so
+    assert np.exp(-2 * span) >= np.finfo(np.float64).tiny
+    assert np.exp(-2 * span * 1.001) < np.finfo(np.float64).tiny
+
+
+def test_rejects_epsilon_below_floor_and_no_iterations():
+    rng = np.random.default_rng(9)
+    feats = sinkhorn.FeatureBatch.from_rows(unit_rows(rng, 6, 4))
+    protos = unit_rows(rng, 3, 4)
+    for epsilon in (sinkhorn.MIN_EPSILON * 0.99, 0.0, np.nan):
+        with pytest.raises(ValueError, match="MIN_EPSILON"):
+            sinkhorn.assign(feats, protos, epsilon=epsilon)
+    with pytest.raises(ValueError, match="n_iters must be at least 1"):
+        sinkhorn.assign(feats, protos, n_iters=0)
 
 
 def test_rejects_unnormalized_rows():

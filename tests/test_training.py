@@ -62,6 +62,40 @@ def test_crop_batch_stacks_each_images_crops():
             assert np.array_equal(batch.masks[b, i], expected)
 
 
+def per_image_crop_masks(attn_stacks, global_boxes, cfg):
+    """crop_masks with one alignment per image (oracle)."""
+    g = cfg.global_grid
+    merged = np.stack([
+        attention.merge_heads(np.maximum(crops.align(stack.astype(np.float64), boxes, g, g), 0.0))
+        for stack, boxes in zip(attn_stacks, global_boxes)])
+    fg = attention.foreground_mask(merged[:, :, None])
+    return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
+
+
+@pytest.mark.parametrize("fg_masking", ["fg", "bg"])
+def test_crop_masks_align_each_head_count_at_once(fg_masking):
+    """Images with 1, 2 and 3 heads, interleaved, and one without attention:
+    the same masks, to the bit, as one alignment per image."""
+    cfg = tiny_config(fg_masking=fg_masking)
+    rng = np.random.default_rng(2)
+    heads = [2, 1, 3, None, 2, 3, 1, 2]
+    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32),
+               None if h is None else rng.uniform(size=(h, 10, 10)).astype(np.float32))
+              for h in heads]
+    seeds = [[cfg.seed, 13, 0, i] for i in range(len(images))]
+    batch = training.crop_batch(images, seeds, cfg)
+    coords = np.stack([crops.sample_crops(cfg.crop_spec(), np.random.default_rng(s))
+                       for s in seeds])
+    with_attn = [b for b, h in enumerate(heads) if h is not None]
+    want = per_image_crop_masks([images[b][1] for b in with_attn],
+                                coords[with_attn, :cfg.n_global], cfg)
+    assert np.array_equal(batch.masks[with_attn], want)
+    assert np.all(batch.masks[heads.index(None)] == 1)
+    got = training.crop_masks([images[b][1] for b in with_attn],
+                              coords[with_attn, :cfg.n_global], cfg)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_crop_masks_fg_and_bg_complement():
     cfg_fg = tiny_config(fg_masking="fg")
     cfg_bg = tiny_config(fg_masking="bg")
