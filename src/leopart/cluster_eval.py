@@ -64,18 +64,74 @@ def _sq_dists(two_a: np.ndarray, a_sq_norms: np.ndarray, b: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
+def _rounding_tolerance(dim: int) -> tuple[float, float]:
+    """The relative and absolute margins (rel, abs) by which a comparison
+    of two computed squared distances of *dim*-dimensional rows must be won
+    to hold for the real values too.
+
+    Any evaluation of a dot product of D terms, in any order, is within
+    gamma_D sum|2 x_j c_j| <= (D u / 2) (|x| + |c|)^2 of the real value, and
+    the subtraction and the addition of |x|^2 - 2 x.c + |c|^2 add
+    u (|x| + |c|)^2 each. So two computed values of one distance differ by
+    at most (D + 4) u (|x| + |c|)^2, plus the underflow error of each
+    operation, and a comparison of two distances must allow twice that.
+    Both terms are doubled again for slack: rel = 4 (D + 4) u and
+    abs = 8 (D + 2) times the least subnormal.
+    """
+    eps = np.finfo(np.float64).eps  # 2u
+    return 2.0 * (dim + 4) * eps, 8.0 * (dim + 2) * np.finfo(np.float64).smallest_subnormal
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007) of C-ordered *points*,
+    computing only the distances that the triangle inequality does not rule
+    out (Raff 2021, "Exact Acceleration of K-Means++ and K-Means||").
+
+    Each round draws the next seed c_i with probability proportional to d2,
+    every point's least squared distance to the seeds so far, and lowers d2
+    to |x - c_i|^2 where that is smaller. A point x whose nearest seed so far
+    is c has |x - c_i| >= |c_i - c| - |x - c| >= |c_i - c| / 2 >= |x - c|
+    once |c_i - c|^2 >= 4 |x - c|^2, so it keeps d2 and gets no distance;
+    every other point gets ``np.sum((x - c_i) ** 2)``, as plain seeding
+    computes it. d2, each draw and each seed are therefore bit-identical to
+    plain seeding, which computes all n distances every round.
+
+    The test runs on computed values: a sum of D squared differences is
+    within rho = gamma_(D+2) (relative) and D times the least subnormal
+    (underflow) of the real one, so |c_i - c|^2 > 4 d2 (1 + rho)/(1 - rho)
+    plus a few underflow errors proves the computed |x - c_i|^2 is at least
+    d2. ``_rounding_tolerance`` covers that: its rel = 4 (D + 4) u exceeds
+    twice rho with room for rounding the test itself, and its abs exceeds
+    the five underflow terms.
+    """
     n = len(points)
+    rel_tol, abs_tol = _rounding_tolerance(points.shape[1])
     centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
     centroids[0] = points[rng.integers(n)]
     d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    nearest = np.zeros(n, dtype=np.intp)  # the seed that d2 measures to
+    # a new seed farther than this (squared) from a point's nearest seed
+    # cannot lower the point's d2
+    reach = 4.0 * (1.0 + rel_tol) * d2 + abs_tol
+    # one buffer for every round's candidates: a fresh gather of a different
+    # size each round raised the peak RSS of a run_ladder process by 2.8 MB
+    work = np.empty_like(points, order="C")
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[i] = points[rng.integers(n)]
             continue
-        centroids[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[i]) ** 2, axis=1))
+        seed = centroids[i] = points[rng.choice(n, p=d2 / total)]
+        separation = np.sum((centroids[:i] - seed) ** 2, axis=1)
+        near = np.flatnonzero(separation[nearest] <= reach)
+        diff = np.take(points, near, axis=0, mode="clip", out=work[:len(near)])
+        np.subtract(diff, seed, out=diff)
+        new = np.sum(np.square(diff, out=diff), axis=1)
+        closer = new < d2[near]
+        near, new = near[closer], new[closer]
+        d2[near] = new
+        nearest[near] = i
+        reach[near] = 4.0 * (1.0 + rel_tol) * new + abs_tol
     return centroids
 
 
@@ -169,16 +225,7 @@ class _Assignment:
         self.two_points = 2.0 * points
         self.sq_norms = (points**2).sum(axis=1)
         self.norms = np.sqrt(self.sq_norms)
-        # Any evaluation of a dot product of D terms, in any order, is
-        # within gamma_D sum|2 x_j c_j| <= (D u / 2) (|x| + |c|)^2 of the
-        # real value, and the subtraction and the addition after it add
-        # u (|x| + |c|)^2 each. So two computed values of one distance
-        # differ by at most (D + 4) u (|x| + |c|)^2, plus the underflow
-        # error of each operation, and a comparison of two distances must
-        # allow twice that. Both terms are doubled again for slack.
-        eps = np.finfo(np.float64).eps  # 2u
-        self.rel_tol = 2.0 * (dim + 4) * eps
-        self.abs_tol = 8.0 * (dim + 2) * np.finfo(np.float64).smallest_subnormal
+        self.rel_tol, self.abs_tol = _rounding_tolerance(dim)
         self.d2 = np.empty((n, len(centroids)))  # the one (n, k) buffer
         # a block of full rows and the block's points fit in it together
         self.block = self.d2.size // (len(centroids) + dim)

@@ -65,34 +65,51 @@ def cooccurrence_graph(cluster_maps: list[np.ndarray], k: int,
     cluster-j pixel within Chebyshev distance d. P(j|i) averages P_img over
     the images where i appears; the edge weight is the minimum of the two
     directions.
+
+    All maps are counted in one pass: each pixel's neighbourhood labels,
+    sorted, give its distinct neighbours, and one sort of the (image, i, j)
+    keys of all pixels counts seen_img(i, j), the cluster-i pixels of an
+    image with a cluster-j pixel near. Every pixel is its own neighbour, so
+    seen_img(i, i) is the image's cluster-i pixel count. The terms
+    seen/count are then summed into P(j|i) in image order, the order of a
+    per-image loop, so every float sum is that loop's to the bit.
     """
     if d < 1:
         raise ValueError("neighborhood distance must be >= 1")
-    cond_sum = np.zeros((k, k))
-    appearances = np.zeros(k)
-    total_counts = np.zeros(k, dtype=np.int64)
-    offsets = [(dy, dx) for dy in range(2 * d + 1) for dx in range(2 * d + 1)]
-    for cm in cluster_maps:
-        cm = np.asarray(cm, dtype=np.int64)
-        if cm.size and (cm.min() < 0 or cm.max() >= k):
-            raise ValueError(f"cluster ids must lie in [0, {k})")
-        h, w = cm.shape
-        counts = np.bincount(cm.ravel(), minlength=k)
-        total_counts += counts
-        appearances[counts > 0] += 1
+    maps = [np.asarray(cm, dtype=np.int64) for cm in cluster_maps]
+    labels = np.concatenate([cm.ravel() for cm in maps]) if maps else np.zeros(0, np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"cluster ids must lie in [0, {k})")
+    total_counts = np.bincount(labels, minlength=k)
+    # key (image * k + i) * k + j of each distinct (pixel, neighbour label) pair
+    key_type = np.min_scalar_type(max(len(maps), 1) * k * k)
+    keys = []
+    shapes = [cm.shape for cm in maps]
+    for shape in dict.fromkeys(shapes):
+        sel = [m for m, other in enumerate(shapes) if other == shape]
+        if not np.prod(shape):
+            continue
         # label k pads the border, so it stands for "no cluster"
-        padded = np.pad(cm, d, constant_values=k)
-        near = np.stack([padded[dy:dy + h, dx:dx + w].ravel() for dy, dx in offsets])
-        # (pixel, cluster within distance d) pairs, each counted once
-        pairs = np.unique(np.arange(h * w) * (k + 1) + near)
-        pixel, label = np.divmod(pairs, k + 1)
-        real = label < k
-        seen = np.bincount(cm.ravel()[pixel[real]] * k + label[real],
-                           minlength=k * k).reshape(k, k)
-        with np.errstate(invalid="ignore"):
-            cond_sum += np.where(counts[:, None] > 0, seen / np.maximum(counts, 1)[:, None], 0.0)
-    with np.errstate(invalid="ignore"):
-        cond = cond_sum / np.maximum(appearances, 1)[:, None]
+        stack = np.stack([maps[m] for m in sel]).astype(np.min_scalar_type(k))
+        padded = np.pad(stack, [(0, 0), (d, d), (d, d)], constant_values=k)
+        h, w = shape
+        near = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(2 * d + 1)
+                         for dx in range(2 * d + 1)], axis=-1).reshape(stack.size, -1)
+        near.sort(axis=1)  # each pixel's neighbourhood labels, ascending
+        distinct = near < k
+        distinct[:, 1:] &= near[:, 1:] != near[:, :-1]
+        image = np.repeat(np.asarray(sel, dtype=key_type), stack[0].size)
+        pixel = (image * k + stack.ravel()) * k
+        keys.append(np.repeat(pixel, distinct.sum(axis=1)) + near[distinct])
+    keys, seen = np.unique(np.concatenate(keys) if keys else np.zeros(0, key_type),
+                           return_counts=True)  # sorted, so image by image
+    pair = keys % (k * k)  # i * k + j
+    i, j = np.divmod(pair, k)
+    count = seen[np.searchsorted(keys, keys - j + i)]  # seen_img(i, i)
+    # bincount adds its weights in input order, so each (i, j) sum runs in image order
+    cond_sum = np.bincount(pair, weights=seen / count, minlength=k * k).reshape(k, k)
+    appearances = np.bincount(i[i == j], minlength=k)
+    cond = cond_sum / np.maximum(appearances, 1)[:, None]
     w = np.minimum(cond, cond.T)
     np.fill_diagonal(w, 0.0)
     return CoocGraph(weights=w, node_counts=total_counts)

@@ -101,11 +101,11 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     One teacher forward covers all global crops. In S = [queue snapshot,
     oldest first; the batch's rows as float32], image b's queue rows are the
     L_b rows just before its own, L_b = min(fill + b * n, capacity) (0 while
-    that is below half the capacity, as ``FeatureQueue.active_rows`` gates
-    it). So every image's window (its own rows, then those) indexes one set
-    of rows, one ``sinkhorn.assign`` call assigns them all, and the batch's
-    rows are pushed once. Returns (B, G, K, g, g) row-stochastic target grids
-    and the (B, G * g * g, D) teacher rows.
+    that is below half the capacity: ``FeatureQueue.window_lengths``). So
+    every image's window (its own rows, then those) indexes one set of rows,
+    one ``sinkhorn.assign`` call assigns them all, and the batch's rows are
+    pushed once. Returns (B, G, K, g, g) row-stochastic target grids and the
+    (B, G * g * g, D) teacher rows.
     """
     n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
     raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
@@ -114,12 +114,12 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     pushed = rows.astype(np.float32)
     held = queue.snapshot() if queue is not None and queue.fill else pushed[:0]
     starts = len(held) + n * np.arange(n_img)  # where each image's rows sit in S
-    lengths = np.zeros(n_img, dtype=np.intp)
-    if queue is not None:
-        lengths = np.minimum(starts, queue.capacity)
-        lengths[2 * lengths < queue.capacity] = 0
+    lengths = (np.zeros(n_img, dtype=np.intp) if queue is None
+               else queue.window_lengths(n_img, n))
     seq, own = [held, pushed], starts
-    if rows.dtype != pushed.dtype:  # wider rows enter their own windows unrounded
+    # A third block of S exists only for float64 callers, the finite-difference
+    # gradient checks: their own rows enter their windows unrounded.
+    if rows.dtype != pushed.dtype:
         seq.append(rows)
         own = starts + len(rows)
     windows = [np.concatenate([np.arange(o, o + n), np.arange(s - l, s)])

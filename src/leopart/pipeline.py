@@ -33,7 +33,22 @@ def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,
 
 
 def attention_hints(dataset: Dataset) -> list[np.ndarray]:
-    return [attention.foreground_mask(stack) for stack in dataset.attn_stacks]
+    """Each image's binary foreground hint from its attention stack; the
+    images of one stack shape go through one ``attention.foreground_mask``
+    call, and a plain (H, W) map counts as one head."""
+    stacks = []
+    for i, stack in enumerate(dataset.attn_stacks):
+        if stack is None:
+            raise ValueError(f"image {i} has no attention map for a foreground hint")
+        stack = np.asarray(stack)
+        stacks.append(stack[None] if stack.ndim == 2 else stack)
+    kinds = [(stack.shape, stack.dtype) for stack in stacks]
+    hints = [None] * len(stacks)
+    for kind in dict.fromkeys(kinds):
+        sel = [i for i, other in enumerate(kinds) if other == kind]
+        for i, mask in zip(sel, attention.foreground_mask(np.stack([stacks[i] for i in sel]))):
+            hints[i] = mask
+    return hints
 
 
 def stage_kmeans(features: list[np.ndarray], gt_maps: list[np.ndarray],

@@ -127,7 +127,7 @@ class FeatureQueue:
     """FIFO ring buffer of past feature rows.
 
     The queue only participates in assignment once at least half full; until
-    then :meth:`active_rows` returns nothing.
+    then :meth:`window_lengths` gives every window a length of 0.
     """
 
     capacity: int = QUEUE_CAPACITY
@@ -169,7 +169,11 @@ class FeatureQueue:
             return self._buf[: self._fill].copy()
         return np.roll(self._buf, -self._head, axis=0)
 
-    def active_rows(self) -> np.ndarray:
-        if self._fill * 2 < self.capacity:
-            return np.zeros((0, self.dim or 0))
-        return self.snapshot()
+    def window_lengths(self, n_windows: int, n: int) -> np.ndarray:
+        """How many stored rows each of *n_windows* windows of *n* rows sees
+        when each window's rows are pushed before the next: window b sees the
+        queue as it then stands, min(fill + b * n, capacity) rows, or none
+        while that is below half the capacity."""
+        lengths = np.minimum(self._fill + n * np.arange(n_windows), self.capacity)
+        lengths[2 * lengths < self.capacity] = 0
+        return lengths

@@ -1,5 +1,5 @@
-"""Binary tensor files, dataset manifests, in-memory datasets and checkpoint
-serialization.
+"""Binary tensor files, dataset manifests, lazily read datasets and
+checkpoint serialization.
 
 The on-disk tensor format is deliberately minimal and fixed little-endian
 so that files are byte-identical across platforms:
@@ -16,6 +16,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -308,24 +309,41 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-@dataclass
 class Dataset:
-    """In-memory view of a manifest: raw features, attention, ground truth."""
+    """A manifest's tensors: raw features, attention and ground truth.
 
-    features: list[np.ndarray]           # (D, H, W) raw token grids
-    attn_stacks: list[np.ndarray | None]
-    object_maps: list[np.ndarray | None]  # 0 = background
+    Each kind is read, for every record at once, on first access and kept,
+    so a stage reads only the kinds it uses. Attention read before the
+    features is checked against the manifest's ``# grid=`` header, or else
+    against the first feature tensor.
+    """
+
+    def __init__(self, manifest: DatasetManifest):
+        self.manifest = manifest
+
+    @cached_property
+    def features(self) -> list[np.ndarray]:
+        """(D, H, W) raw token grids."""
+        return [self.manifest.load_features(rec) for rec in self.manifest.records]
+
+    @cached_property
+    def attn_stacks(self) -> list[np.ndarray | None]:
+        """(heads, H, W) attention stacks; None where a record has none."""
+        manifest = self.manifest
+        if manifest.token_grid is None and manifest.records:
+            manifest.load_features(manifest.records[0])
+        return [manifest.load_attention(rec) for rec in manifest.records]
+
+    @cached_property
+    def object_maps(self) -> list[np.ndarray | None]:
+        """(H, W) object-class maps, 0 = background; None where a record has no mask."""
+        masks = [self.manifest.load_mask(rec) for rec in self.manifest.records]
+        return [None if mask is None else mask[0].astype(np.int64) for mask in masks]
 
 
 def load_dataset(manifest: DatasetManifest) -> Dataset:
-    """Every record of *manifest*, read once into memory."""
-    features, attns, objs = [], [], []
-    for rec in manifest.records:
-        features.append(manifest.load_features(rec))
-        attns.append(manifest.load_attention(rec))
-        mask = manifest.load_mask(rec)
-        objs.append(None if mask is None else mask[0].astype(np.int64))
-    return Dataset(features=features, attn_stacks=attns, object_maps=objs)
+    """The dataset of *manifest*; each kind of tensor is read on first use."""
+    return Dataset(manifest)
 
 
 PROTO_NORM_TOL = 1e-5

@@ -143,6 +143,45 @@ def test_cbfe_pairs_cluster_maps_with_records_by_id(workspace, tmp_path):
         assert (fg / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def truncated_copy(workspace, tmp_path, name):
+    """A copy of the workspace's data with the tensor *name* cut short."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    path = data / name
+    path.write_bytes(path.read_bytes()[:-3])
+    return data, path
+
+
+def test_cluster_reads_no_mask(workspace, tmp_path, capsys):
+    """`cluster` reads only the features: a truncated mask changes none of
+    its files, while `eval --protocol unsupseg`, which scores against the
+    masks, exits 1 naming the file."""
+    data, mask = truncated_copy(workspace, tmp_path, "img00003_mask.lpt")
+    c = ["--config", str(workspace / "run.cfg")]
+    checkpoint = ["--checkpoint", str(workspace / "train" / "checkpoint.lpc")]
+    clusters = tmp_path / "clusters"
+    assert cli.main(c + ["cluster", "--data", str(data), "--out", str(clusters)]
+                    + checkpoint) == 0
+    want = sorted(p.name for p in (workspace / "clusters").iterdir())
+    assert sorted(p.name for p in clusters.iterdir()) == want
+    for name in want:
+        assert (clusters / name).read_bytes() == (workspace / "clusters" / name).read_bytes()
+    capsys.readouterr()
+    assert cli.main(c + ["eval", "--data", str(data), "--protocol", "unsupseg"]
+                    + checkpoint) == 1
+    err = capsys.readouterr().err
+    assert str(mask) in err and "payload truncated" in err
+
+
+def test_cbfe_names_a_truncated_attention_file(workspace, tmp_path, capsys):
+    data, attn = truncated_copy(workspace, tmp_path, "img00005_attn.lpt")
+    assert cli.main(["--config", str(workspace / "run.cfg"), "cbfe", "--data", str(data),
+                     "--clusters", str(workspace / "clusters"),
+                     "--out", str(tmp_path / "fg")]) == 1
+    err = capsys.readouterr().err
+    assert str(attn) in err and "payload truncated" in err
+
+
 def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
     """cbfe and communities give what pipeline.run_cbfe and pipeline.stage_cd
     give on the checkpoint's embeddings: one code path for CLI and ladder."""

@@ -296,6 +296,109 @@ def test_subset_distances_within_tolerance_on_float64_data(n, k, d, scale, offse
     assert_subset_distances_within_tolerance(points, centroids, k)
 
 
+def reference_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding with every distance recomputed each round: the
+    oracle for cluster_eval._kmeans_pp_init, which must agree with it bit
+    for bit."""
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i] = points[rng.integers(n)]
+            continue
+        centroids[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+class RecordingRng:
+    """A generator that records every draw, and each probability vector
+    handed to ``choice``: equal records mean equal d2 in every round."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, n):
+        self.draws.append(("integers", n))
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.draws.append(("choice", n, p.copy()))
+        return self.rng.choice(n, p=p)
+
+
+def assert_seeding_matches_reference(points, k, seed):
+    points = np.ascontiguousarray(points, dtype=np.float64)  # as kmeans passes them
+    got_rng, want_rng = RecordingRng(seed), RecordingRng(seed)
+    got = cluster_eval._kmeans_pp_init(points, k, got_rng)
+    want = reference_kmeans_pp_init(points, k, want_rng)
+    assert np.array_equal(got, want)
+    assert len(got_rng.draws) == len(want_rng.draws) == k
+    for a, b in zip(got_rng.draws, want_rng.draws):
+        assert a[:2] == b[:2]
+        if a[0] == "choice":
+            assert np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 150])
+def test_seeding_matches_reference(k):
+    points = planted_tokens(k, n_images=40)
+    for seed in range(2):
+        assert_seeding_matches_reference(points, k, [seed, 17, 0])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-170, 1.0, 1e150])
+def test_seeding_matches_reference_at_extreme_scales(scale):
+    """Tiny scales push the squared differences into subnormals, where only
+    the margin's absolute term holds, and 1e-170 flushes most to zero."""
+    points = planted_tokens(3, n_images=10) * scale
+    assert_seeding_matches_reference(points, 20, 0)
+
+
+def test_seeding_matches_reference_on_duplicate_points():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n_distinct, d = int(rng.integers(1, 8)), 1 + trial % 4
+        points = rng.normal(size=(n_distinct, d))[rng.integers(n_distinct, size=40)]
+        if trial % 3 == 0:
+            points = np.round(points)  # exact ties between distances too
+        assert_seeding_matches_reference(points, int(rng.integers(1, 12)), trial)
+
+
+def test_seeding_margin_covers_rounding_at_midpoints():
+    """A point m halfway between seeds a and b, where the computed |b - a|^2
+    exceeds 4 |m - a|^2 and yet the computed |m - b|^2 is below |m - a|^2:
+    only the rounding margin keeps m a candidate once b is drawn after a."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 20000, 32))
+    m = (a + b) / 2
+    near_a = np.sum((m - a) ** 2, axis=1)
+    rounded_past = ((np.sum((b - a) ** 2, axis=1) > 4.0 * near_a)
+                    & (np.sum((m - b) ** 2, axis=1) < near_a))
+    found = np.flatnonzero(rounded_past)[:5]
+    assert len(found) == 5
+    for j in found:
+        # a point near a keeps d2 of m visible in the third draw's probabilities
+        points = np.stack([m[j], b[j], a[j], a[j] + 0.1 * rng.normal(size=32)])
+        for seed in range(20):  # some of them draw a, then b
+            assert_seeding_matches_reference(points, 3, seed)
+
+
+def test_seeding_of_identical_points_draws_uniformly_like_reference():
+    """All points equal: d2 sums to 0 after the first seed, and every later
+    seed comes from the total <= 0 branch."""
+    points = np.full((30, 3), 2.5)
+    assert_seeding_matches_reference(points, 6, 0)
+
+
+@pytest.mark.parametrize("pp_seed", range(3))
+def test_seeding_matches_reference_on_canonical_tokens(canonical_tokens, pp_seed):
+    assert_seeding_matches_reference(canonical_tokens, 150, [0, 17, pp_seed])
+
+
 # ---------------------------------------------------------------- matching
 
 

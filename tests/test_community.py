@@ -75,6 +75,82 @@ def test_cooccurrence_larger_distance_reaches_farther():
     assert far.weights[0, 1] > 0.0
 
 
+def reference_cooccurrence_graph(cluster_maps, k, d=1):
+    """The per-image loop (oracle): cooccurrence_graph must give its weights
+    and node counts bit for bit."""
+    cond_sum = np.zeros((k, k))
+    appearances = np.zeros(k)
+    total_counts = np.zeros(k, dtype=np.int64)
+    offsets = [(dy, dx) for dy in range(2 * d + 1) for dx in range(2 * d + 1)]
+    for cm in cluster_maps:
+        cm = np.asarray(cm, dtype=np.int64)
+        h, w = cm.shape
+        counts = np.bincount(cm.ravel(), minlength=k)
+        total_counts += counts
+        appearances[counts > 0] += 1
+        padded = np.pad(cm, d, constant_values=k)
+        near = np.stack([padded[dy:dy + h, dx:dx + w].ravel() for dy, dx in offsets])
+        pairs = np.unique(np.arange(h * w) * (k + 1) + near)
+        pixel, label = np.divmod(pairs, k + 1)
+        real = label < k
+        seen = np.bincount(cm.ravel()[pixel[real]] * k + label[real],
+                           minlength=k * k).reshape(k, k)
+        with np.errstate(invalid="ignore"):
+            cond_sum += np.where(counts[:, None] > 0, seen / np.maximum(counts, 1)[:, None], 0.0)
+    with np.errstate(invalid="ignore"):
+        cond = cond_sum / np.maximum(appearances, 1)[:, None]
+    w = np.minimum(cond, cond.T)
+    np.fill_diagonal(w, 0.0)
+    return community.CoocGraph(weights=w, node_counts=total_counts)
+
+
+def assert_cooccurrence_matches_reference(maps, k, d):
+    got = community.cooccurrence_graph(maps, k, d=d)
+    want = reference_cooccurrence_graph(maps, k, d=d)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.node_counts, want.node_counts)
+    assert got.node_counts.dtype == want.node_counts.dtype
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cooccurrence_matches_per_image_loop(d):
+    """Ragged map shapes (1-pixel and 1-row maps too), clusters absent from
+    every map and from some, few and many clusters, and no maps at all."""
+    rng = np.random.default_rng(d)
+    for trial in range(150):
+        k = int(rng.integers(1, 40))
+        used = int(rng.integers(1, k + 1))  # ids >= used never appear
+        shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+                  for _ in range(rng.integers(0, 7))]
+        if trial % 2:
+            shapes = shapes[:1] * len(shapes)  # one shape
+        maps = [rng.integers(0, used, size=s).astype(rng.choice([np.uint16, np.int64]))
+                for s in shapes]
+        assert_cooccurrence_matches_reference(maps, k, d)
+
+
+def test_cooccurrence_matches_per_image_loop_at_k150(tmp_path):
+    """The maps of the k = 150 CLI walkthrough on the default data."""
+    manifest, _ = synth.generate(synth.SynthSpec(seed=0), tmp_path)
+    maps, _ = cluster_eval.cluster_maps_for(pipeline.load_dataset(manifest).features, 150,
+                                            seed=0)
+    for d in (1, 2):
+        assert_cooccurrence_matches_reference(maps, 150, d)
+
+
+def test_cooccurrence_of_no_maps_is_empty():
+    graph = community.cooccurrence_graph([], 3)
+    assert np.array_equal(graph.weights, np.zeros((3, 3)))
+    assert graph.node_counts.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_cooccurrence_rejects_out_of_range_ids(bad):
+    maps = [np.zeros((2, 2), dtype=np.int64), np.full((3, 1), bad)]
+    with pytest.raises(ValueError, match=re.escape("cluster ids must lie in [0, 4)")):
+        community.cooccurrence_graph(maps, 4)
+
+
 def test_filter_edges():
     graph = two_node_graph(w=0.08)
     kept = community.filter_edges(graph, 0.05)

@@ -188,9 +188,9 @@ def reference_compute_targets(views, n_global, teacher, prototypes, queue, epsil
         feats.append(model.project(tokens, teacher))
         shapes.append((h, w))
     rows = np.concatenate(feats, axis=0)
-    queue_rows = queue.active_rows() if queue is not None else None
-    if queue_rows is not None and len(queue_rows) == 0:
-        queue_rows = None
+    # the queue takes part once at least half full
+    queue_rows = (queue.snapshot() if queue is not None and 2 * queue.fill >= queue.capacity
+                  else None)
     q = sinkhorn.assign(sinkhorn.FeatureBatch.from_rows(rows, queue_rows), prototypes,
                         epsilon=epsilon, n_iters=n_iters).q
     grids, offset = [], 0
@@ -385,13 +385,15 @@ def test_queue_rows_change_targets():
 
 def per_image_targets(batch, teacher, prototypes, queue, epsilon, n_iters):
     """compute_targets as a loop (oracle): each image is assigned, in the log
-    domain, against ``queue.active_rows()`` and pushed before the next."""
+    domain, against the queue's rows once it is at least half full, and
+    pushed before the next."""
     n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
     raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
     rows = model.project(model.encoder_forward(raw, teacher), teacher)
     targets = []
     for img_rows in rows.reshape(n_img, n_glob * g * g, -1):
-        held = queue.active_rows() if queue is not None else img_rows[:0]
+        held = (queue.snapshot() if queue is not None and 2 * queue.fill >= queue.capacity
+                else img_rows[:0])
         window = np.concatenate([img_rows, held]) if len(held) else img_rows
         targets.append(reference_assign(window, len(img_rows), prototypes, epsilon, n_iters)[0])
         if queue is not None:
@@ -514,7 +516,7 @@ def test_training_steps_match_per_image_reference(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(training.loss_mod, "total_loss", reference_total_loss)
             want.append(training.train_step(batch_images, reference, cfg, 12, seeds))
-    assert len(batched.queue.active_rows()) == 64  # active since the first image
+    assert batched.queue.fill == batched.queue.capacity == 64  # active since the first image
     np.testing.assert_allclose(got, want, rtol=1e-6)
     np.testing.assert_allclose(batched.queue.snapshot(), reference.queue.snapshot(),
                                atol=1e-6)

@@ -1,9 +1,11 @@
 """Pipeline stage helpers on a small planted dataset."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from leopart import pipeline, synth, tensor_io, training
+from leopart import attention, pipeline, synth, tensor_io, training
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,86 @@ def test_attention_hints_are_binary(small_world):
     for h in hints:
         assert h.shape == (10, 10)
         assert set(np.unique(h)) <= {0, 1}
+
+
+def test_attention_hints_match_per_image_masks():
+    """One foreground_mask call per stack shape gives each image's own mask:
+    1- and 3-head stacks interleaved, a plain (H, W) map, another grid and
+    a float64 stack."""
+    rng = np.random.default_rng(3)
+    shapes = [(1, 6, 6), (3, 6, 6), (6, 6), (1, 6, 6), (3, 6, 6), (2, 4, 5), (3, 6, 6)]
+    stacks = [rng.uniform(size=s).astype(np.float32) for s in shapes]
+    stacks.append(rng.uniform(size=(3, 6, 6)))
+    hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+    assert len(hints) == len(stacks)
+    for hint, stack in zip(hints, stacks):
+        want = attention.foreground_mask(stack)
+        assert hint.dtype == want.dtype and np.array_equal(hint, want)
+
+
+def test_attention_hints_keep_each_stacks_dtype():
+    """A float32 stack whose mask differs when its heads are averaged in
+    float64, next to the same stack in float64: stacked together, the
+    float32 one would be averaged in float64."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        base = rng.integers(0, 3, size=(3, 3))
+        stack = (base + rng.integers(0, 4, size=(3, 3, 3)) * 2.0**-23).astype(np.float32)
+        if not np.array_equal(attention.foreground_mask(stack),
+                              attention.foreground_mask(stack.astype(np.float64))):
+            break
+    else:
+        pytest.fail("no float32 stack whose mask depends on the dtype")
+    stacks = [stack, stack.astype(np.float64)]
+    hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+    for hint, s in zip(hints, stacks):
+        assert np.array_equal(hint, attention.foreground_mask(s))
+
+
+def test_attention_hints_name_an_image_without_attention():
+    stacks = [np.ones((1, 4, 4)), None]
+    with pytest.raises(ValueError, match="image 1 has no attention map"):
+        pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The path of every tensor read, in order."""
+    paths = []
+    read = tensor_io.read_tensor
+
+    def recorded(path):
+        paths.append(str(path))
+        return read(path)
+
+    monkeypatch.setattr(tensor_io, "read_tensor", recorded)
+    return paths
+
+
+def test_dataset_reads_each_kind_on_first_access(small_world, reads):
+    manifest = tensor_io.load_manifest(small_world[0].root / "manifest.txt")
+    dataset = pipeline.load_dataset(manifest)
+    assert reads == []
+    kinds = {"features": "feature_path", "attn_stacks": "attention_path",
+             "object_maps": "mask_path"}
+    for kind, path in kinds.items():
+        first = getattr(dataset, kind)
+        assert getattr(dataset, kind) is first  # kept, not read again
+        assert reads == [str(manifest.root / getattr(rec, path)) for rec in manifest.records]
+        for got, want in zip(first, getattr(small_world[2], kind)):
+            assert np.array_equal(got, want)
+        reads.clear()
+
+
+def test_attention_read_first_is_checked_against_the_first_features(tmp_path):
+    """Without a ``# grid=`` header, attention read before the features is
+    still checked against the grid, taken from the first feature tensor."""
+    tensor_io.write_tensor(np.zeros((4, 3, 3), dtype=np.float32), tmp_path / "f.lpt")
+    tensor_io.write_tensor(np.ones((1, 3, 4), dtype=np.float32), tmp_path / "a.lpt")
+    (tmp_path / "manifest.txt").write_text("id=a feature=f.lpt attention=a.lpt\n")
+    dataset = pipeline.load_dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
+    with pytest.raises(tensor_io.ManifestError, match=r"a: attention grid \(3, 4\) != \(3, 3\)"):
+        dataset.attn_stacks
 
 
 def test_stage_kmeans_scores_planted_tokens(small_world):

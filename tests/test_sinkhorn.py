@@ -260,9 +260,11 @@ def test_queue_rejects_capacity_below_one(capacity):
 def test_queue_half_full_gate():
     q = sinkhorn.FeatureQueue(capacity=10)
     q.push(np.ones((4, 2)))
-    assert len(q.active_rows()) == 0
+    assert q.window_lengths(1, 0).tolist() == [0]
+    assert q.window_lengths(4, 1).tolist() == [0, 5, 6, 7]  # pushed one row at a time
+    assert q.window_lengths(3, 4).tolist() == [0, 8, 10]  # capped at the capacity
     q.push(np.ones((1, 2)))
-    assert len(q.active_rows()) == 5
+    assert q.window_lengths(1, 0).tolist() == [5]
 
 
 class LoopQueue:

@@ -124,6 +124,28 @@ def test_train_is_deterministic(tiny_dataset, tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_train_never_opens_a_mask(tiny_dataset, monkeypatch):
+    """Training reads each feature and attention tensor once and no mask:
+    its losses are those of a run whose masks are unreadable."""
+    manifest, _ = tiny_dataset
+    cfg = tiny_config(epochs=1)
+    want = training.train(tensor_io.load_manifest(manifest.root / "manifest.txt"), cfg)[1]
+    paths = []
+    read = tensor_io.read_tensor
+
+    def recorded(path):
+        paths.append(path.name)
+        if path.name.endswith("_mask.lpt"):
+            raise AssertionError(f"training opened {path}")
+        return read(path)
+
+    monkeypatch.setattr(tensor_io, "read_tensor", recorded)
+    _, losses = training.train(tensor_io.load_manifest(manifest.root / "manifest.txt"), cfg)
+    assert losses == want
+    assert sorted(paths) == sorted(str(p) for rec in manifest.records
+                                   for p in (rec.feature_path, rec.attention_path))
+
+
 def test_resume_reproduces_uninterrupted_run(tiny_dataset, tmp_path):
     manifest, _ = tiny_dataset
     cfg = tiny_config()
