@@ -50,6 +50,8 @@ def gaussian_smooth(grid: np.ndarray, kernel: int = DEFAULT_KERNEL,
     well-defined even when the pad exceeds the grid size.
     """
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim < 2 or min(grid.shape[-2:]) == 0:
+        raise ValueError(f"need a non-empty (..., H, W) grid, got shape {grid.shape}")
     k = gaussian_kernel(kernel, sigma)
     pad = kernel // 2
     padded = grid
@@ -97,7 +99,13 @@ def foreground_mask(stack: np.ndarray) -> np.ndarray:
     return threshold_mass(gaussian_smooth(merge_heads(stack)))
 
 
-def align_mask(mask: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
-    """Resample a binary mask into a box, re-binarizing at 0.5."""
-    sampled = crops.align(mask.astype(np.float64), box, out_h, out_w)
+def resample_mask(mask: np.ndarray, tap_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Resample a binary mask through a :func:`crops.box_taps` pair,
+    re-binarizing at 0.5."""
+    sampled = crops.resample(mask.astype(np.float64), tap_pair)
     return (sampled >= 0.5).astype(np.uint8)
+
+
+def align_mask(mask: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
+    """:func:`resample_mask` of *mask* over *box*."""
+    return resample_mask(mask, crops.box_taps(box, mask.shape[-2:], (out_h, out_w)))

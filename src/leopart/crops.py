@@ -2,9 +2,10 @@
 
 Crops live in normalized [0,1] coordinates of the source image. Alignment
 resamples a feature grid over a box with bilinear interpolation at a fixed
-output resolution; its adjoint (``align_backward``) scatter-adds gradients
+output resolution; its adjoint (``resample_adjoint``) scatter-adds gradients
 through the same taps. Both apply the same pair of 1-D tap matrices, one
-per axis, so the adjoint identity holds exactly.
+per axis (``box_taps``, built once per box set), so the adjoint identity
+holds exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ class CropSpec:
         if not (0.0 < self.aspect[0] <= self.aspect[1]):
             raise ValueError("invalid aspect range")
         if self.n_global < 1:
-            raise ValueError("need at least one global crop")
+            raise ValueError(f"n_global must be at least 1, got {self.n_global}")
+        if self.n_local < 0:
+            raise ValueError(f"n_local must be at least 0, got {self.n_local}")
 
 
 def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> np.ndarray:
@@ -50,27 +53,60 @@ def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> np.ndar
     Every pair involving at least one global crop must intersect by at least
     ``spec.min_intersection`` of the unit image area; local/local pairs are
     unconstrained. Each crop gets a rejection budget of ``RETRY_BUDGET``.
+
+    An attempt draws its area, its log aspect ratio and, unless the crop
+    would not fit, its x and y offsets, each as ``lo + (hi - lo) * u`` from
+    the generator's next double ``u`` (what ``rng.uniform(lo, hi)`` returns).
+    The doubles are drawn in blocks of 4·V, one first attempt per view, and
+    mapped with one array expression per quantity, so the boxes equal those
+    of scalar ``rng.uniform`` calls; the generator's state afterwards is
+    unspecified.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    n_views = spec.n_global + spec.n_local
     log_aspect = (np.log(spec.aspect[0]), np.log(spec.aspect[1]))
+    # each double u gives a global area, a local area and a log aspect ratio
+    bounds = (spec.global_scale, spec.local_scale, log_aspect)
+    lows = np.array([lo for lo, _ in bounds])[:, None]
+    spans = np.array([hi - lo for lo, hi in bounds])[:, None]
+    u: list[float] = []
+    areas: tuple[list[float], list[float]] = ([], [])  # global, local
+    ratios: list[float] = []
+
+    def draw_block() -> None:
+        block = rng.random(4 * n_views)
+        drawn = lows + spans * block
+        np.exp(drawn[2], out=drawn[2])
+        global_area, local_area, ratio = drawn.tolist()
+        u.extend(block.tolist())
+        areas[0].extend(global_area)
+        areas[1].extend(local_area)
+        ratios.extend(ratio)
+
     boxes: list[tuple[float, float, float, float]] = []
-    for view in range(spec.n_global + spec.n_local):
+    pos = 0  # the next unused double
+    for view in range(n_views):
         is_global = view < spec.n_global
+        area_of = areas[0] if is_global else areas[1]
         # a global crop must meet every earlier crop, a local one every global crop
         others = boxes if is_global else boxes[:spec.n_global]
         for _ in range(RETRY_BUDGET):
-            area = rng.uniform(*(spec.global_scale if is_global else spec.local_scale))
-            ratio = np.exp(rng.uniform(*log_aspect))
-            w = math.sqrt(area * ratio)
-            h = math.sqrt(area / ratio)
+            if pos + 4 > len(u):
+                draw_block()
+            w = math.sqrt(area_of[pos] * ratios[pos + 1])
+            h = math.sqrt(area_of[pos] / ratios[pos + 1])
             if w > 1.0 or h > 1.0:
+                pos += 2
                 continue
-            x0 = rng.uniform(0.0, 1.0 - w)
-            y0 = rng.uniform(0.0, 1.0 - h)
+            x0 = 0.0 + (1.0 - w) * u[pos + 2]
+            y0 = 0.0 + (1.0 - h) * u[pos + 3]
+            pos += 4
             x1, y1 = x0 + w, y0 + h
-            if all(max(min(x1, b[2]) - max(x0, b[0]), 0.0)
-                   * max(min(y1, b[3]) - max(y0, b[1]), 0.0) >= spec.min_intersection
-                   for b in others):
+            for b in others:
+                if (max(min(x1, b[2]) - max(x0, b[0]), 0.0)
+                        * max(min(y1, b[3]) - max(y0, b[1]), 0.0) < spec.min_intersection):
+                    break
+            else:
                 boxes.append((x0, y0, x1, y1))
                 break
         else:
@@ -112,49 +148,70 @@ def taps(lo: np.ndarray, hi: np.ndarray, src: int, out: int) -> np.ndarray:
     t = np.clip((lo + (np.arange(out) + 0.5) / out * (hi - lo)) * src - 0.5, 0.0, src - 1.0)
     i0 = np.floor(t).astype(np.intp)
     i1 = np.minimum(i0 + 1, src - 1)
-    w = (t - i0)[..., None]
-    cols = np.arange(src)
-    return (1.0 - w) * (cols == i0[..., None]) + w * (cols == i1[..., None])
+    w = t - i0
+    # one scatter-add: (1 - w) at i0 first, then w at i1, so a clamped border
+    # tap (i0 == i1) holds (1 - w) + w like the sum of two one-hot rows
+    rows = np.arange(t.size).reshape(t.shape) * src
+    weights = np.bincount(np.concatenate([(rows + i0).ravel(), (rows + i1).ravel()]),
+                          np.concatenate([(1.0 - w).ravel(), w.ravel()]), t.size * src)
+    return weights.reshape(*t.shape, src)
 
 
-def _box_taps(box, src_h: int, src_w: int, out_h: int, out_w: int,
-              dtype) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.asarray(box, dtype=np.float64)
+def box_taps(boxes, src_hw: tuple[int, int],
+             out_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 tap pair ``(R_y, R_x)`` of one box or an (..., 4) array of
+    boxes ``(x0, y0, x1, y1)``: (..., out_h, src_h) and (..., out_w, src_w).
+
+    Build it once per box set and pass it to :func:`resample` and
+    :func:`resample_adjoint`, which cast it to their operand's dtype.
+    """
+    coords = np.asarray(boxes, dtype=np.float64)
     if coords.shape[-1:] != (4,):
         raise ValueError(f"boxes must be (..., 4) arrays of (x0, y0, x1, y1), got {coords.shape}")
-    ry = taps(coords[..., 1], coords[..., 3], src_h, out_h).astype(dtype, copy=False)
-    rx = taps(coords[..., 0], coords[..., 2], src_w, out_w).astype(dtype, copy=False)
-    return ry[..., None, :, :], rx[..., None, :, :]
+    if not np.isfinite(coords).all():
+        raise ValueError("boxes must be finite; an empty intersection has no taps")
+    (src_h, src_w), (out_h, out_w) = src_hw, out_hw
+    return (taps(coords[..., 1], coords[..., 3], src_h, out_h),
+            taps(coords[..., 0], coords[..., 2], src_w, out_w))
 
 
-def _as_channels(grid: np.ndarray) -> tuple[np.ndarray, bool]:
-    if grid.ndim == 2:
-        return grid[None], True
-    if grid.ndim >= 3:
-        return grid, False
-    raise ValueError(f"feature grid must be (H, W) or (..., C, H, W), got shape {grid.shape}")
+def resample(src: np.ndarray, tap_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Bilinear region-of-interest resampling of *src* through a tap pair.
+
+    *src* is (H, W) or (..., C, H, W); channels are handled independently.
+    The leading dims of the taps (one per box, from :func:`box_taps`)
+    broadcast against those of *src*, so one call aligns a whole stack of
+    grids, each over its own box. The sampling is separable:
+    ``out = R_y · X · R_xᵀ`` per channel. The channels are folded into the
+    columns, (..., H, C·W), so each box costs one product with R_y and one
+    with R_xᵀ; every output element is the same H-term, then W-term dot
+    product as in the per-channel form.
+    """
+    if src.ndim < 2:
+        raise ValueError(f"feature grid must be (H, W) or (..., C, H, W), got shape {src.shape}")
+    ry, rx = (r.astype(src.dtype, copy=False) for r in tap_pair)
+    chans = src[None] if src.ndim == 2 else src
+    *lead, c, h, w = chans.shape
+    rows = ry @ np.swapaxes(chans, -3, -2).reshape(*lead, h, c * w)  # (..., oh, C·W)
+    oh, ow = ry.shape[-2], rx.shape[-2]
+    out = rows.reshape(*rows.shape[:-2], oh * c, w) @ np.swapaxes(rx, -1, -2)
+    out = np.ascontiguousarray(np.swapaxes(out.reshape(*out.shape[:-2], oh, c, ow), -3, -2))
+    return out[..., 0, :, :] if src.ndim == 2 else out
+
+
+def resample_adjoint(grad_out: np.ndarray,
+                     tap_pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Exact adjoint of :func:`resample` for the same tap pair:
+    ``R_yᵀ · G · R_x`` per channel."""
+    ry, rx = tap_pair
+    return resample(grad_out, (np.swapaxes(ry, -1, -2), np.swapaxes(rx, -1, -2)))
 
 
 def align(src: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear region-of-interest resampling of *src* over *box*.
-
-    *src* is (H, W) or (..., C, H, W); channels are handled independently.
-    *box* is one box, or an (..., 4) array of boxes whose leading dims
-    broadcast against those of *src*, so one call aligns a whole stack of
-    grids, each over its own box. The sampling is separable:
-    ``out = R_y · X · R_xᵀ`` per channel.
-    """
-    chans, squeeze = _as_channels(src)
-    h, w = chans.shape[-2:]
-    ry, rx = _box_taps(box, h, w, out_h, out_w, src.dtype)
-    out = ry @ chans @ np.swapaxes(rx, -1, -2)
-    return out[..., 0, :, :] if squeeze else out
+    """:func:`resample` of *src* over *box*, one box or an (..., 4) array."""
+    return resample(src, box_taps(box, src.shape[-2:], (out_h, out_w)))
 
 
 def align_backward(grad_out: np.ndarray, box, src_h: int, src_w: int) -> np.ndarray:
     """Exact adjoint of :func:`align` for the same boxes and source dims."""
-    chans, squeeze = _as_channels(grad_out)
-    oh, ow = chans.shape[-2:]
-    ry, rx = _box_taps(box, src_h, src_w, oh, ow, grad_out.dtype)
-    grad = np.swapaxes(ry, -1, -2) @ chans @ rx
-    return grad[..., 0, :, :] if squeeze else grad
+    return resample_adjoint(grad_out, box_taps(box, (src_h, src_w), grad_out.shape[-2:]))

@@ -83,13 +83,14 @@ def pair_loss(pred_logits: np.ndarray, target_q: np.ndarray,
     coordinates. Returns per-pair losses, d loss / d pred_logits and the
     active cell counts.
     """
-    aligned_pred = crops.align(pred_logits, box_pred, out_size, out_size)
-    aligned_q = crops.align(target_q, box_target, out_size, out_size)
-    mask = attention.align_mask(fg_mask[:, None], box_target, out_size, out_size)[:, 0]
-    mask = mask.astype(np.float64)
+    out_hw = (out_size, out_size)
+    pred_taps = crops.box_taps(box_pred, pred_logits.shape[-2:], out_hw)
+    target_taps = crops.box_taps(box_target, target_q.shape[-2:], out_hw)
+    aligned_pred = crops.resample(pred_logits, pred_taps)
+    aligned_q = crops.resample(target_q, target_taps)
+    mask = attention.resample_mask(fg_mask[:, None], target_taps)[:, 0].astype(np.float64)
     loss, g_aligned, n_active = softmax_cross_entropy_grid(aligned_pred, aligned_q, mask, tau)
-    h, w = pred_logits.shape[-2:]
-    return loss, crops.align_backward(g_aligned, box_pred, h, w), n_active
+    return loss, crops.resample_adjoint(g_aligned, pred_taps), n_active
 
 
 def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],

@@ -26,13 +26,24 @@ DEFAULT_PROTOTYPES = 300
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU of *x*, and its gate ``1 + erf(x / sqrt 2)`` (twice the standard
     normal CDF of *x*), which :func:`gelu_grad` reuses."""
-    gate = 1.0 + erf(x / SQRT2)
-    return 0.5 * x * gate, gate
+    gate = x / SQRT2
+    erf(gate, out=gate)
+    gate += 1.0
+    act = 0.5 * x
+    act *= gate
+    return act, gate
 
 
 def gelu_grad(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """d gelu / dx at *x*, given the gate that :func:`gelu` returned for *x*."""
-    return 0.5 * gate + x * np.exp(-0.5 * x * x) * INV_SQRT_2PI
+    # 0.5 * gate + x * exp(-0.5 * x * x) / sqrt(2 pi), in that order
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= x
+    grad *= INV_SQRT_2PI
+    grad += 0.5 * gate
+    return grad
 
 
 def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

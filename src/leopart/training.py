@@ -56,6 +56,11 @@ class TrainConfig:
             raise ValueError(f"n_iters must be at least 1, got {self.sinkhorn_iters}")
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be at least 1, got {self.queue_capacity}")
+        for name in ("batch_size", "epochs", "hidden_dim", "out_dim", "n_prototypes",
+                     "global_grid", "local_grid", "align_size", "token_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:  # token_dim None: the raw token dim
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.crop_spec()  # checks the crop ranges
 
     def crop_spec(self) -> crops.CropSpec:

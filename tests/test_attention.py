@@ -79,6 +79,13 @@ def test_smooth_small_grid_does_not_crash():
     np.testing.assert_allclose(out, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 5), (4, 0), (5,)])
+def test_smooth_rejects_an_empty_grid(shape):
+    """An empty grid has nothing to reflect; the pad loop must not spin on it."""
+    with pytest.raises(ValueError, match="non-empty"):
+        attention.gaussian_smooth(np.zeros(shape))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_smooth_preserves_mean_on_periodic_input(seed):

@@ -385,13 +385,18 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
     ("[cbfe]\nthreshold = 1.5", "bad value for cbfe.threshold: must be in [0, 1], got 1.5"),
     ("[cd]\nmarkov_time = -1", "bad value for cd.markov_time: must be positive, got -1.0"),
     ("[cd]\ntarget_m = 0", "bad value for cd.target_m: must be at least 1, got 0"),
+    *[(f"[train]\n{key} = 0", f"[train] {key} must be at least 1, got 0")
+      for key in ("batch_size", "epochs", "hidden_dim", "out_dim", "n_prototypes",
+                  "global_grid", "local_grid", "align_size", "n_global", "token_dim")],
+    ("[train]\nn_local = -1", "[train] n_local must be at least 0, got -1"),
 ])
 def test_every_command_rejects_an_out_of_range_setting(workspace, tmp_path, capsys,
                                                        setting, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(setting + "\n")
     for argv in (["cooc", "--clusters", str(workspace / "clusters"), "--out", str(tmp_path / "o")],
-                 ["cluster", "--data", str(workspace / "data"), "--out", str(tmp_path / "o")]):
+                 ["cluster", "--data", str(workspace / "data"), "--out", str(tmp_path / "o")],
+                 ["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "o")]):
         capsys.readouterr()
         assert cli.main(["--config", str(cfg)] + argv) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"

@@ -53,6 +53,47 @@ def random_box(rng) -> tuple[float, float, float, float]:
 
 
 # --------------------------------------------------------------------------
+# reference alignment
+#
+# The forms the separable alignment replaced: taps built by comparing every
+# source column against the two tap indices, and one product per (box,
+# channel) pair through a broadcast channel axis. Kept as the bit-for-bit
+# oracles of crops.taps, crops.align and crops.align_backward.
+
+
+def reference_taps(lo, hi, src: int, out: int) -> np.ndarray:
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    t = np.clip((lo + (np.arange(out) + 0.5) / out * (hi - lo)) * src - 0.5, 0.0, src - 1.0)
+    i0 = np.floor(t).astype(np.intp)
+    i1 = np.minimum(i0 + 1, src - 1)
+    w = (t - i0)[..., None]
+    cols = np.arange(src)
+    return (1.0 - w) * (cols == i0[..., None]) + w * (cols == i1[..., None])
+
+
+def reference_box_taps(box, src_h, src_w, out_h, out_w, dtype):
+    coords = np.asarray(box, dtype=np.float64)
+    ry = reference_taps(coords[..., 1], coords[..., 3], src_h, out_h).astype(dtype, copy=False)
+    rx = reference_taps(coords[..., 0], coords[..., 2], src_w, out_w).astype(dtype, copy=False)
+    return ry[..., None, :, :], rx[..., None, :, :]
+
+
+def reference_align(src, box, out_h, out_w):
+    chans = src[None] if src.ndim == 2 else src
+    ry, rx = reference_box_taps(box, *chans.shape[-2:], out_h, out_w, src.dtype)
+    out = ry @ chans @ np.swapaxes(rx, -1, -2)
+    return out[..., 0, :, :] if src.ndim == 2 else out
+
+
+def reference_align_backward(grad_out, box, src_h, src_w):
+    chans = grad_out[None] if grad_out.ndim == 2 else grad_out
+    ry, rx = reference_box_taps(box, src_h, src_w, *chans.shape[-2:], grad_out.dtype)
+    grad = np.swapaxes(ry, -1, -2) @ chans @ rx
+    return grad[..., 0, :, :] if grad_out.ndim == 2 else grad
+
+
+# --------------------------------------------------------------------------
 # reference sampler
 #
 # The object-based sampler that the array one replaced: a list of CropBox
@@ -327,6 +368,75 @@ def test_align_stack_matches_one_box_at_a_time():
                                    rtol=1e-14)
     channels = crops.align(src[:, 0], boxes, 3, 4)  # a 3-D array is one (C, H, W) grid
     assert channels.shape == (4, 4, 3, 4)
+
+
+def test_taps_match_reference_taps():
+    """The scatter-built taps equal the comparison-built ones bit for bit,
+    signs of zero included: one source cell, more output than source cells,
+    boxes touching 0 and 1, and samples clamped at both borders."""
+    rng = np.random.default_rng(9)
+    lo = rng.uniform(0.0, 0.9, size=40)
+    hi = lo + rng.uniform(0.0, 1.0, size=40) * (1.0 - lo)
+    edges = np.array([[0.0, 1.0], [0.0, 0.01], [0.99, 1.0], [0.0, 0.5], [0.5, 1.0],
+                      [0.25, 0.25 + 1e-9], [1.0 - 1e-9, 1.0]])
+    lo, hi = np.concatenate([lo, edges[:, 0]]), np.concatenate([hi, edges[:, 1]])
+    for src in (1, 2, 3, 5, 10):
+        for out in (1, 2, 3, 5, 7, 12, 100):
+            got, want = crops.taps(lo, hi, src, out), reference_taps(lo, hi, src, out)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    stacked = rng.uniform(0.0, 0.5, size=(3, 4))  # leading dims kept
+    np.testing.assert_array_equal(crops.taps(stacked, stacked + 0.5, 6, 4),
+                                  reference_taps(stacked, stacked + 0.5, 6, 4))
+
+
+def test_align_matches_reference_products_on_training_shapes():
+    """Channels folded into the columns give the per-channel products bit for
+    bit, forward and adjoint, on every shape the training step and the
+    evaluation use."""
+    rng = np.random.default_rng(10)
+    n_img, n_glob, size = 16, 2, 10
+    coords = np.stack([crops.sample_crops(ACCEPTANCE_SPEC, seed) for seed in range(n_img)])
+    # every intersecting (predictor i, global target j != i) pair of the batch
+    pairs = crops.pair_boxes(coords)
+    off_diag = ~np.eye(coords.shape[1], dtype=bool)[:, :n_glob]
+    box_pred = pairs[:, :, :n_glob][:, off_diag].reshape(-1, 4)
+    box_target = np.swapaxes(pairs[:, :n_glob], 1, 2)[:, off_diag].reshape(-1, 4)
+    present = ~np.isnan(box_pred[:, 0])
+    box_pred, box_target = box_pred[present], box_target[present]
+    n_pairs = len(box_pred)
+
+    def check(src, boxes, out_h, out_w, adjoint=True):
+        got = crops.align(src, boxes, out_h, out_w)
+        np.testing.assert_array_equal(got, reference_align(src, boxes, out_h, out_w))
+        assert got.dtype == src.dtype and got.flags.c_contiguous
+        if not adjoint:
+            return
+        grad = rng.normal(size=got.shape).astype(src.dtype)
+        back = crops.align_backward(grad, boxes, *src.shape[-2:])
+        np.testing.assert_array_equal(back, reference_align_backward(grad, boxes,
+                                                                     *src.shape[-2:]))
+        assert back.flags.c_contiguous
+
+    for dtype in (np.float32, np.float64):
+        raw = rng.normal(size=(n_img, 1, 32, size, size)).astype(dtype)
+        check(raw, coords[:, :n_glob], 5, 5)   # global crops
+        check(raw, coords[:, n_glob:], 3, 3)   # local crops
+        for grid in (5, 3):                    # global, then local predictor logits
+            check(rng.normal(size=(n_pairs, 8, grid, grid)).astype(dtype), box_pred, 5, 5)
+        check(rng.normal(size=(n_pairs, 8, 5, 5)).astype(dtype), box_target, 5, 5)  # targets
+        # cluster_eval.resize_bilinear: forward only (its adjoint sums 100 terms,
+        # which BLAS blocks by the matrix shapes)
+        check(rng.normal(size=(32, size, size)).astype(dtype), crops.FULL_BOX, 100, 100,
+              adjoint=False)
+    masks = (rng.random((n_pairs, 1, 5, 5)) < 0.5).astype(np.float64)
+    check(masks, box_target, 5, 5)
+    check(rng.normal(size=(7, 9)), coords[0, 0], 4, 6)  # a plain map
+
+
+def test_align_rejects_non_finite_boxes():
+    with pytest.raises(ValueError, match="finite"):
+        crops.align(np.ones((4, 4)), (0.0, np.nan, 1.0, 1.0), 2, 2)
 
 
 def test_taps_rows_are_bilinear_weights():
