@@ -1,10 +1,11 @@
 """Command-line pipeline: generate, train, cluster, extract, group, score.
 
-Every subcommand reads one structured-text config (all keys optional), is
-seeded deterministically (the ``LEOPART_SEED`` environment variable
-overrides the config seed) and writes an output manifest listing the
-artifacts it produced together with the config hash, so any result can be
-traced to the exact settings that made it.
+Every subcommand takes its settings from one structured-text config (all
+keys optional), checked at load, where ``LEOPART_SEED`` replaces the
+``[run] seed`` that seeds it. Every command but ``eval`` and ``render``
+writes an output manifest listing the artifacts it produced together with
+the config hash, so any result can be traced to the exact settings that
+made it.
 
 Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -12,7 +13,6 @@ Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,16 +20,6 @@ import numpy as np
 
 from . import (cbfe, cluster_eval, community, config as config_mod, pipeline,
                render, synth, tensor_io, training)
-
-
-def effective_seed(cfg: config_mod.Config) -> int:
-    env = os.environ.get("LEOPART_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise config_mod.ConfigError(f"LEOPART_SEED is not an integer: {env!r}") from exc
-    return int(cfg["run"]["seed"])
 
 
 def write_outputs_manifest(out_dir: Path, command: str, cfg: config_mod.Config,
@@ -48,7 +38,7 @@ def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None
         return None
     path = Path(args.checkpoint)
     ckpt = tensor_io.load_checkpoint(path)
-    expected = cfg.train_config(seed=effective_seed(cfg)).hash()
+    expected = cfg.train_config().hash()
     if ckpt.config_hash != expected and not args.force:
         raise config_mod.ConfigError(
             f"checkpoint config hash {ckpt.config_hash} does not match this "
@@ -87,7 +77,7 @@ def read_cluster_maps(clusters_dir: Path, ids: list[str] | None = None,
 
 def cmd_gen(args, cfg: config_mod.Config) -> int:
     out = Path(args.out)
-    spec = cfg.synth_spec(seed=effective_seed(cfg))
+    spec = cfg.synth_spec()
     synth.generate(spec, out)
     outputs = sorted(out.glob("*.lpt")) + [out / "manifest.txt", out / "key.txt"]
     write_outputs_manifest(out, "gen", cfg, outputs)
@@ -99,7 +89,7 @@ def cmd_train(args, cfg: config_mod.Config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
-    train_cfg = cfg.train_config(seed=effective_seed(cfg))
+    train_cfg = cfg.train_config()
     resume = tensor_io.load_checkpoint(Path(args.resume)) if args.resume else None
     ckpt, losses = training.train(manifest, train_cfg, resume=resume)
     if not losses:
@@ -120,8 +110,8 @@ def cmd_cluster(args, cfg: config_mod.Config) -> int:
     dataset = pipeline.load_dataset(manifest)
     embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
                                       cfg["eval"]["use_head"])
-    k = cfg["cbfe"]["k"] if args.k is None else args.k
-    maps, result = cluster_eval.cluster_maps_for(embedded, k, seed=effective_seed(cfg))
+    k = cfg["cbfe"]["k"]
+    maps, result = cluster_eval.cluster_maps_for(embedded, k, seed=cfg["run"]["seed"])
     outputs = [out / f"{rec.id}_clusters.lpt" for rec in manifest.records]
     for path, cm in zip(outputs, maps):
         tensor_io.write_tensor(cm, path)
@@ -177,12 +167,11 @@ def cmd_communities(args, cfg: config_mod.Config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph = community.read_graph(Path(args.graph))
-    target = args.target_m if args.target_m is not None else cfg["cd"]["target_m"]
-    if target is None:
-        raise config_mod.ConfigError("no community count: set cd.target_m or --target-m")
+    if cfg["cd"]["target_m"] is None:
+        raise config_mod.ConfigError("no community count: set cd.target_m")
     partition = community.detect_communities(
-        graph, target_m=target, markov_time=cfg["cd"]["markov_time"],
-        seed=effective_seed(cfg))
+        graph, target_m=cfg["cd"]["target_m"], markov_time=cfg["cd"]["markov_time"],
+        seed=cfg["run"]["seed"])
     part_path = out / "partition.txt"
     community.write_partition(partition, part_path)
     bits = community.map_equation(graph, partition, cfg["cd"]["markov_time"])
@@ -195,7 +184,7 @@ def cmd_communities(args, cfg: config_mod.Config) -> int:
 def cmd_eval(args, cfg: config_mod.Config) -> int:
     manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
     dataset = pipeline.load_dataset(manifest)
-    seed = effective_seed(cfg)
+    seed = cfg["run"]["seed"]
     gt = dataset.object_maps
     if any(g is None for g in gt):
         raise config_mod.ConfigError("evaluation requires ground-truth masks")
@@ -283,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="use trained embeddings")
     p.add_argument("--force", action="store_true",
                    help="allow a checkpoint with a different config hash")
-    p.add_argument("--k", type=int, help="override the cluster count")
 
     p = sub.add_parser("cbfe", help="label clusters foreground/background")
     p.add_argument("--data", required=True)
@@ -298,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("communities", help="detect cluster communities")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-m", type=int, help="exact community count")
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
     p.add_argument("--data", required=True)

@@ -378,6 +378,16 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, n_pred: int, n_gt: int,
     return np.bincount(idx, minlength=n_pred * n_gt).reshape(n_pred, n_gt)
 
 
+def _summed_confusion(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
+                      n_pred: int, n_gt: int, ignore_label: int | None) -> np.ndarray:
+    conf = np.zeros((n_pred, n_gt), dtype=np.int64)
+    for pm, gm in zip(pred_maps, gt_maps):
+        if pm.shape != gm.shape:
+            raise ValueError(f"shape mismatch {pm.shape} vs {gm.shape}")
+        conf += confusion_matrix(pm, gm, n_pred, n_gt, ignore_label)
+    return conf
+
+
 def greedy_precision_match(cluster_maps: list[np.ndarray], gt_maps: list[np.ndarray],
                            n_classes: int, k: int,
                            ignore_label: int | None = None,
@@ -388,9 +398,7 @@ def greedy_precision_match(cluster_maps: list[np.ndarray], gt_maps: list[np.ndar
     non-ignored pixels of the split; ties break toward the lower class id.
     Returns the merged maps and the cluster -> class table.
     """
-    counts = np.zeros((k, n_classes), dtype=np.int64)
-    for cm, gm in zip(cluster_maps, gt_maps):
-        counts += confusion_matrix(cm, gm, k, n_classes, ignore_label)
+    counts = _summed_confusion(cluster_maps, gt_maps, k, n_classes, ignore_label)
     assignment = counts.argmax(axis=1)
     empty = counts.sum(axis=1) == 0
     if empty.any():
@@ -437,37 +445,34 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray], n_classes: int,
-         ignore_label: int | None = None) -> tuple[float, np.ndarray]:
-    """Mean IoU over classes present in ground truth, dataset-aggregated.
-
-    Returns (mean, per-class IoU vector with NaN for classes excluded).
-    """
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for pm, gm in zip(pred_maps, gt_maps):
-        if pm.shape != gm.shape:
-            raise ValueError(f"shape mismatch {pm.shape} vs {gm.shape}")
-        conf += confusion_matrix(pm, gm, n_classes, n_classes, ignore_label)
+def _mean_iou(conf: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`miou` of square confusion counts."""
     tp = np.diag(conf).astype(np.float64)
     fp = conf.sum(axis=1) - tp
     fn = conf.sum(axis=0) - tp
     union = tp + fp + fn
-    iou = np.full(n_classes, np.nan)
+    iou = np.full(len(conf), np.nan)
     present = conf.sum(axis=0) > 0  # class appears in gt
     with np.errstate(invalid="ignore", divide="ignore"):
         iou[present] = tp[present] / union[present]
     return float(np.nanmean(iou[present])), iou
 
 
+def miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray], n_classes: int,
+         ignore_label: int | None = None) -> tuple[float, np.ndarray]:
+    """Mean IoU over classes present in ground truth, dataset-aggregated.
+
+    Returns (mean, per-class IoU vector with NaN for classes excluded).
+    """
+    return _mean_iou(_summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label))
+
+
 def hungarian_matched_miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
                            n_classes: int, ignore_label: int | None = None) -> float:
     """Permutation-invariant mIoU: optimal relabeling, then mean IoU."""
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for pm, gm in zip(pred_maps, gt_maps):
-        conf += confusion_matrix(pm, gm, n_classes, n_classes, ignore_label)
+    conf = _summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label)
     perm = hungarian(-conf.astype(np.float64))
-    score, _ = miou([perm[m] for m in pred_maps], gt_maps, n_classes, ignore_label)
-    return score
+    return _mean_iou(conf[np.argsort(perm)])[0]  # relabeling moves count row p to perm[p]
 
 
 # --------------------------------------------------------------------------

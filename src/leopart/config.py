@@ -13,6 +13,7 @@ that produced them.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -51,6 +52,7 @@ def _ranged(parse, ok, requirement: str):
 
 _count = _ranged(int, lambda v: v >= 1, "at least 1")
 _positive = _ranged(float, lambda v: v > 0, "positive")
+_unit = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def _bool(text: str) -> bool:
@@ -98,13 +100,12 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "cbfe": {
         "k": (_count, cbfe.DEFAULT_K),
-        "threshold": (_ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-                      cbfe.THRESHOLD_SINGLE_DATASET),
+        "threshold": (_unit, cbfe.THRESHOLD_SINGLE_DATASET),
     },
     "cd": {
-        "edge_threshold": (float, community.DEFAULT_EDGE_THRESHOLD),
+        "edge_threshold": (_unit, community.DEFAULT_EDGE_THRESHOLD),
         "markov_time": (_positive, community.DEFAULT_MARKOV_TIME),
-        "distance": (int, community.DEFAULT_DISTANCE),
+        "distance": (_count, community.DEFAULT_DISTANCE),
         "target_m": (_ranged(_optional_int, lambda v: v >= 1, "at least 1"),
                      None),  # None: #classes - 1
     },
@@ -147,30 +148,26 @@ class Config:
     def hash(self) -> str:
         return tensor_io.config_hash(self.canonical_text())
 
-    def synth_spec(self, seed: int | None = None) -> synth.SynthSpec:
+    def synth_spec(self) -> synth.SynthSpec:
         """The [synth] keys are the SynthSpec fields of the same names."""
-        return synth.SynthSpec(**self["synth"],
-                               seed=self["run"]["seed"] if seed is None else seed)
+        return synth.SynthSpec(**self["synth"], seed=self["run"]["seed"])
 
-    def train_config(self, seed: int | None = None) -> training.TrainConfig:
+    def train_config(self) -> training.TrainConfig:
         """The [train] keys are the TrainConfig fields of the same names."""
         sk = self["sinkhorn"]
         return training.TrainConfig(
             **self["train"], epsilon=sk["epsilon"], sinkhorn_iters=sk["n_iters"],
-            queue_capacity=sk["queue_capacity"],
-            seed=self["run"]["seed"] if seed is None else seed,
-        )
+            queue_capacity=sk["queue_capacity"], seed=self["run"]["seed"])
 
 
 def load_config(path: str | Path | None) -> Config:
     """Parse and validate a config file: each value's type and range, then
     the checks of ``SynthSpec`` and ``TrainConfig`` (an error in a
     ``[sinkhorn]`` key names that section), so that every command rejects a
-    bad setting; None gives all defaults."""
-    if path is None:
-        return Config()
+    bad setting; None gives all defaults. ``LEOPART_SEED`` replaces ``[run]
+    seed`` here, so the config hash covers the seed a run uses."""
     parser = configparser.ConfigParser(interpolation=None)
-    text = Path(path).read_text()
+    text = "" if path is None else Path(path).read_text()
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -188,6 +185,12 @@ def load_config(path: str | Path | None) -> Config:
                 values[section][key] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {exc}") from exc
+    env = os.environ.get("LEOPART_SEED")
+    if env is not None:
+        try:
+            values.setdefault("run", {})["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"LEOPART_SEED is not an integer: {env!r}") from None
     cfg = Config(values=values)
     checks = (("synth", cfg.synth_spec),
               # the [sinkhorn] keys alone, every [train] key at its default

@@ -25,7 +25,7 @@ from .tensor_io import Dataset, load_dataset  # noqa: F401  (pipeline.load_datas
 
 
 def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,
-                  use_head: bool = False) -> list[np.ndarray]:
+                  use_head: bool) -> list[np.ndarray]:
     """Encoder embeddings of all images; raw features if params is None."""
     if params is None:
         return dataset.features

@@ -7,9 +7,12 @@ shuffle of a 4x4x4 RGB lattice. Labels above 63 wrap around.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
+
+from . import tensor_io
 
 PALETTE_SIZE = 64
 
@@ -38,27 +41,26 @@ def colorize(label_map: np.ndarray) -> np.ndarray:
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
-    """Write an (H, W, 3) uint8 array as a binary PPM (P6) file."""
+    """Write an (H, W, 3) uint8 array as a binary PPM (P6) file, atomically."""
     image = np.asarray(image, dtype=np.uint8)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {image.shape}")
-    h, w, _ = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    header = b"P6\n%d %d\n255\n" % (image.shape[1], image.shape[0])
+    tensor_io.write_bytes(path, header + image.tobytes())
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read back a binary PPM written by :func:`write_ppm`."""
+    """Read back a binary PPM written by :func:`write_ppm`; any other header
+    or payload length raises ``ValueError`` naming *path*."""
     data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM file")
-    w, h = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError(f"{path}: unsupported max value {parts[2]!r}")
-    pixels = np.frombuffer(parts[3][:h * w * 3], dtype=np.uint8)
-    return pixels.reshape(h, w, 3).copy()
+    header = re.match(rb"P6\n(\d+) (\d+)\n255\n", data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PPM file of the form write_ppm writes")
+    w, h, pixels = int(header[1]), int(header[2]), data[header.end():]
+    if len(pixels) != h * w * 3:
+        raise ValueError(f"{path}: PPM payload is {len(pixels)} bytes, "
+                         f"a {w} x {h} image needs {h * w * 3}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
 def render_label_map(label_map: np.ndarray, path: str | Path,

@@ -76,13 +76,12 @@ def _replace(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Write LPT1/LPC1 *data* to *path*: an existing file through
-    :func:`_replace` (unless it already holds *data*), a new one in place,
-    removed if the write fails. A process killed midway can leave a
-    truncated new file, which the readers reject since both formats record
-    their own length; on ext4 a create and a rename per file made dataset
-    generation measurably slower.
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write a binary artifact that records its own length (LPT1, LPC1,
+    PPM): an existing file through :func:`_replace` (unless it already holds
+    *data*), a new one in place, removed if the write fails; a truncated new
+    file left by a killed process does not load. On ext4 a create and a
+    rename per file made dataset generation measurably slower.
     """
     path = Path(path)
     try:
@@ -124,7 +123,7 @@ def write_tensor(t: np.ndarray, path: str | Path) -> None:
     """Write *t* to *path* in the LPT1 format (fixed little-endian layout)."""
     data = tensor_bytes(t)
     try:
-        _write_atomic(path, data)
+        write_bytes(path, data)
     except OSError as exc:
         raise TensorFormatError(f"cannot write tensor to {path}: {exc}") from exc
 
@@ -382,7 +381,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         out += struct.pack("<H", len(name_bytes))
         out += name_bytes
         out += tensor_bytes(ckpt.tensors[name])
-    _write_atomic(path, bytes(out))
+    write_bytes(path, bytes(out))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

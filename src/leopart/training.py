@@ -70,22 +70,24 @@ class TrainConfig:
         return tensor_io.config_hash(repr(sorted(asdict(self).items())))
 
 
-def crop_masks(attn_stacks: list[np.ndarray], global_boxes: np.ndarray,
+def crop_masks(attn_stacks: list[np.ndarray], global_taps: tuple[np.ndarray, np.ndarray],
                cfg: TrainConfig) -> np.ndarray:
     """(n, G, g, g) foreground masks of the G global crops of n images.
 
     ``attn_stacks`` holds each image's (heads, H, W) attention and
-    ``global_boxes`` (n, G, 4) its global boxes; head counts may differ
+    ``global_taps`` the :func:`crops.box_taps` pair of its G global boxes,
+    the one that resamples its feature grid: the loader checks attention
+    against the feature grid. Head counts may differ
     between images, and the images of one stack shape are aligned in one
     call. ``"bg"`` masking returns the background instead.
     """
-    g = cfg.global_grid
-    merged = np.empty((len(attn_stacks), global_boxes.shape[1], g, g))
+    ry, rx = global_taps
+    merged = np.empty(ry.shape[:2] + (cfg.global_grid, cfg.global_grid))
     shapes = [stack.shape for stack in attn_stacks]
     for shape in dict.fromkeys(shapes):
         sel = [i for i, s in enumerate(shapes) if s == shape]
         stacks = np.stack([attn_stacks[i] for i in sel]).astype(np.float64)[:, None]
-        aligned = crops.align(stacks, global_boxes[sel], g, g)  # (n, G, heads, g, g)
+        aligned = crops.resample(stacks, (ry[sel], rx[sel]))  # (n, G, heads, g, g)
         merged[sel] = attention.merge_heads(np.maximum(aligned, 0.0))
     fg = attention.foreground_mask(merged[:, :, None])  # one head left per map
     return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
@@ -99,13 +101,14 @@ def crop_batch(images: list[tuple[np.ndarray, np.ndarray | None]],
                        for seed in crop_seeds])  # (B, V, 4)
     raw = np.stack([grid for grid, _ in images]).astype(np.float32)[:, None]  # (B, 1, D, H, W)
     n_glob, g, l = cfg.n_global, cfg.global_grid, cfg.local_grid
+    global_taps = crops.box_taps(coords[:, :n_glob], raw.shape[-2:], (g, g))
     masks = np.ones((len(images), n_glob, g, g), dtype=np.uint8)
     with_attn = [b for b, (_, attn) in enumerate(images) if attn is not None]
     if cfg.fg_masking != "all" and with_attn:
         masks[with_attn] = crop_masks([images[b][1] for b in with_attn],
-                                      coords[with_attn, :n_glob], cfg)
+                                      tuple(r[with_attn] for r in global_taps), cfg)
     return loss_mod.CropBatch(
-        global_raw=crops.align(raw, coords[:, :n_glob], g, g),
+        global_raw=crops.resample(raw, global_taps),
         local_raw=crops.align(raw, coords[:, n_glob:], l, l),
         boxes=crops.pair_boxes(coords),
         masks=masks,
@@ -271,7 +274,7 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
 
 
 def embed_features(raw_grid: np.ndarray, params: dict[str, np.ndarray],
-                   use_head: bool = False) -> np.ndarray:
+                   use_head: bool) -> np.ndarray:
     """Encoder (optionally + head) features of one image grid, (D, H', W')."""
     _, h, w = raw_grid.shape
     raw = raw_grid.reshape(raw_grid.shape[0], h * w).T.astype(np.float32)

@@ -1,7 +1,9 @@
 """End-to-end CLI pipeline and command-level behavior."""
 
 import argparse
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,8 +230,7 @@ def test_eval_unsupseg_honours_cd_distance_and_use_head(workspace, tmp_path, mon
 def test_communities_rejects_malformed_graph(tmp_path, capsys, edge):
     graph = tmp_path / "graph.txt"
     graph.write_text(f"nodes 3\n{edge}\n")
-    assert cli.main(["communities", "--graph", str(graph), "--out", str(tmp_path / "comm"),
-                     "--target-m", "1"]) == 1
+    assert cli.main(["communities", "--graph", str(graph), "--out", str(tmp_path / "comm")]) == 1
     assert f"{graph}: line 2" in capsys.readouterr().err
 
 
@@ -422,6 +423,49 @@ def test_missing_target_m_is_validation_error(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "comm")])
     assert code == 1
     assert "target_m" in capsys.readouterr().err
+
+
+def test_outputs_manifest_hash_covers_the_seed_env(tmp_path, monkeypatch):
+    """gen with LEOPART_SEED set records the hash of the config with that
+    seed, not the hash of the file alone."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[synth]\nn_images = 3\nraw_dim = 16\n")
+
+    def gen_hash(out):
+        assert cli.main(["--config", str(cfg), "gen", "--out", str(out)]) == 0
+        return [ln for ln in (out / "gen_outputs.txt").read_text().splitlines()
+                if ln.startswith("config_hash ")]
+
+    monkeypatch.delenv("LEOPART_SEED", raising=False)
+    unset = gen_hash(tmp_path / "a")
+    monkeypatch.setenv("LEOPART_SEED", "7")
+    seeded = gen_hash(tmp_path / "b")
+    assert len(seeded) == 1 and seeded != unset
+    monkeypatch.delenv("LEOPART_SEED")
+    cfg.write_text(cfg.read_text() + "[run]\nseed = 7\n")
+    assert gen_hash(tmp_path / "c") == seeded
+    assert (tmp_path / "c" / "img00000_feat.lpt").read_bytes() == \
+        (tmp_path / "b" / "img00000_feat.lpt").read_bytes()
+
+
+def test_readme_walkthrough_parses(tmp_path):
+    """Every `leopart` command of the README parses, with continuations
+    joined and comments dropped, and the walkthrough config loads; together
+    they run every subcommand."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.split("cat > run.cfg <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+    config.load_config(cfg)
+    parser = cli.build_parser()
+    commands = set()
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("leopart "):
+            argv = shlex.split(line, comments=True)[1:]
+            try:
+                commands.add(parser.parse_args(argv).command)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+    assert commands == set(cli.COMMANDS)
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

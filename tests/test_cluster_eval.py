@@ -509,6 +509,28 @@ def test_miou_with_ignore_label():
     assert score == 1.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_hungarian_matched_miou_equals_miou_of_relabeled_maps(seed):
+    """Counting the maps once scores what relabeling every map by the
+    optimal permutation and counting again scores, to the bit."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    preds = [rng.integers(0, n, size=shape) for shape in [(6, 7), (3, 4), (5, 5)]]
+    gts = [np.where(rng.uniform(size=p.shape) < 0.6, (p + 2) % (n - 1),
+                    rng.integers(0, n - 1, size=p.shape)) for p in preds]  # no class n-1
+    gts[0][0, :3] = 255
+    conf = sum(cluster_eval.confusion_matrix(p, g, n, n, 255) for p, g in zip(preds, gts))
+    perm = cluster_eval.hungarian(-conf.astype(np.float64))
+    want, _ = cluster_eval.miou([perm[p] for p in preds], gts, n, ignore_label=255)
+    assert cluster_eval.hungarian_matched_miou(preds, gts, n, ignore_label=255) == want
+
+
+def test_hungarian_matched_miou_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 3\) vs \(3, 2\)"):
+        cluster_eval.hungarian_matched_miou([np.zeros((2, 3), int)],
+                                            [np.zeros((3, 2), int)], 2)
+
+
 # ---------------------------------------------------------------- protocols
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from leopart import cluster_eval, community, config, pipeline, synth
+from leopart import cluster_eval, community, pipeline, synth
 
 
 def two_node_graph(w=0.5):
@@ -516,8 +516,7 @@ def random_graph(n, seed, mean_degree=5):
 @pytest.fixture(scope="module")
 def cli_k150_graph(tmp_path_factory):
     """The `cooc` graph of the k = 150 CLI walkthrough on the default data."""
-    cfg = config.load_config(None)
-    manifest, _ = synth.generate(cfg.synth_spec(seed=0), tmp_path_factory.mktemp("k150"))
+    manifest, _ = synth.generate(synth.SynthSpec(seed=0), tmp_path_factory.mktemp("k150"))
     dataset = pipeline.load_dataset(manifest)
     maps, _ = cluster_eval.cluster_maps_for(dataset.features, 150, seed=0)
     graph = community.cooccurrence_graph(maps, 150)

@@ -135,7 +135,21 @@ seed = 9
     assert spec.n_images == 5 and spec.raw_dim == 8 and spec.seed == 9
     tc = cfg.train_config()
     assert tc.epochs == 2 and tc.sinkhorn_iters == 7 and tc.seed == 9
-    assert cfg.train_config(seed=1).seed == 1
+
+
+def test_seed_env_sets_run_seed_at_load(tmp_path, monkeypatch):
+    """LEOPART_SEED replaces [run] seed as the config loads, with or without
+    a file, so the config hash and both builders see the seed that runs."""
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nseed = 9\n")
+    monkeypatch.setenv("LEOPART_SEED", "7")
+    for cfg in (config.load_config(None), config.load_config(path)):
+        assert cfg["run"]["seed"] == 7
+        assert cfg.synth_spec().seed == 7 and cfg.train_config().seed == 7
+        assert cfg.hash() == config.Config(values={"run": {"seed": 7}}).hash()
+    monkeypatch.setenv("LEOPART_SEED", "seven")
+    with pytest.raises(config.ConfigError, match="LEOPART_SEED is not an integer: 'seven'"):
+        config.load_config(None)
 
 
 def test_default_config_text_roundtrips(tmp_path):
@@ -150,7 +164,8 @@ def test_default_config_text_roundtrips(tmp_path):
     "[eval]\nk = 0", "[eval]\nn_seeds = -2", "[eval]\nprobe_epochs = 0",
     "[eval]\nprobe_lr = -0.1", "[eval]\nprobe_lr = nan", "[cbfe]\nk = 0",
     "[cbfe]\nthreshold = -0.01", "[cbfe]\nthreshold = 1.01", "[cd]\nmarkov_time = 0",
-    "[cd]\ntarget_m = -1",
+    "[cd]\ntarget_m = -1", "[cd]\nedge_threshold = 1.5", "[cd]\nedge_threshold = -0.01",
+    "[cd]\nedge_threshold = nan", "[cd]\ndistance = 0",
 ])
 def test_out_of_range_values_are_refused_by_key(tmp_path, setting):
     section, line = setting[1:].split("]\n")
@@ -165,6 +180,7 @@ def test_out_of_range_values_are_refused_by_key(tmp_path, setting):
     "[eval]\nk = 1\nn_seeds = 1\nprobe_epochs = 1\nprobe_lr = 1e-9",
     "[cbfe]\nk = 1\nthreshold = 0\n[cd]\nmarkov_time = 1e-9\ntarget_m = none",
     "[cbfe]\nthreshold = 1\n[cd]\ntarget_m = 1",
+    "[cd]\nedge_threshold = 0\ndistance = 1", "[cd]\nedge_threshold = 1",
     f"[sinkhorn]\nepsilon = {sinkhorn.MIN_EPSILON!r}\nn_iters = 1\nqueue_capacity = 1",
 ])
 def test_range_edges_are_accepted(tmp_path, setting):

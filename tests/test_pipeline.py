@@ -182,4 +182,4 @@ def test_run_ladder_returns_all_stages(small_world):
 
 def test_embed_dataset_none_passthrough(small_world):
     _, _, dataset = small_world
-    assert pipeline.embed_dataset(dataset, None) is dataset.features
+    assert pipeline.embed_dataset(dataset, None, use_head=False) is dataset.features

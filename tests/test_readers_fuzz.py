@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leopart import cbfe, community, tensor_io
+from leopart import cbfe, community, render, tensor_io
 
 NAMED_ERRORS = (tensor_io.TensorFormatError, tensor_io.ManifestError, ValueError,
                 community.CommunityError)
@@ -124,6 +124,24 @@ def test_read_foreground_map_returns_flags_or_a_named_error(tmp_path, data):
     theta = check_reader(tmp_path, cbfe.read_foreground_map, data, "fg_map.txt")
     if theta is not None:
         assert theta.dtype == bool
+
+
+VALID_PPM = b"P6\n5 4\n255\n" + bytes(range(60))
+
+
+@FUZZ
+@given(data=fuzz_inputs(VALID_PPM))
+def test_read_ppm_returns_an_image_or_a_named_error(tmp_path, data):
+    image = check_reader(tmp_path, render.read_ppm, data, "map.ppm")
+    if image is not None:  # the payload is exactly the image's bytes
+        assert image.dtype == np.uint8 and image.shape[2:] == (3,)
+        assert data.endswith(b"\n" + image.tobytes())
+
+
+def test_valid_ppm_loads(tmp_path):
+    path = tmp_path / "map.ppm"
+    path.write_bytes(VALID_PPM)
+    assert render.read_ppm(path).shape == (4, 5, 3)
 
 
 @pytest.mark.parametrize("name, reader", [

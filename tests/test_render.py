@@ -1,5 +1,7 @@
 """Palette, colorize and PPM round-trip checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,31 @@ def test_ppm_roundtrip(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n7 5\n255\n")
     assert np.array_equal(render.read_ppm(path), image)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d[:-7], "PPM payload is 53 bytes, a 5 x 4 image needs 60"),
+    (lambda d: d + b"\0" * 4, "PPM payload is 64 bytes, a 5 x 4 image needs 60"),
+    (lambda d: d.replace(b"5 4", b"5"), "not a binary PPM file"),
+    (lambda d: d.replace(b"5 4", b"5 -4"), "not a binary PPM file"),
+    (lambda d: d.replace(b"255", b"65535"), "not a binary PPM file"),
+    (lambda d: d[:5], "not a binary PPM file"),
+], ids=["short", "trailing", "one_dim", "negative_dim", "max_value", "no_header"])
+def test_read_ppm_names_the_file_of_a_malformed_ppm(tmp_path, edit, message):
+    path = tmp_path / "img.ppm"
+    render.write_ppm(np.zeros((4, 5, 3), dtype=np.uint8), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        render.read_ppm(path)
+
+
+def test_write_ppm_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"x" * 1000)
+    image = np.full((2, 3, 3), 7, dtype=np.uint8)
+    render.write_ppm(image, path)
+    assert np.array_equal(render.read_ppm(path), image)
+    assert [p.name for p in tmp_path.iterdir()] == ["img.ppm"]
 
 
 def test_render_all_background_is_single_color(tmp_path):

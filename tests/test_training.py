@@ -91,8 +91,9 @@ def test_crop_masks_align_each_head_count_at_once(fg_masking):
                                 coords[with_attn, :cfg.n_global], cfg)
     assert np.array_equal(batch.masks[with_attn], want)
     assert np.all(batch.masks[heads.index(None)] == 1)
-    got = training.crop_masks([images[b][1] for b in with_attn],
-                              coords[with_attn, :cfg.n_global], cfg)
+    taps = crops.box_taps(coords[with_attn, :cfg.n_global], (10, 10),
+                          (cfg.global_grid, cfg.global_grid))
+    got = training.crop_masks([images[b][1] for b in with_attn], taps, cfg)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -102,8 +103,9 @@ def test_crop_masks_fg_and_bg_complement():
     rng = np.random.default_rng(1)
     attn = rng.uniform(size=(2, 10, 10)).astype(np.float32)
     boxes = np.array([[(0.1, 0.1, 0.9, 0.9), (0.0, 0.2, 0.6, 0.8)]])
-    fg = training.crop_masks([attn], boxes, cfg_fg)
-    bg = training.crop_masks([attn], boxes, cfg_bg)
+    taps = crops.box_taps(boxes, (10, 10), (5, 5))
+    fg = training.crop_masks([attn], taps, cfg_fg)
+    bg = training.crop_masks([attn], taps, cfg_bg)
     assert fg.shape == (1, 2, 5, 5)  # one mask per global crop
     assert set(np.unique(fg)) <= {0, 1}
     assert np.array_equal(fg + bg, np.ones_like(fg))
@@ -218,7 +220,7 @@ def test_embed_features_shape_and_head(tiny_dataset):
     cfg = tiny_config(epochs=1)
     state = training.init_state(cfg, raw_dim=16)
     raw = manifest.load_features(manifest.records[0]).astype(np.float32)
-    enc = training.embed_features(raw, state.student)
+    enc = training.embed_features(raw, state.student, use_head=False)
     proj = training.embed_features(raw, state.student, use_head=True)
     assert enc.shape == (16, 10, 10)
     assert proj.shape == (cfg.out_dim, 10, 10)
@@ -232,7 +234,7 @@ def test_float32_parameters_keep_float32_features(tiny_dataset):
     manifest, _ = tiny_dataset
     state = training.init_state(tiny_config(epochs=1), raw_dim=16)
     raw = manifest.load_features(manifest.records[0]).astype(np.float32)
-    assert training.embed_features(raw, state.student).dtype == np.float32
+    assert training.embed_features(raw, state.student, use_head=False).dtype == np.float32
     assert training.embed_features(raw, state.student, use_head=True).dtype == np.float32
     tokens = model.encoder_forward(raw.reshape(16, -1).T, state.student)
     assert model.project(tokens, state.student).dtype == np.float32
