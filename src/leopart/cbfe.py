@@ -35,23 +35,20 @@ class ForegroundMap:
             raise ValueError("theta inconsistent with precision >= threshold")
 
 
-def cluster_precision(cluster_maps: list[np.ndarray], hint_masks: list[np.ndarray],
+def cluster_precision(cluster_maps: np.ndarray, hint_masks: np.ndarray,
                       k: int) -> np.ndarray:
     """Fraction of each cluster's pixels that fall inside the hint masks.
 
-    Aggregated over the whole split; maps and masks must share resolution
-    (upsample the cluster maps first if needed). Clusters absent from the
-    data get precision 0 with a warning.
+    Aggregated over the whole split of (N, H, W) maps and masks, which must
+    share resolution (upsample the cluster maps first if needed). Clusters
+    absent from the data get precision 0 with a warning.
     """
-    inside = np.zeros(k, dtype=np.int64)
-    total = np.zeros(k, dtype=np.int64)
-    for cm, hm in zip(cluster_maps, hint_masks):
-        if cm.shape != hm.shape:
-            raise ValueError(f"resolution mismatch {cm.shape} vs {hm.shape}")
-        cm = cm.astype(np.int64).ravel()
-        hm = hm.astype(bool).ravel()
-        total += np.bincount(cm, minlength=k)[:k]
-        inside += np.bincount(cm[hm], minlength=k)[:k]
+    cm = np.asarray(cluster_maps, dtype=np.int64)
+    hm = np.asarray(hint_masks).astype(bool)
+    if cm.shape != hm.shape:
+        raise ValueError(f"resolution mismatch {cm.shape} vs {hm.shape}")
+    total = np.bincount(cm.ravel(), minlength=k)[:k]
+    inside = np.bincount(cm[hm], minlength=k)[:k]
     missing = total == 0
     if missing.any():
         warnings.warn(f"{int(missing.sum())} clusters never appear; precision set to 0",

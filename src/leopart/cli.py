@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (cbfe, cluster_eval, community, config as config_mod, pipeline,
+from . import (cbfe, cluster_eval, community, config as config_mod, crops, pipeline,
                render, synth, tensor_io, training)
 
 
@@ -51,9 +51,10 @@ def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None
 
 
 def read_cluster_maps(clusters_dir: Path, ids: list[str] | None = None,
-                      ) -> tuple[list[np.ndarray], int]:
+                      ) -> tuple[np.ndarray, int]:
     """The maps ``<id>_clusters.lpt`` under *clusters_dir*, in the order of
-    *ids* (default: every such file, sorted), and the cluster count k.
+    *ids* (default: every such file, sorted), as one (N, H, W) array of
+    one dtype (else a ``TensorFormatError`` names the file), and k.
 
     k is the row count of ``centroids.lpt``, which ``cluster`` writes next to
     the maps: the highest cluster id can be missing from every map.
@@ -63,8 +64,9 @@ def read_cluster_maps(clusters_dir: Path, ids: list[str] | None = None,
     if not paths:
         raise FileNotFoundError(f"no *_clusters.lpt files under {clusters_dir}")
     k = len(tensor_io.read_tensor(clusters_dir / "centroids.lpt"))
-    maps = [tensor_io.read_tensor(p).astype(np.int64) for p in paths]
-    top = max(int(m.max()) for m in maps)
+    maps = tensor_io.stack_tensors(map(tensor_io.read_tensor, paths), list(map(str, paths)),
+                                   "cluster map", tensor_io.TensorFormatError)
+    top = int(maps.max())
     if top >= k:
         raise tensor_io.TensorFormatError(
             f"{clusters_dir}: cluster id {top} is out of range for the "
@@ -186,9 +188,9 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
     dataset = pipeline.load_dataset(manifest)
     seed = cfg["run"]["seed"]
     gt = dataset.object_maps
-    if any(g is None for g in gt):
+    if gt is None:
         raise config_mod.ConfigError("evaluation requires ground-truth masks")
-    n_classes = int(max(g.max() for g in gt)) + 1
+    n_classes = int(gt.max()) + 1
 
     if args.protocol == "unsupseg":
         params = student_params(args, cfg)
@@ -214,7 +216,10 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
         print(f"overclustering mIoU: {mean:.4f} +/- {std:.4f}")
         print(f"final mIoU: {mean:.4f}")
     elif args.protocol == "probe":
-        half = max(len(embedded) // 2, 1)
+        if len(embedded) < 2:
+            raise tensor_io.ManifestError(f"the linear probe trains on half of the images and "
+                                          f"scores the rest: {args.data} has only 1")
+        half = len(embedded) // 2
         score, _ = cluster_eval.linear_probe(
             embedded[:half], gt[:half], embedded[half:], gt[half:],
             n_classes=n_classes, epochs=cfg["eval"]["probe_epochs"],
@@ -225,7 +230,7 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
         hints = pipeline.attention_hints(dataset)
         art = pipeline.run_cbfe(embedded, hints, cfg["cbfe"]["k"],
                                 cfg["cbfe"]["threshold"], seed=seed)
-        true_fg = [(g > 0).astype(np.uint8) for g in gt]
+        true_fg = (gt > 0).astype(np.uint8)
         jac = float(np.mean([cbfe.jaccard(p, g)
                              for p, g in zip(art.fg_masks, true_fg)]))
         bf1 = float(np.mean([cbfe.boundary_f1(p, g)
@@ -321,9 +326,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         return COMMANDS[args.command](args, cfg)
-    except (config_mod.ConfigError, tensor_io.TensorFormatError,
-            tensor_io.ManifestError, community.CommunityError,
-            FileNotFoundError, ValueError) as exc:
+    except (community.CommunityError, crops.CropSamplingError, FloatingPointError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

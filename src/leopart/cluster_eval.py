@@ -28,11 +28,12 @@ PROBE_LR = 1e-2
 # resizing helpers
 
 def resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize of an (H, W) label grid."""
-    h, w = grid.shape
+    """Nearest-neighbor resize of an (..., H, W) stack of label grids."""
+    grid = np.asarray(grid)
+    h, w = grid.shape[-2:]
     rows = np.minimum(((np.arange(out_h) + 0.5) * h / out_h).astype(np.intp), h - 1)
     cols = np.minimum(((np.arange(out_w) + 0.5) * w / out_w).astype(np.intp), w - 1)
-    return grid[rows[:, None], cols[None, :]]
+    return grid[..., rows[:, None], cols[None, :]]
 
 
 def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -378,20 +379,22 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, n_pred: int, n_gt: int,
     return np.bincount(idx, minlength=n_pred * n_gt).reshape(n_pred, n_gt)
 
 
-def _summed_confusion(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
-                      n_pred: int, n_gt: int, ignore_label: int | None) -> np.ndarray:
-    conf = np.zeros((n_pred, n_gt), dtype=np.int64)
+def _summed_confusion(pred_maps, gt_maps, n_pred: int, n_gt: int,
+                      ignore_label: int | None) -> np.ndarray:
+    """Confusion counts over every pixel of the map pairs, counted at once:
+    (N, H, W) arrays, or lists whose pairs may differ in shape."""
     for pm, gm in zip(pred_maps, gt_maps):
-        if pm.shape != gm.shape:
-            raise ValueError(f"shape mismatch {pm.shape} vs {gm.shape}")
-        conf += confusion_matrix(pm, gm, n_pred, n_gt, ignore_label)
-    return conf
+        if np.shape(pm) != np.shape(gm):
+            raise ValueError(f"shape mismatch {np.shape(pm)} vs {np.shape(gm)}")
+    pred, gt = (np.concatenate([*map(np.ravel, maps), np.zeros(0, np.int64)])
+                for maps in (pred_maps, gt_maps))
+    return confusion_matrix(pred, gt, n_pred, n_gt, ignore_label)
 
 
-def greedy_precision_match(cluster_maps: list[np.ndarray], gt_maps: list[np.ndarray],
+def greedy_precision_match(cluster_maps: np.ndarray, gt_maps: np.ndarray,
                            n_classes: int, k: int,
                            ignore_label: int | None = None,
-                           ) -> tuple[list[np.ndarray], np.ndarray]:
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each cluster the class of its highest pixel precision.
 
     Precision of cluster c against class g is |c intersect g| / |c| over all
@@ -405,8 +408,7 @@ def greedy_precision_match(cluster_maps: list[np.ndarray], gt_maps: list[np.ndar
         warnings.warn(f"{int(empty.sum())} clusters have no non-ignored pixels; "
                       "assigned class 0", stacklevel=2)
         assignment[empty] = 0
-    merged = [assignment[cm] for cm in cluster_maps]
-    return merged, assignment
+    return assignment[np.asarray(cluster_maps)], assignment
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -458,7 +460,7 @@ def _mean_iou(conf: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.nanmean(iou[present])), iou
 
 
-def miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray], n_classes: int,
+def miou(pred_maps, gt_maps, n_classes: int,
          ignore_label: int | None = None) -> tuple[float, np.ndarray]:
     """Mean IoU over classes present in ground truth, dataset-aggregated.
 
@@ -467,8 +469,8 @@ def miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray], n_classes: int,
     return _mean_iou(_summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label))
 
 
-def hungarian_matched_miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray],
-                           n_classes: int, ignore_label: int | None = None) -> float:
+def hungarian_matched_miou(pred_maps, gt_maps, n_classes: int,
+                           ignore_label: int | None = None) -> float:
     """Permutation-invariant mIoU: optimal relabeling, then mean IoU."""
     conf = _summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label)
     perm = hungarian(-conf.astype(np.float64))
@@ -478,26 +480,22 @@ def hungarian_matched_miou(pred_maps: list[np.ndarray], gt_maps: list[np.ndarray
 # --------------------------------------------------------------------------
 # protocols
 
-def token_rows(grids: list[np.ndarray]) -> np.ndarray:
-    """The spatial tokens of (D, H, W) grids as rows, image by image."""
-    return np.concatenate([g.reshape(g.shape[0], -1).T for g in grids], axis=0)
+def token_rows(grids: np.ndarray) -> np.ndarray:
+    """The spatial tokens of (N, D, H, W) grids as rows, image by image."""
+    grids = np.asarray(grids)
+    return grids.reshape(*grids.shape[:2], -1).transpose(0, 2, 1).reshape(-1, grids.shape[1])
 
 
-def split_maps(values: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Per-token *values*, image by image, as one (H, W) map per shape."""
-    ends = np.cumsum([h * w for h, w in shapes])[:-1]
-    return [v.reshape(s) for v, s in zip(np.split(values, ends), shapes)]
-
-
-def cluster_maps_for(features: list[np.ndarray], k: int,
-                     seed: int) -> tuple[list[np.ndarray], KMeansResult]:
-    """Run one K-means over all spatial tokens; per-image cluster-id grids."""
+def cluster_maps_for(features: np.ndarray, k: int,
+                     seed: int) -> tuple[np.ndarray, KMeansResult]:
+    """Run one K-means over all spatial tokens; (N, H, W) cluster-id grids."""
+    features = np.asarray(features)
     result = kmeans(token_rows(features), k, n_seeds=1, seed=seed)
-    maps = split_maps(result.labels.astype(np.uint16), [f.shape[1:] for f in features])
+    maps = result.labels.astype(np.uint16).reshape(len(features), *features.shape[2:])
     return maps, result
 
 
-def overcluster_eval(features: list[np.ndarray], gt_maps: list[np.ndarray],
+def overcluster_eval(features: np.ndarray, gt_maps: np.ndarray,
                      k: int, n_classes: int, n_seeds: int = DEFAULT_SEEDS,
                      ignore_label: int | None = None,
                      seed: int = 0) -> tuple[float, float, list[float]]:
@@ -505,11 +503,11 @@ def overcluster_eval(features: list[np.ndarray], gt_maps: list[np.ndarray],
 
     Returns (mean, std, per-seed values) over *n_seeds* K-means runs.
     """
-    gt_small = [resize_nearest(g, EVAL_MASK_SIZE, EVAL_MASK_SIZE) for g in gt_maps]
+    gt_small = resize_nearest(gt_maps, EVAL_MASK_SIZE, EVAL_MASK_SIZE)
     scores = []
     for s in range(n_seeds):
         maps, _ = cluster_maps_for(features, k, seed=seed * 1000 + s)
-        maps_up = [resize_nearest(m, EVAL_MASK_SIZE, EVAL_MASK_SIZE) for m in maps]
+        maps_up = resize_nearest(maps, EVAL_MASK_SIZE, EVAL_MASK_SIZE)
         merged, _ = greedy_precision_match(maps_up, gt_small, n_classes, k, ignore_label)
         scores.append(hungarian_matched_miou(merged, gt_small, n_classes, ignore_label))
     return float(np.mean(scores)), float(np.std(scores)), scores
@@ -529,8 +527,8 @@ def probe_loss_and_grads(w: np.ndarray, b: np.ndarray, tokens: np.ndarray,
     return loss, tokens.T @ g, g.sum(axis=0)
 
 
-def linear_probe(train_features: list[np.ndarray], train_gt: list[np.ndarray],
-                 eval_features: list[np.ndarray], eval_gt: list[np.ndarray],
+def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
+                 eval_features: np.ndarray, eval_gt: np.ndarray,
                  n_classes: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
                  ignore_label: int | None = None, seed: int = 0,
                  ) -> tuple[float, dict[str, np.ndarray]]:
@@ -540,8 +538,7 @@ def linear_probe(train_features: list[np.ndarray], train_gt: list[np.ndarray],
     label; evaluation bilinearly upsamples features to mask size.
     """
     x = token_rows(train_features).astype(np.float64)
-    y = np.concatenate([resize_nearest(g, *f.shape[1:]).ravel()
-                        for f, g in zip(train_features, train_gt)]).astype(np.intp)
+    y = resize_nearest(train_gt, *np.shape(train_features)[-2:]).ravel().astype(np.intp)
     if ignore_label is not None:
         keep = y != ignore_label
         x, y = x[keep], y[keep]

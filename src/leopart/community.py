@@ -57,9 +57,9 @@ class CoocGraph:
         return self.weights.sum(axis=1)
 
 
-def cooccurrence_graph(cluster_maps: list[np.ndarray], k: int,
+def cooccurrence_graph(cluster_maps: np.ndarray, k: int,
                        d: int = DEFAULT_DISTANCE) -> CoocGraph:
-    """Build the co-occurrence network from per-image cluster-id grids.
+    """Build the co-occurrence network from (N, H, W) cluster-id grids.
 
     Per image, P_img(j|i) is the fraction of cluster-i pixels with a
     cluster-j pixel within Chebyshev distance d. P(j|i) averages P_img over
@@ -76,33 +76,29 @@ def cooccurrence_graph(cluster_maps: list[np.ndarray], k: int,
     """
     if d < 1:
         raise ValueError("neighborhood distance must be >= 1")
-    maps = [np.asarray(cm, dtype=np.int64) for cm in cluster_maps]
-    labels = np.concatenate([cm.ravel() for cm in maps]) if maps else np.zeros(0, np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    maps = np.asarray(cluster_maps, dtype=np.int64)
+    if maps.size == 0:  # no maps, or maps without pixels
+        return CoocGraph(weights=np.zeros((k, k)), node_counts=np.zeros(k, np.int64))
+    if maps.ndim != 3:
+        raise ValueError(f"cluster maps must be one (N, H, W) array, got shape {maps.shape}")
+    if maps.min() < 0 or maps.max() >= k:
         raise ValueError(f"cluster ids must lie in [0, {k})")
-    total_counts = np.bincount(labels, minlength=k)
+    total_counts = np.bincount(maps.ravel(), minlength=k)
     # key (image * k + i) * k + j of each distinct (pixel, neighbour label) pair
-    key_type = np.min_scalar_type(max(len(maps), 1) * k * k)
-    keys = []
-    shapes = [cm.shape for cm in maps]
-    for shape in dict.fromkeys(shapes):
-        sel = [m for m, other in enumerate(shapes) if other == shape]
-        if not np.prod(shape):
-            continue
-        # label k pads the border, so it stands for "no cluster"
-        stack = np.stack([maps[m] for m in sel]).astype(np.min_scalar_type(k))
-        padded = np.pad(stack, [(0, 0), (d, d), (d, d)], constant_values=k)
-        h, w = shape
-        near = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(2 * d + 1)
-                         for dx in range(2 * d + 1)], axis=-1).reshape(stack.size, -1)
-        near.sort(axis=1)  # each pixel's neighbourhood labels, ascending
-        distinct = near < k
-        distinct[:, 1:] &= near[:, 1:] != near[:, :-1]
-        image = np.repeat(np.asarray(sel, dtype=key_type), stack[0].size)
-        pixel = (image * k + stack.ravel()) * k
-        keys.append(np.repeat(pixel, distinct.sum(axis=1)) + near[distinct])
-    keys, seen = np.unique(np.concatenate(keys) if keys else np.zeros(0, key_type),
-                           return_counts=True)  # sorted, so image by image
+    key_type = np.min_scalar_type(len(maps) * k * k)
+    # label k pads the border, so it stands for "no cluster"
+    stack = maps.astype(np.min_scalar_type(k))
+    padded = np.pad(stack, [(0, 0), (d, d), (d, d)], constant_values=k)
+    n, h, w = maps.shape
+    near = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(2 * d + 1)
+                     for dx in range(2 * d + 1)], axis=-1).reshape(stack.size, -1)
+    near.sort(axis=1)  # each pixel's neighbourhood labels, ascending
+    distinct = near < k
+    distinct[:, 1:] &= near[:, 1:] != near[:, :-1]
+    image = np.repeat(np.arange(n, dtype=key_type), h * w)
+    pixel = (image * k + stack.ravel()) * k
+    keys = np.repeat(pixel, distinct.sum(axis=1)) + near[distinct]
+    keys, seen = np.unique(keys, return_counts=True)  # sorted, so image by image
     pair = keys % (k * k)  # i * k + j
     i, j = np.divmod(pair, k)
     count = seen[np.searchsorted(keys, keys - j + i)]  # seen_img(i, i)
@@ -462,23 +458,20 @@ def detect_communities(graph: CoocGraph, target_m: int,
     return Partition(mover.assignment).canonical()
 
 
-def merge_by_communities(cluster_maps: list[np.ndarray], partition: Partition,
-                         ) -> list[np.ndarray]:
-    """Relabel cluster maps to community labels; background becomes label 0.
+def merge_by_communities(cluster_maps: np.ndarray, partition: Partition) -> np.ndarray:
+    """Relabel (N, H, W) cluster maps to community labels; background
+    becomes label 0.
 
     Community m maps to label m + 1 so that label 0 is reserved for
     background (unassigned or unseen cluster ids).
     """
     k = len(partition.assignment)
     lut = np.where(partition.assignment == BACKGROUND, -1, partition.assignment) + 1
-    out = []
-    for cm in cluster_maps:
-        cm = np.asarray(cm, dtype=np.int64)
-        safe = np.where(cm >= k, 0, cm)
-        merged = lut[safe]
-        merged[cm >= k] = 0
-        out.append(merged)
-    return out
+    cm = np.asarray(cluster_maps, dtype=np.int64)
+    unseen = cm >= k
+    merged = lut[np.where(unseen, 0, cm)]
+    merged[unseen] = 0
+    return merged
 
 
 # --------------------------------------------------------------------------

@@ -19,39 +19,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, cbfe, cluster_eval, community, training
+from . import attention, cbfe, cluster_eval, community, tensor_io, training
 from .cluster_eval import hungarian_matched_miou
 from .tensor_io import Dataset, load_dataset  # noqa: F401  (pipeline.load_dataset is public)
 
 
 def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,
-                  use_head: bool) -> list[np.ndarray]:
-    """Encoder embeddings of all images; raw features if params is None."""
+                  use_head: bool) -> np.ndarray:
+    """(N, D, H, W) encoder embeddings of all images; raw features if params
+    is None."""
     if params is None:
         return dataset.features
-    return [training.embed_features(f, params, use_head) for f in dataset.features]
+    ids = [rec.id for rec in dataset.manifest.records]
+    return tensor_io.stack_tensors((training.embed_features(f, params, use_head)
+                                    for f in dataset.features), ids, "embedding")
 
 
-def attention_hints(dataset: Dataset) -> list[np.ndarray]:
-    """Each image's binary foreground hint from its attention stack; the
-    images of one stack shape go through one ``attention.foreground_mask``
-    call, and a plain (H, W) map counts as one head."""
-    stacks = []
-    for i, stack in enumerate(dataset.attn_stacks):
-        if stack is None:
-            raise ValueError(f"image {i} has no attention map for a foreground hint")
-        stack = np.asarray(stack)
-        stacks.append(stack[None] if stack.ndim == 2 else stack)
-    kinds = [(stack.shape, stack.dtype) for stack in stacks]
-    hints = [None] * len(stacks)
-    for kind in dict.fromkeys(kinds):
-        sel = [i for i, other in enumerate(kinds) if other == kind]
-        for i, mask in zip(sel, attention.foreground_mask(np.stack([stacks[i] for i in sel]))):
-            hints[i] = mask
-    return hints
+def attention_hints(dataset: Dataset) -> np.ndarray:
+    """(N, H, W) binary foreground hints from the attention stacks, all in
+    one ``attention.foreground_mask`` call."""
+    if dataset.attn_stacks is None:
+        raise ValueError("the dataset has no attention maps for foreground hints")
+    return attention.foreground_mask(dataset.attn_stacks)
 
 
-def stage_kmeans(features: list[np.ndarray], gt_maps: list[np.ndarray],
+def stage_kmeans(features: np.ndarray, gt_maps: np.ndarray,
                  n_classes: int, seed: int = 0) -> float:
     """Stages 1/2: K-means with K = #classes, Hungarian-matched mIoU."""
     maps, _ = cluster_eval.cluster_maps_for(features, n_classes, seed=seed)
@@ -60,41 +52,40 @@ def stage_kmeans(features: list[np.ndarray], gt_maps: list[np.ndarray],
 
 @dataclass
 class CbfeArtifacts:
-    cluster_maps: list[np.ndarray]
+    cluster_maps: np.ndarray  # (N, H, W)
     fg_map: cbfe.ForegroundMap
-    fg_masks: list[np.ndarray]
+    fg_masks: np.ndarray  # (N, H, W)
 
 
-def run_cbfe(features: list[np.ndarray], hints: list[np.ndarray],
+def run_cbfe(features: np.ndarray, hints: np.ndarray,
              k: int, threshold: float, seed: int = 0) -> CbfeArtifacts:
     """Overcluster the embeddings and classify each cluster fg/bg."""
     maps, _ = cluster_eval.cluster_maps_for(features, k, seed=seed)
     return label_foreground(maps, hints, k, threshold)
 
 
-def label_foreground(maps: list[np.ndarray], hints: list[np.ndarray],
+def label_foreground(maps: np.ndarray, hints: np.ndarray,
                      k: int, threshold: float) -> CbfeArtifacts:
     """Label each of the k clusters fg/bg by its precision against the
     attention hints, and mask every map to its foreground clusters."""
     precisions = cbfe.cluster_precision(maps, hints, k)
     fg_map = cbfe.build_theta(precisions, threshold)
-    fg_masks = [cbfe.extract_foreground(m, fg_map) for m in maps]
-    return CbfeArtifacts(cluster_maps=maps, fg_map=fg_map, fg_masks=fg_masks)
+    return CbfeArtifacts(cluster_maps=maps, fg_map=fg_map,
+                         fg_masks=cbfe.extract_foreground(maps, fg_map))
 
 
-def stage_cbfe(features: list[np.ndarray], artifacts: CbfeArtifacts,
-               gt_maps: list[np.ndarray], n_classes: int, seed: int = 0) -> float:
+def stage_cbfe(features: np.ndarray, artifacts: CbfeArtifacts,
+               gt_maps: np.ndarray, n_classes: int, seed: int = 0) -> float:
     """Stage 3: background from CBFE, K-means over foreground tokens only."""
-    fg = np.concatenate([m.ravel() for m in artifacts.fg_masks]).astype(bool)
+    fg = artifacts.fg_masks.ravel().astype(bool)
     result = cluster_eval.kmeans(cluster_eval.token_rows(features)[fg], n_classes - 1,
                                  n_seeds=1, seed=seed)
     labels = np.zeros(len(fg), dtype=np.int64)
     labels[fg] = result.labels + 1
-    preds = cluster_eval.split_maps(labels, [m.shape for m in artifacts.fg_masks])
-    return hungarian_matched_miou(preds, gt_maps, n_classes)
+    return hungarian_matched_miou(labels.reshape(artifacts.fg_masks.shape), gt_maps, n_classes)
 
 
-def foreground_graph(cluster_maps: list[np.ndarray], theta: np.ndarray,
+def foreground_graph(cluster_maps: np.ndarray, theta: np.ndarray,
                      edge_threshold: float, distance: int) -> community.CoocGraph:
     """Co-occurrence graph of the len(theta) clusters without the edges of
     background clusters (theta False) or edges below *edge_threshold*."""
@@ -102,7 +93,7 @@ def foreground_graph(cluster_maps: list[np.ndarray], theta: np.ndarray,
     return community.filter_edges(community.disconnect(graph, theta), edge_threshold)
 
 
-def stage_cd(artifacts: CbfeArtifacts, gt_maps: list[np.ndarray],
+def stage_cd(artifacts: CbfeArtifacts, gt_maps: np.ndarray,
              n_classes: int, edge_threshold: float = community.DEFAULT_EDGE_THRESHOLD,
              markov_time: float = community.DEFAULT_MARKOV_TIME,
              distance: int = community.DEFAULT_DISTANCE, seed: int = 0,
@@ -142,7 +133,7 @@ def run_ladder(dataset: Dataset, trained_params: dict[str, np.ndarray],
                use_head: bool = True) -> LadderResult:
     """All four unsup-seg stages on one dataset."""
     gt = dataset.object_maps
-    n_classes = int(max(g.max() for g in gt)) + 1
+    n_classes = int(gt.max()) + 1
     hints = attention_hints(dataset)
     embedded = embed_dataset(dataset, trained_params, use_head=use_head)
     raw_score = stage_kmeans(dataset.features, gt, n_classes, seed=seed)

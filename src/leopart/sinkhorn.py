@@ -124,17 +124,14 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
 
 @dataclass
 class FeatureQueue:
-    """FIFO ring buffer of past feature rows.
+    """FIFO queue of past feature rows, oldest first.
 
     The queue only participates in assignment once at least half full; until
     then :meth:`window_lengths` gives every window a length of 0.
     """
 
     capacity: int = QUEUE_CAPACITY
-    dim: int | None = None
-    _buf: np.ndarray | None = field(default=None, repr=False)
-    _fill: int = 0
-    _head: int = 0  # next write slot
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -142,38 +139,27 @@ class FeatureQueue:
 
     @property
     def fill(self) -> int:
-        return self._fill
+        return 0 if self._rows is None else len(self._rows)
 
     def push(self, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValueError("expected (n, D) rows")
-        if self.dim is None:
-            self.dim = rows.shape[1]
-            self._buf = np.zeros((self.capacity, self.dim), dtype=rows.dtype)
-        if rows.shape[1] != self.dim:
-            raise ValueError(f"row dim {rows.shape[1]} != queue dim {self.dim}")
-        rows = rows[-self.capacity:]
-        n = len(rows)
-        first = min(n, self.capacity - self._head)  # up to the end of the buffer
-        self._buf[self._head:self._head + first] = rows[:first]
-        self._buf[:n - first] = rows[first:]  # the rest wraps to the front
-        self._head = (self._head + n) % self.capacity
-        self._fill = min(self._fill + n, self.capacity)
+        if self._rows is None:
+            self._rows = rows[:0].copy()
+        if rows.shape[1] != self._rows.shape[1]:
+            raise ValueError(f"row dim {rows.shape[1]} != queue dim {self._rows.shape[1]}")
+        self._rows = np.concatenate([self._rows, rows], dtype=self._rows.dtype)[-self.capacity:]
 
     def snapshot(self) -> np.ndarray:
         """Stored rows, oldest first."""
-        if self._buf is None or self._fill == 0:
-            return np.zeros((0, self.dim or 0))
-        if self._fill < self.capacity:
-            return self._buf[: self._fill].copy()
-        return np.roll(self._buf, -self._head, axis=0)
+        return np.zeros((0, 0)) if self._rows is None else self._rows.copy()
 
     def window_lengths(self, n_windows: int, n: int) -> np.ndarray:
         """How many stored rows each of *n_windows* windows of *n* rows sees
         when each window's rows are pushed before the next: window b sees the
         queue as it then stands, min(fill + b * n, capacity) rows, or none
         while that is below half the capacity."""
-        lengths = np.minimum(self._fill + n * np.arange(n_windows), self.capacity)
+        lengths = np.minimum(self.fill + n * np.arange(n_windows), self.capacity)
         lengths[2 * lengths < self.capacity] = 0
         return lengths

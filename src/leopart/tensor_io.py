@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -234,9 +235,13 @@ class DatasetManifest:
         return t
 
     def load_mask(self, rec: ManifestRecord) -> np.ndarray | None:
+        """The (C, H, W) mask of *rec*, channel 0 its object classes."""
         if rec.mask_path is None:
             return None
-        return read_tensor(self.root / rec.mask_path)
+        t = read_tensor(self.root / rec.mask_path)
+        if t.ndim != 3:
+            raise ManifestError(f"{rec.id}: mask tensor must be C x H x W, got {t.shape}")
+        return t
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -308,36 +313,67 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def stack_tensors(tensors: Iterable[np.ndarray | None], names: list[str], kind: str,
+                  error: type[ValueError] = ManifestError) -> np.ndarray | None:
+    """The tensors named *names* as one (N, ...) array, filled in place one
+    by one; None if every tensor is None. Every tensor must have the first
+    one's shape and dtype, or all be None, else *error* names the first
+    that differs."""
+    def describe(key):
+        return f"no {kind}" if key is None else f"{kind} {key[1]} {key[0]}"
+
+    out = first = None
+    for i, (name, t) in enumerate(zip(names, tensors)):
+        key = None if t is None else (t.shape, t.dtype)
+        if i == 0:
+            first = key
+            out = None if t is None else np.empty((len(names),) + t.shape, t.dtype)
+        elif key != first:
+            raise error(f"{name}: {describe(key)}, the first has {describe(first)}")
+        if t is not None:
+            out[i] = t
+    return out
+
+
 class Dataset:
-    """A manifest's tensors: raw features, attention and ground truth.
+    """A manifest's tensors, one array per kind: raw features, attention
+    and ground truth.
 
     Each kind is read, for every record at once, on first access and kept,
-    so a stage reads only the kinds it uses. Attention read before the
-    features is checked against the manifest's ``# grid=`` header, or else
-    against the first feature tensor.
+    so a stage reads only the kinds it uses; :func:`stack_tensors` checks
+    that it has one shape and dtype. Attention read before the features is
+    checked against the manifest's ``# grid=`` header, or else against the
+    first feature tensor.
     """
 
     def __init__(self, manifest: DatasetManifest):
+        if not manifest.records:
+            raise ManifestError(f"the dataset manifest under {manifest.root} lists no records")
         self.manifest = manifest
 
-    @cached_property
-    def features(self) -> list[np.ndarray]:
-        """(D, H, W) raw token grids."""
-        return [self.manifest.load_features(rec) for rec in self.manifest.records]
+    def _stack(self, kind: str, load) -> np.ndarray | None:
+        records = self.manifest.records
+        return stack_tensors(map(load, records), [rec.id for rec in records], kind)
 
     @cached_property
-    def attn_stacks(self) -> list[np.ndarray | None]:
-        """(heads, H, W) attention stacks; None where a record has none."""
+    def features(self) -> np.ndarray:
+        """(N, D, H, W) raw token grids."""
+        return self._stack("feature tensor", self.manifest.load_features)
+
+    @cached_property
+    def attn_stacks(self) -> np.ndarray | None:
+        """(N, heads, H, W) attention stacks; None if no record has any."""
         manifest = self.manifest
-        if manifest.token_grid is None and manifest.records:
+        if manifest.token_grid is None:
             manifest.load_features(manifest.records[0])
-        return [manifest.load_attention(rec) for rec in manifest.records]
+        return self._stack("attention", manifest.load_attention)
 
     @cached_property
-    def object_maps(self) -> list[np.ndarray | None]:
-        """(H, W) object-class maps, 0 = background; None where a record has no mask."""
-        masks = [self.manifest.load_mask(rec) for rec in self.manifest.records]
-        return [None if mask is None else mask[0].astype(np.int64) for mask in masks]
+    def object_maps(self) -> np.ndarray | None:
+        """(N, H, W) object-class maps, 0 = background, from channel 0 of
+        each mask; None if no record has a mask."""
+        masks = self._stack("mask", self.manifest.load_mask)
+        return None if masks is None else masks[:, 0].astype(np.int64)
 
 
 def load_dataset(manifest: DatasetManifest) -> Dataset:

@@ -70,43 +70,36 @@ class TrainConfig:
         return tensor_io.config_hash(repr(sorted(asdict(self).items())))
 
 
-def crop_masks(attn_stacks: list[np.ndarray], global_taps: tuple[np.ndarray, np.ndarray],
+def crop_masks(attn_stacks: np.ndarray, global_taps: tuple[np.ndarray, np.ndarray],
                cfg: TrainConfig) -> np.ndarray:
     """(n, G, g, g) foreground masks of the G global crops of n images.
 
-    ``attn_stacks`` holds each image's (heads, H, W) attention and
-    ``global_taps`` the :func:`crops.box_taps` pair of its G global boxes,
-    the one that resamples its feature grid: the loader checks attention
-    against the feature grid. Head counts may differ
-    between images, and the images of one stack shape are aligned in one
-    call. ``"bg"`` masking returns the background instead.
+    ``attn_stacks`` holds the images' (n, heads, H, W) attention and
+    ``global_taps`` the :func:`crops.box_taps` pair of their G global boxes
+    each, the one that resamples their feature grids: the loader checks
+    attention against the feature grid. ``"bg"`` masking returns the
+    background instead.
     """
-    ry, rx = global_taps
-    merged = np.empty(ry.shape[:2] + (cfg.global_grid, cfg.global_grid))
-    shapes = [stack.shape for stack in attn_stacks]
-    for shape in dict.fromkeys(shapes):
-        sel = [i for i, s in enumerate(shapes) if s == shape]
-        stacks = np.stack([attn_stacks[i] for i in sel]).astype(np.float64)[:, None]
-        aligned = crops.resample(stacks, (ry[sel], rx[sel]))  # (n, G, heads, g, g)
-        merged[sel] = attention.merge_heads(np.maximum(aligned, 0.0))
+    aligned = crops.resample(attn_stacks.astype(np.float64)[:, None], global_taps)
+    merged = attention.merge_heads(np.maximum(aligned, 0.0))  # (n, G, g, g)
     fg = attention.foreground_mask(merged[:, :, None])  # one head left per map
     return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
 
 
-def crop_batch(images: list[tuple[np.ndarray, np.ndarray | None]],
+def crop_batch(features: np.ndarray, attn_stacks: np.ndarray | None,
                crop_seeds: list[list[int]], cfg: TrainConfig) -> loss_mod.CropBatch:
-    """Sample each image's crops from its seed; stack their grids and masks."""
+    """Sample each image's crops from its seed; stack the crops of the
+    (B, D, H, W) grids and the masks of the (B, heads, H, W) attention."""
     spec = cfg.crop_spec()
     coords = np.stack([crops.sample_crops(spec, np.random.default_rng(seed))
                        for seed in crop_seeds])  # (B, V, 4)
-    raw = np.stack([grid for grid, _ in images]).astype(np.float32)[:, None]  # (B, 1, D, H, W)
+    raw = np.asarray(features, dtype=np.float32)[:, None]  # (B, 1, D, H, W)
     n_glob, g, l = cfg.n_global, cfg.global_grid, cfg.local_grid
     global_taps = crops.box_taps(coords[:, :n_glob], raw.shape[-2:], (g, g))
-    masks = np.ones((len(images), n_glob, g, g), dtype=np.uint8)
-    with_attn = [b for b, (_, attn) in enumerate(images) if attn is not None]
-    if cfg.fg_masking != "all" and with_attn:
-        masks[with_attn] = crop_masks([images[b][1] for b in with_attn],
-                                      tuple(r[with_attn] for r in global_taps), cfg)
+    if cfg.fg_masking == "all" or attn_stacks is None:
+        masks = np.ones((len(raw), n_glob, g, g), dtype=np.uint8)
+    else:
+        masks = crop_masks(attn_stacks, global_taps, cfg)
     return loss_mod.CropBatch(
         global_raw=crops.resample(raw, global_taps),
         local_raw=crops.align(raw, coords[:, n_glob:], l, l),
@@ -150,10 +143,11 @@ def _lr_table(cfg: TrainConfig, step: int, total_steps: int) -> dict[str, float]
     return {"__head__": head_lr, "__encoder__": enc_lr}
 
 
-def train_step(images: list[tuple[np.ndarray, np.ndarray | None]],
+def train_step(features: np.ndarray, attn_stacks: np.ndarray | None,
                state: TrainState, cfg: TrainConfig, total_steps: int,
                crop_seeds: list[list[int]]) -> float:
-    """One optimizer step over a batch of (raw_grid, attention_stack) images.
+    """One optimizer step over a batch of (B, D, H, W) raw grids and their
+    (B, heads, H, W) attention (None: unmasked crops).
 
     All crops of the batch go through one teacher forward, one student
     forward and one backward. Each image's Sinkhorn targets are assigned
@@ -161,8 +155,8 @@ def train_step(images: list[tuple[np.ndarray, np.ndarray | None]],
     all in one call (``loss.compute_targets``).
     """
     batch_loss, batch_grads, _ = loss_mod.total_loss(
-        crop_batch(images, crop_seeds, cfg), state.student, state.teacher, state.queue,
-        tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
+        crop_batch(features, attn_stacks, crop_seeds, cfg), state.student, state.teacher,
+        state.queue,        tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
         out_size=cfg.align_size,
     )
 
@@ -186,11 +180,9 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
     ``stop_after`` interrupts the run once that many optimizer steps have
     completed (counted from step 0), leaving a resumable checkpoint.
     """
-    n_images = len(manifest)
-    if n_images == 0:
-        raise ValueError("empty dataset")
     dataset = tensor_io.load_dataset(manifest)
-    raw_dim = dataset.features[0].shape[0]
+    features, attn_stacks = dataset.features, dataset.attn_stacks
+    n_images, raw_dim = features.shape[:2]
     steps_per_epoch = (n_images + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
@@ -210,9 +202,9 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
             if stop_after is not None and state.step >= stop_after:
                 return checkpoint_from_state(state, cfg), state.losses
             idxs = order[b_start:b_start + cfg.batch_size]
-            images = [(dataset.features[i], dataset.attn_stacks[i]) for i in idxs]
             seeds = [[cfg.seed, 13, epoch, int(i)] for i in idxs]
-            train_step(images, state, cfg, total_steps, seeds)
+            train_step(features[idxs], None if attn_stacks is None else attn_stacks[idxs],
+                       state, cfg, total_steps, seeds)
     return checkpoint_from_state(state, cfg), state.losses
 
 

@@ -481,3 +481,73 @@ def test_seed_env_override(tmp_path, monkeypatch):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     monkeypatch.setenv("LEOPART_SEED", "not-an-int")
     assert cli.main(["--config", str(cfg), "gen", "--out", str(tmp_path / "c")]) == 1
+
+
+def unhandled_inputs(workspace, tmp_path):
+    """argv of inputs whose errors once escaped ``main`` as tracebacks."""
+    def with_cfg(text):
+        cfg = tmp_path / f"run{len(list(tmp_path.glob('*.cfg')))}.cfg"
+        cfg.write_text(text)
+        return ["--config", str(cfg)]
+
+    data, train = str(workspace / "data"), ["train", "--data", str(workspace / "data")]
+    (tmp_path / "a_file").write_text("")
+    return {
+        "crop_sampling": with_cfg(SMALL_CFG.replace(
+            "[train]\n", "[train]\nglobal_scale = 0.05 0.05\nmin_intersection = 0.5\n"))
+        + train + ["--out", str(tmp_path / "t")],
+        "non_finite_plan": with_cfg(SMALL_CFG.replace("lr_head = 0.001", "lr_head = 1e30")
+                                    .replace("lr_encoder = 0.0001", "lr_encoder = 1e30"))
+        + train + ["--out", str(tmp_path / "t")],
+        "config_is_a_directory": ["--config", str(tmp_path), "gen", "--out", str(tmp_path / "d")],
+        "checkpoint_is_a_directory": ["cluster", "--data", data, "--out", str(tmp_path / "c"),
+                                      "--checkpoint", str(tmp_path)],
+        "out_is_a_file": with_cfg(SMALL_CFG) + train + ["--out", str(tmp_path / "a_file")],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "crop_sampling",
+    # a learning rate of 1e30 overflows float32 parameters before the plan
+    # turns non-finite; numpy's overflow warnings come first, as they should
+    pytest.param("non_finite_plan", marks=pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning")),
+    "config_is_a_directory", "checkpoint_is_a_directory", "out_is_a_file"])
+def test_runtime_and_os_errors_exit_1_with_a_message(workspace, tmp_path, capsys, case):
+    argv = unhandled_inputs(workspace, tmp_path)[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_probe_refuses_a_single_image(workspace, tmp_path, capsys):
+    """Half of one image is none: the probe would score no image at all."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([ln for ln in lines if ln.startswith("#")]
+                                  + [ln for ln in lines if not ln.startswith("#")][:1]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(workspace / "run.cfg"), "eval", "--data", str(data),
+                     "--protocol", "probe"]) == 1
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err == (f"error: the linear probe trains on half of the images and scores the "
+                   f"rest: {data} has only 1\n")
+
+
+@pytest.mark.parametrize("command", ["cbfe", "cooc"])
+def test_cluster_maps_of_another_shape_name_the_file(workspace, tmp_path, capsys, command):
+    clusters = tmp_path / "clusters"
+    copy_clusters(workspace, clusters, lambda cm: cm)
+    odd = sorted(clusters.glob("*_clusters.lpt"))[3]
+    tensor_io.write_tensor(np.zeros((9, 10), dtype=np.uint16), odd)
+    argv = {"cbfe": ["cbfe", "--data", str(workspace / "data")], "cooc": ["cooc"]}[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {odd}: cluster map uint16 (9, 10), the first has "
+                          "cluster map uint16 (10, 10)")

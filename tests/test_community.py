@@ -114,18 +114,14 @@ def assert_cooccurrence_matches_reference(maps, k, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_cooccurrence_matches_per_image_loop(d):
-    """Ragged map shapes (1-pixel and 1-row maps too), clusters absent from
-    every map and from some, few and many clusters, and no maps at all."""
+    """One map shape per trial (1-pixel and 1-row maps too), clusters absent
+    from every map and from some, few and many clusters, and no maps at all."""
     rng = np.random.default_rng(d)
-    for trial in range(150):
+    for _ in range(150):
         k = int(rng.integers(1, 40))
         used = int(rng.integers(1, k + 1))  # ids >= used never appear
-        shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-                  for _ in range(rng.integers(0, 7))]
-        if trial % 2:
-            shapes = shapes[:1] * len(shapes)  # one shape
-        maps = [rng.integers(0, used, size=s).astype(rng.choice([np.uint16, np.int64]))
-                for s in shapes]
+        shape = (int(rng.integers(0, 7)), int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        maps = rng.integers(0, used, size=shape).astype(rng.choice([np.uint16, np.int64]))
         assert_cooccurrence_matches_reference(maps, k, d)
 
 
@@ -139,15 +135,25 @@ def test_cooccurrence_matches_per_image_loop_at_k150(tmp_path):
 
 
 def test_cooccurrence_of_no_maps_is_empty():
-    graph = community.cooccurrence_graph([], 3)
-    assert np.array_equal(graph.weights, np.zeros((3, 3)))
-    assert graph.node_counts.tolist() == [0, 0, 0]
+    for maps in ([], np.zeros((0, 4, 4), np.uint16)):
+        graph = community.cooccurrence_graph(maps, 3)
+        assert np.array_equal(graph.weights, np.zeros((3, 3)))
+        assert graph.node_counts.tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_cooccurrence_rejects_out_of_range_ids(bad):
-    maps = [np.zeros((2, 2), dtype=np.int64), np.full((3, 1), bad)]
+    maps = [np.zeros((2, 2), dtype=np.int64), np.full((2, 2), bad)]
     with pytest.raises(ValueError, match=re.escape("cluster ids must lie in [0, 4)")):
+        community.cooccurrence_graph(maps, 4)
+
+
+@pytest.mark.parametrize("maps", [
+    [np.zeros((2, 2), np.int64), np.zeros((3, 1), np.int64)],  # ragged
+    np.zeros((2, 2), np.int64),  # one map, not a stack of maps
+], ids=["ragged", "one_map"])
+def test_cooccurrence_rejects_maps_that_are_not_one_stack(maps):
+    with pytest.raises(ValueError, match=r"inhomogeneous|\(N, H, W\)"):
         community.cooccurrence_graph(maps, 4)
 
 

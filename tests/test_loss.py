@@ -495,12 +495,12 @@ def test_full_gradient_suite_matches_fd():
 
 
 def test_training_steps_match_per_image_reference(monkeypatch):
-    """Twelve float32 optimizer steps with the queue active: the batched step
-    and the per-image reference give the same losses, queue and parameters."""
+    """Twelve float32 optimizer steps with the queue active, one of them
+    without attention: the batched step and the per-image reference give the
+    same losses, queue and parameters."""
     rng = np.random.default_rng(14)
-    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32),
-               None if i == 5 else rng.uniform(size=(2, 10, 10)).astype(np.float32))
-              for i in range(8)]
+    raws = rng.normal(size=(8, 16, 10, 10)).astype(np.float32)
+    attns = rng.uniform(size=(8, 2, 10, 10)).astype(np.float32)
     cfg = training.TrainConfig(
         epochs=3, batch_size=4, n_prototypes=8, queue_capacity=64, hidden_dim=32,
         out_dim=16, global_grid=5, local_grid=3, n_local=2, align_size=5,
@@ -509,13 +509,13 @@ def test_training_steps_match_per_image_reference(monkeypatch):
     reference = training.init_state(cfg, raw_dim=16)
     got, want = [], []
     for step in range(12):
-        idx = [(4 * step + i) % len(images) for i in range(4)]
+        idx = [(4 * step + i) % len(raws) for i in range(4)]
         seeds = [[cfg.seed, 13, step, i] for i in idx]
-        batch_images = [images[i] for i in idx]
-        got.append(training.train_step(batch_images, batched, cfg, 12, seeds))
+        batch = raws[idx], None if step == 5 else attns[idx]
+        got.append(training.train_step(*batch, batched, cfg, 12, seeds))
         with monkeypatch.context() as patched:
             patched.setattr(training.loss_mod, "total_loss", reference_total_loss)
-            want.append(training.train_step(batch_images, reference, cfg, 12, seeds))
+            want.append(training.train_step(*batch, reference, cfg, 12, seeds))
     assert batched.queue.fill == batched.queue.capacity == 64  # active since the first image
     np.testing.assert_allclose(got, want, rtol=1e-6)
     np.testing.assert_allclose(batched.queue.snapshot(), reference.queue.snapshot(),

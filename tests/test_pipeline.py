@@ -46,24 +46,25 @@ def test_attention_hints_are_binary(small_world):
 
 
 def test_attention_hints_match_per_image_masks():
-    """One foreground_mask call per stack shape gives each image's own mask:
-    1- and 3-head stacks interleaved, a plain (H, W) map, another grid and
-    a float64 stack."""
+    """One foreground_mask call over an (N, heads, H, W) stack gives each
+    image's own mask, for one head and for three. Stacks of mixed head
+    counts or grids never reach it: the loader refuses them
+    (tests/test_tensor_io.py)."""
     rng = np.random.default_rng(3)
-    shapes = [(1, 6, 6), (3, 6, 6), (6, 6), (1, 6, 6), (3, 6, 6), (2, 4, 5), (3, 6, 6)]
-    stacks = [rng.uniform(size=s).astype(np.float32) for s in shapes]
-    stacks.append(rng.uniform(size=(3, 6, 6)))
-    hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
-    assert len(hints) == len(stacks)
-    for hint, stack in zip(hints, stacks):
-        want = attention.foreground_mask(stack)
-        assert hint.dtype == want.dtype and np.array_equal(hint, want)
+    for shape in [(7, 1, 6, 6), (5, 3, 4, 5)]:
+        stacks = rng.uniform(size=shape).astype(np.float32)
+        hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+        assert hints.shape == (shape[0],) + shape[2:]
+        for hint, stack in zip(hints, stacks):
+            want = attention.foreground_mask(stack)
+            assert hint.dtype == want.dtype and np.array_equal(hint, want)
 
 
 def test_attention_hints_keep_each_stacks_dtype():
     """A float32 stack whose mask differs when its heads are averaged in
-    float64, next to the same stack in float64: stacked together, the
-    float32 one would be averaged in float64."""
+    float64: in a float32 dataset it keeps its float32 mask, in a float64
+    one the float64 mask. A dataset never mixes the two: the loader refuses
+    records whose attention dtype differs from the first's."""
     rng = np.random.default_rng(0)
     for _ in range(1000):
         base = rng.integers(0, 3, size=(3, 3))
@@ -73,16 +74,18 @@ def test_attention_hints_keep_each_stacks_dtype():
             break
     else:
         pytest.fail("no float32 stack whose mask depends on the dtype")
-    stacks = [stack, stack.astype(np.float64)]
-    hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
-    for hint, s in zip(hints, stacks):
-        assert np.array_equal(hint, attention.foreground_mask(s))
+    for dtype in (np.float32, np.float64):
+        stacks = np.stack([stack, stack]).astype(dtype)
+        hints = pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+        for hint in hints:
+            assert np.array_equal(hint, attention.foreground_mask(stack.astype(dtype)))
 
 
 def test_attention_hints_name_an_image_without_attention():
-    stacks = [np.ones((1, 4, 4)), None]
-    with pytest.raises(ValueError, match="image 1 has no attention map"):
-        pipeline.attention_hints(SimpleNamespace(attn_stacks=stacks))
+    """A dataset has attention on every record or on none (the loader
+    refuses anything between); with none there is no hint to give."""
+    with pytest.raises(ValueError, match="the dataset has no attention maps"):
+        pipeline.attention_hints(SimpleNamespace(attn_stacks=None))
 
 
 @pytest.fixture
@@ -183,3 +186,29 @@ def test_run_ladder_returns_all_stages(small_world):
 def test_embed_dataset_none_passthrough(small_world):
     _, _, dataset = small_world
     assert pipeline.embed_dataset(dataset, None, use_head=False) is dataset.features
+
+
+def test_benchmark_lists_of_maps_score_as_the_stacked_arrays(small_world):
+    """perfbench/run.py (``CliK150.miou``) reads the cluster and mask files
+    into Python lists of same-shape maps and passes them on; its lines are
+    repeated here. Both functions give for such a list what they give for the
+    stacked arrays. ``merged + gt`` now adds the merged array to the list
+    element by element instead of joining two lists, so the benchmark's label
+    count can only grow; labels no map uses leave the matched mIoU as it is."""
+    from leopart import community
+
+    _, _, dataset = small_world
+    maps, _ = pipeline.cluster_eval.cluster_maps_for(dataset.features, 13, seed=0)
+    partition = community.Partition(np.random.default_rng(0).integers(-1, 3, size=13))
+    gt = [g.copy() for g in dataset.object_maps]
+    map_list = [m.astype(np.int64) for m in maps]
+    merged = community.merge_by_communities(map_list, partition)
+    n_labels = max(int(m.max()) for m in merged + gt) + 1
+
+    stacked = community.merge_by_communities(maps, partition)
+    assert np.array_equal(merged, stacked)
+    n_true = max(int(stacked.max()), int(dataset.object_maps.max())) + 1
+    assert n_labels >= n_true
+    want = pipeline.hungarian_matched_miou(stacked, dataset.object_maps, n_true)
+    assert pipeline.hungarian_matched_miou(list(stacked), gt, n_true) == want
+    assert pipeline.hungarian_matched_miou(merged, gt, n_labels) == want

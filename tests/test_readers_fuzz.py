@@ -1,6 +1,10 @@
 """Fuzzing of every artifact reader: a reader given any bytes either returns
 a valid object or raises a named error, never another exception."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,3 +156,28 @@ def test_valid_text_artifacts_load(tmp_path, name, reader):
     path = tmp_path / f"{name}.txt"
     path.write_bytes(VALID_TEXT[name])
     assert reader(path) is not None
+
+
+FAILING_FUZZ_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails_for_non_negative_numbers(n):
+    assert n < 0
+"""
+
+
+def test_a_failing_fuzz_test_reports_its_falsifying_example(tmp_path):
+    """Under this repository's pytest settings (every warning an error), a
+    failing hypothesis test shows its falsifying example, not an
+    INTERNALERROR from a warning raised inside hypothesis's report."""
+    (tmp_path / "test_failing.py").write_text(FAILING_FUZZ_TEST)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_failing.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example: test_fails_for_non_negative_numbers(" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

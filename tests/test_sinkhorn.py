@@ -268,7 +268,7 @@ def test_queue_half_full_gate():
 
 
 class LoopQueue:
-    """The row-at-a-time push the slice writes replaced (reference)."""
+    """A ring buffer written one row at a time (reference)."""
 
     def __init__(self, capacity):
         self.capacity, self.buf, self.fill, self.head = capacity, None, 0, 0
@@ -281,6 +281,12 @@ class LoopQueue:
             self.head = (self.head + 1) % self.capacity
             self.fill = min(self.fill + 1, self.capacity)
 
+    def rows(self):
+        """The stored rows, oldest first."""
+        if self.fill < self.capacity:
+            return self.buf[:self.fill]
+        return np.concatenate([self.buf[self.head:], self.buf[:self.head]])
+
 
 @pytest.mark.parametrize("capacity", [1, 5, 16])
 def test_queue_push_matches_row_loop(capacity):
@@ -291,5 +297,7 @@ def test_queue_push_matches_row_loop(capacity):
         rows = rng.normal(size=(n, 3))
         q.push(rows)
         ref.push(rows)
-        assert (q.fill, q._head) == (ref.fill, ref.head)
-        np.testing.assert_array_equal(q._buf, ref.buf)
+        assert q.fill == ref.fill
+        snapshot = q.snapshot()
+        assert snapshot.dtype == ref.buf.dtype
+        np.testing.assert_array_equal(snapshot, ref.rows())

@@ -310,3 +310,104 @@ def test_checkpoint_rejects_duplicate_tensor_names(tmp_path):
     path.write_bytes(raw[:count_at] + struct.pack("<I", 2) + entry + entry)
     with pytest.raises(tensor_io.TensorFormatError, match="duplicate tensor 'student/encoder.w'"):
         tensor_io.load_checkpoint(path)
+
+
+# ------------------------------------------------------------- dataset stacks
+
+
+def write_records(root, records):
+    """Write each record's tensors (kind -> array, or None for none) and a
+    manifest listing them, ids img0, img1, ...; returns the manifest path."""
+    lines = []
+    for i, rec in enumerate(records):
+        parts = [f"id=img{i}"]
+        for kind, t in rec.items():
+            if t is not None:
+                tensor_io.write_tensor(t, root / f"img{i}_{kind}.lpt")
+                parts.append(f"{kind}=img{i}_{kind}.lpt")
+        lines.append(" ".join(parts))
+    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return root / "manifest.txt"
+
+
+def record(feature_dtype=np.float32, heads=1, attn_dtype=np.float32, mask_shape=(2, 3, 3),
+           mask_dtype=np.uint16, attention=True, mask=True):
+    return {"feature": np.ones((4, 3, 3), feature_dtype),
+            "attention": np.ones((heads, 3, 3), attn_dtype) if attention else None,
+            "mask": np.ones(mask_shape, mask_dtype) if mask else None}
+
+
+def test_dataset_stacks_each_kind(tmp_path):
+    rng = np.random.default_rng(0)
+    recs = [{"feature": rng.normal(size=(4, 3, 3)).astype(np.float32),
+             "attention": rng.uniform(size=(2, 3, 3)).astype(np.float32),
+             "mask": rng.integers(0, 3, size=(2, 3, 3)).astype(np.uint16)} for _ in range(3)]
+    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    assert dataset.features.dtype == np.float32 and dataset.features.shape == (3, 4, 3, 3)
+    assert dataset.attn_stacks.dtype == np.float32 and dataset.attn_stacks.shape == (3, 2, 3, 3)
+    assert dataset.object_maps.dtype == np.int64 and dataset.object_maps.shape == (3, 3, 3)
+    for i, rec in enumerate(recs):
+        assert np.array_equal(dataset.features[i], rec["feature"])
+        assert np.array_equal(dataset.attn_stacks[i], rec["attention"])
+        assert np.array_equal(dataset.object_maps[i], rec["mask"][0])
+
+
+def test_dataset_without_attention_or_masks_has_none(tmp_path):
+    recs = [record(attention=False, mask=False)] * 2
+    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    assert dataset.attn_stacks is None and dataset.object_maps is None
+
+
+INCONSISTENT_RECORDS = {
+    "feature_dtype": ([record(), record(feature_dtype=np.uint16)], "features",
+                      "img1: feature tensor uint16 (4, 3, 3), the first has "
+                      "feature tensor float32 (4, 3, 3)"),
+    "attention_heads": ([record(), record(heads=2)], "attn_stacks",
+                        "img1: attention float32 (2, 3, 3), the first has "
+                        "attention float32 (1, 3, 3)"),
+    "attention_dtype": ([record(), record(attn_dtype=np.uint8)], "attn_stacks",
+                        "img1: attention uint8 (1, 3, 3), the first has "
+                        "attention float32 (1, 3, 3)"),
+    "attention_missing": ([record(), record(attention=False)], "attn_stacks",
+                          "img1: no attention, the first has attention float32 (1, 3, 3)"),
+    "attention_only_later": ([record(attention=False), record()], "attn_stacks",
+                             "img1: attention float32 (1, 3, 3), the first has no attention"),
+    "mask_not_chw": ([record(), record(mask_shape=(3, 3))], "object_maps",
+                     "img1: mask tensor must be C x H x W, got (3, 3)"),
+    "mask_channels": ([record(), record(mask_shape=(1, 3, 3))], "object_maps",
+                      "img1: mask uint16 (1, 3, 3), the first has mask uint16 (2, 3, 3)"),
+    "mask_grid": ([record(), record(mask_shape=(2, 4, 4))], "object_maps",
+                  "img1: mask uint16 (2, 4, 4), the first has mask uint16 (2, 3, 3)"),
+    "mask_dtype": ([record(), record(mask_dtype=np.uint8)], "object_maps",
+                   "img1: mask uint8 (2, 3, 3), the first has mask uint16 (2, 3, 3)"),
+    "mask_missing": ([record(), record(mask=False)], "object_maps",
+                     "img1: no mask, the first has mask uint16 (2, 3, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_RECORDS))
+def test_dataset_refuses_a_record_unlike_the_first(tmp_path, capsys, case):
+    """Each kind has one shape and dtype per dataset, on every record or on
+    none; the loader names the first record that differs, and so does the CLI."""
+    from leopart import cli
+
+    records, kind, message = INCONSISTENT_RECORDS[case]
+    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, records)))
+    with pytest.raises(tensor_io.ManifestError) as exc:
+        getattr(dataset, kind)
+    assert str(exc.value) == message
+    assert cli.main(["eval", "--data", str(tmp_path), "--protocol", "fg"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dataset_of_no_records_is_a_named_error(tmp_path, capsys):
+    from leopart import cli
+
+    (tmp_path / "manifest.txt").write_text("# grid=3x3\n")
+    with pytest.raises(tensor_io.ManifestError, match="lists no records"):
+        tensor_io.load_dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
+    for argv in (["cluster", "--out", str(tmp_path / "c")],
+                 ["train", "--out", str(tmp_path / "t")], ["eval", "--protocol", "overcluster"]):
+        assert cli.main(argv + ["--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lists no records" in err

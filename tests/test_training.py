@@ -39,27 +39,30 @@ def test_config_rejects_bad_values():
 
 def test_crop_batch_stacks_each_images_crops():
     """Every view is the image aligned over its sampled box; every mask is the
-    foreground of the attention aligned over its global box."""
+    foreground of the attention aligned over its global box, or all ones for
+    a batch without attention."""
     cfg = tiny_config()
     rng = np.random.default_rng(0)
-    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32),
-               rng.uniform(size=(heads, 10, 10)).astype(np.float32)) for heads in (2, 1, 3)]
-    images[1] = (images[1][0], None)
+    raws = rng.normal(size=(3, 16, 10, 10)).astype(np.float32)
+    attns = rng.uniform(size=(3, 2, 10, 10)).astype(np.float32)
     seeds = [[cfg.seed, 13, 0, i] for i in range(3)]
-    batch = training.crop_batch(images, seeds, cfg)
-    assert batch.global_raw.shape == (3, 2, 16, 5, 5)
-    assert batch.local_raw.shape == (3, 2, 16, 3, 3)
-    assert batch.boxes.shape == (3, 4, 4, 4)
-    for b, ((raw, attn), seed) in enumerate(zip(images, seeds)):
-        boxes = crops.sample_crops(cfg.crop_spec(), np.random.default_rng(seed))
-        for i, box in enumerate(boxes):
-            grid = batch.global_raw[b, i] if i < 2 else batch.local_raw[b, i - 2]
-            np.testing.assert_allclose(grid, crops.align(raw, box, *grid.shape[1:]), atol=1e-6)
-        np.testing.assert_array_equal(batch.boxes[b], crops.pair_boxes(boxes))
-        for i, box in enumerate(boxes[:2]):
-            expected = (np.ones((5, 5)) if attn is None else attention.foreground_mask(
-                np.maximum(crops.align(attn.astype(np.float64), box, 5, 5), 0.0)))
-            assert np.array_equal(batch.masks[b, i], expected)
+    for attn_stacks in (attns, None):
+        batch = training.crop_batch(raws, attn_stacks, seeds, cfg)
+        assert batch.global_raw.shape == (3, 2, 16, 5, 5)
+        assert batch.local_raw.shape == (3, 2, 16, 3, 3)
+        assert batch.boxes.shape == (3, 4, 4, 4)
+        for b, (raw, seed) in enumerate(zip(raws, seeds)):
+            boxes = crops.sample_crops(cfg.crop_spec(), np.random.default_rng(seed))
+            for i, box in enumerate(boxes):
+                grid = batch.global_raw[b, i] if i < 2 else batch.local_raw[b, i - 2]
+                np.testing.assert_allclose(grid, crops.align(raw, box, *grid.shape[1:]),
+                                           atol=1e-6)
+            np.testing.assert_array_equal(batch.boxes[b], crops.pair_boxes(boxes))
+            for i, box in enumerate(boxes[:2]):
+                expected = (np.ones((5, 5)) if attn_stacks is None
+                            else attention.foreground_mask(np.maximum(
+                                crops.align(attns[b].astype(np.float64), box, 5, 5), 0.0)))
+                assert np.array_equal(batch.masks[b, i], expected)
 
 
 def per_image_crop_masks(attn_stacks, global_boxes, cfg):
@@ -74,43 +77,40 @@ def per_image_crop_masks(attn_stacks, global_boxes, cfg):
 
 @pytest.mark.parametrize("fg_masking", ["fg", "bg"])
 def test_crop_masks_align_each_head_count_at_once(fg_masking):
-    """Images with 1, 2 and 3 heads, interleaved, and one without attention:
-    the same masks, to the bit, as one alignment per image."""
+    """Batches of 1-, 2- and 3-head attention: the same masks, to the bit,
+    as one alignment per image. A dataset has one head count, so a batch
+    never mixes them (the loader refuses that: tests/test_tensor_io.py)."""
     cfg = tiny_config(fg_masking=fg_masking)
     rng = np.random.default_rng(2)
-    heads = [2, 1, 3, None, 2, 3, 1, 2]
-    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32),
-               None if h is None else rng.uniform(size=(h, 10, 10)).astype(np.float32))
-              for h in heads]
-    seeds = [[cfg.seed, 13, 0, i] for i in range(len(images))]
-    batch = training.crop_batch(images, seeds, cfg)
+    seeds = [[cfg.seed, 13, 0, i] for i in range(8)]
     coords = np.stack([crops.sample_crops(cfg.crop_spec(), np.random.default_rng(s))
                        for s in seeds])
-    with_attn = [b for b, h in enumerate(heads) if h is not None]
-    want = per_image_crop_masks([images[b][1] for b in with_attn],
-                                coords[with_attn, :cfg.n_global], cfg)
-    assert np.array_equal(batch.masks[with_attn], want)
-    assert np.all(batch.masks[heads.index(None)] == 1)
-    taps = crops.box_taps(coords[with_attn, :cfg.n_global], (10, 10),
+    taps = crops.box_taps(coords[:, :cfg.n_global], (10, 10),
                           (cfg.global_grid, cfg.global_grid))
-    got = training.crop_masks([images[b][1] for b in with_attn], taps, cfg)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for heads in (1, 2, 3):
+        raws = rng.normal(size=(8, 16, 10, 10)).astype(np.float32)
+        attns = rng.uniform(size=(8, heads, 10, 10)).astype(np.float32)
+        batch = training.crop_batch(raws, attns, seeds, cfg)
+        want = per_image_crop_masks(attns, coords[:, :cfg.n_global], cfg)
+        assert np.array_equal(batch.masks, want)
+        got = training.crop_masks(attns, taps, cfg)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_crop_masks_fg_and_bg_complement():
     cfg_fg = tiny_config(fg_masking="fg")
     cfg_bg = tiny_config(fg_masking="bg")
     rng = np.random.default_rng(1)
-    attn = rng.uniform(size=(2, 10, 10)).astype(np.float32)
+    attn = rng.uniform(size=(1, 2, 10, 10)).astype(np.float32)
     boxes = np.array([[(0.1, 0.1, 0.9, 0.9), (0.0, 0.2, 0.6, 0.8)]])
     taps = crops.box_taps(boxes, (10, 10), (5, 5))
-    fg = training.crop_masks([attn], taps, cfg_fg)
-    bg = training.crop_masks([attn], taps, cfg_bg)
+    fg = training.crop_masks(attn, taps, cfg_fg)
+    bg = training.crop_masks(attn, taps, cfg_bg)
     assert fg.shape == (1, 2, 5, 5)  # one mask per global crop
     assert set(np.unique(fg)) <= {0, 1}
     assert np.array_equal(fg + bg, np.ones_like(fg))
-    images = [(rng.normal(size=(16, 10, 10)).astype(np.float32), attn)]
-    unmasked = training.crop_batch(images, [[0]], tiny_config(fg_masking="all"))
+    raw = rng.normal(size=(1, 16, 10, 10)).astype(np.float32)
+    unmasked = training.crop_batch(raw, attn, [[0]], tiny_config(fg_masking="all"))
     assert np.all(unmasked.masks == 1)
 
 
@@ -191,10 +191,10 @@ def test_teacher_follows_ema_not_gradient(tiny_dataset):
     state = training.init_state(cfg, raw_dim=16)
     teacher_before = {k: v.copy() for k, v in state.teacher.items()}
     student_before = {k: v.copy() for k, v in state.student.items()}
-    images = [(manifest.load_features(r).astype(np.float32),
-               manifest.load_attention(r)) for r in manifest.records[:2]]
+    dataset = tensor_io.load_dataset(manifest)
     seeds = [[cfg.seed, 13, 0, i] for i in range(2)]
-    training.train_step(images, state, cfg, total_steps=10, crop_seeds=seeds)
+    training.train_step(dataset.features[:2], dataset.attn_stacks[:2], state, cfg,
+                        total_steps=10, crop_seeds=seeds)
     from leopart import optim
     m = optim.ema_momentum(0, 10, cfg.ema_start)
     for name, t in state.teacher.items():
