@@ -381,13 +381,14 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, n_pred: int, n_gt: int,
 
 def _summed_confusion(pred_maps, gt_maps, n_pred: int, n_gt: int,
                       ignore_label: int | None) -> np.ndarray:
-    """Confusion counts over every pixel of the map pairs, counted at once:
-    (N, H, W) arrays, or lists whose pairs may differ in shape."""
-    for pm, gm in zip(pred_maps, gt_maps):
-        if np.shape(pm) != np.shape(gm):
-            raise ValueError(f"shape mismatch {np.shape(pm)} vs {np.shape(gm)}")
-    pred, gt = (np.concatenate([*map(np.ravel, maps), np.zeros(0, np.int64)])
-                for maps in (pred_maps, gt_maps))
+    """Confusion counts over every pixel of two stacks of maps of one shape,
+    (N, H, W) arrays or lists of same-shape maps, counted at once."""
+    try:
+        pred, gt = np.asarray(pred_maps), np.asarray(gt_maps)
+    except ValueError:
+        raise ValueError("label maps must share one shape") from None
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     return confusion_matrix(pred, gt, n_pred, n_gt, ignore_label)
 
 

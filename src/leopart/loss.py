@@ -103,10 +103,10 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     oldest first; the batch's rows as float32], image b's queue rows are the
     L_b rows just before its own, L_b = min(fill + b * n, capacity) (0 while
     that is below half the capacity: ``FeatureQueue.window_lengths``). So
-    every image's window (its own rows, then those) indexes one set of rows,
-    one ``sinkhorn.assign`` call assigns them all, and the batch's rows are
-    pushed once. Returns (B, G, K, g, g) row-stochastic target grids and the
-    (B, G * g * g, D) teacher rows.
+    every image's window is its own n-row block of S and the span of S just
+    before it, one ``sinkhorn.assign`` call assigns them all on views of one
+    kernel, and the batch's rows are pushed once. Returns (B, G, K, g, g)
+    row-stochastic target grids and the (B, G * g * g, D) teacher rows.
     """
     n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
     raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
@@ -117,15 +117,14 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     starts = len(held) + n * np.arange(n_img)  # where each image's rows sit in S
     lengths = (np.zeros(n_img, dtype=np.intp) if queue is None
                else queue.window_lengths(n_img, n))
-    seq, own = [held, pushed], starts
+    seq, own = [held, pushed], len(held)
     # A third block of S exists only for float64 callers, the finite-difference
     # gradient checks: their own rows enter their windows unrounded.
     if rows.dtype != pushed.dtype:
         seq.append(rows)
-        own = starts + len(rows)
-    windows = [np.concatenate([np.arange(o, o + n), np.arange(s - l, s)])
-               for o, s, l in zip(own.tolist(), starts.tolist(), lengths.tolist())]
-    feats = sinkhorn.FeatureBatch(np.concatenate(seq, dtype=np.float64), windows, n)
+        own += len(rows)
+    feats = sinkhorn.FeatureBatch(np.concatenate(seq, dtype=np.float64), n, own,
+                                  starts - lengths, lengths)
     q = sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q
     if queue is not None:
         queue.push(pushed)

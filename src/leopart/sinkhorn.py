@@ -1,13 +1,16 @@
 """Equi-partitioned optimal-transport soft assignments via Sinkhorn-Knopp.
 
-Each assignment window holds n batch rows followed by queue rows; the
-queue rows shape the marginals but produce no targets. One call assigns
-any number of windows that index one set of rows: the kernel
-exp(Z Cᵀ / ε) of every row against the prototypes is computed once,
+Each assignment window holds n own rows followed by queue rows; the queue
+rows shape the marginals but produce no targets. One call assigns any
+number of windows over one set of rows S: window b's own rows are the b-th
+block of n rows after an offset, and its queue rows one span of S. The
+kernel exp(S Cᵀ / ε) of every row against the prototypes is computed once,
 shifted by its largest exponent (a scalar that cancels exactly), and each
 window runs the scaling-domain iteration of Cuturi 2013 ("Sinkhorn
-Distances"), as SwAV implements it, on its own rows of that kernel.
-Windows of one length are iterated as one stack.
+Distances"), as SwAV implements it, on views of that kernel: one product
+over its own rows and one over its queue rows per half-step. Consecutive
+windows of one queue length whose spans lie n rows apart are iterated as
+one stack, a strided view of the kernel; no window's rows are copied.
 
 The scaling domain needs a floor on ε, ``MIN_EPSILON``. Rows are unit-norm
 to ``NORM_TOL`` and prototypes unit-norm, so the log-kernel spans at most
@@ -28,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_ITERS = 3
@@ -40,22 +44,30 @@ MIN_EPSILON = float(4 * (1 + NORM_TOL) / -np.log(np.finfo(np.float64).tiny))  # 
 class FeatureBatch:
     """M unit-norm feature rows and the assignment windows that read them.
 
-    Window w is the rows ``rows[windows[w]]``: its ``n_batch`` batch rows
-    first, then its queue rows. Windows may differ in length and share rows.
+    Window w is its ``n_batch`` own rows, from row ``own_start + w * n_batch``
+    on, then its ``queue_lengths[w]`` queue rows, from row ``queue_starts[w]``
+    on. Windows may differ in length and share rows.
     """
 
     rows: np.ndarray                      # (M, D), kept as float64
-    windows: list[np.ndarray]             # each (n_batch + queue rows,) indices into rows
     n_batch: int
+    own_start: int
+    queue_starts: np.ndarray              # (W,) first queue row of each window
+    queue_lengths: np.ndarray             # (W,) queue rows of each window
 
     def __post_init__(self) -> None:
         self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.windows = [np.asarray(w, dtype=np.intp) for w in self.windows]
+        self.queue_starts = np.asarray(self.queue_starts, dtype=np.intp)
+        self.queue_lengths = np.asarray(self.queue_lengths, dtype=np.intp)
         if self.rows.ndim != 2:
             raise ValueError("rows must be (M, D)")
-        if not self.windows or any(w.ndim != 1 or len(w) < self.n_batch for w in self.windows):
-            raise ValueError("need at least one window, each a 1-D index array "
-                             "that starts with its batch rows")
+        starts, lengths, m = self.queue_starts, self.queue_lengths, len(self.rows)
+        if (self.n_batch < 1 or starts.ndim != 1 or starts.shape != lengths.shape
+                or not len(starts) or self.own_start < 0
+                or self.own_start + len(starts) * self.n_batch > m
+                or starts.min() < 0 or lengths.min() < 0 or (starts + lengths).max() > m):
+            raise ValueError(f"need at least one window, with its {self.n_batch} own rows "
+                             f"and its queue span inside the {m} rows")
         deviation = np.abs(np.sqrt(np.einsum("md,md->m", self.rows, self.rows)) - 1.0)
         if deviation.size and deviation.max() > NORM_TOL:
             raise ValueError(f"feature rows must be unit-norm (max deviation {deviation.max():.2e})")
@@ -66,12 +78,13 @@ class FeatureBatch:
         rows = np.asarray(batch_rows)
         if queue_rows is not None and len(queue_rows):
             rows = np.concatenate([rows, queue_rows], axis=0)
-        return cls(rows, [np.arange(len(rows))], len(batch_rows))
+        n = len(batch_rows)
+        return cls(rows, n, 0, [n], [len(rows) - n])
 
 
 @dataclass
 class Assignment:
-    """Row-stochastic soft assignments for the batch rows, window after window.
+    """Row-stochastic soft assignments for the own rows, window after window.
 
     ``q`` is (W * n_batch, K). ``plan_col_sums`` (W, K) are the column sums
     of each window's pre-normalization transport plan over *all* its rows;
@@ -88,7 +101,7 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
 
     The transport kernel is exp((Z C^T) / epsilon); in each window of m rows
     the plan diag(a) K diag(b) (rows x prototypes) is scaled with columns
-    toward m / K and rows toward 1, n_iters alternations, then each batch
+    toward m / K and rows toward 1, n_iters alternations, then each own
     row is normalized to a distribution over the prototypes.
     """
     if not epsilon >= MIN_EPSILON:
@@ -97,26 +110,34 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     c = np.asarray(prototypes, dtype=np.float64)
     k, n = len(c), features.n_batch
-    lengths = np.array([len(w) for w in features.windows])
-    if lengths.min() < k:
-        warnings.warn(f"fewer features ({lengths.min()}) than prototypes ({k}); "
+    starts, lengths = features.queue_starts, features.queue_lengths
+    if n + lengths.min() < k:
+        warnings.warn(f"fewer features ({n + lengths.min()}) than prototypes ({k}); "
                       "equipartition is unattainable", stacklevel=2)
     # non-finite inputs surface as a non-finite plan, checked below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_kernel = (features.rows @ np.ascontiguousarray(c.T)) / epsilon
-        kernel = np.exp(log_kernel - log_kernel.max())  # (M, K)
+        kernel = features.rows @ np.ascontiguousarray(c.T)  # (M, K), built in place
+        kernel /= epsilon
+        kernel -= kernel.max()
+        np.exp(kernel, out=kernel)
+        own = kernel[features.own_start:][:len(lengths) * n].reshape(-1, n, k)  # (W, n, K)
         q = np.empty((len(lengths), n, k))
         col_sums = np.empty((len(lengths), k))
-        for m in np.unique(lengths):
-            sel = np.flatnonzero(lengths == m)
-            kw = np.take(kernel, np.stack([features.windows[w] for w in sel]), axis=0)  # (W, m, K)
-            a = np.ones((len(sel), m))
+        # runs [lo, hi) of windows of one queue length whose spans lie n rows apart
+        breaks = np.flatnonzero((np.diff(lengths) != 0) | (np.diff(starts) != n)) + 1
+        for lo, hi in zip([0, *breaks.tolist()], [*breaks.tolist(), len(lengths)]):
+            ko = own[lo:hi]
+            kq = sliding_window_view(kernel, (lengths[lo], k))[starts[lo]:starts[hi - 1] + 1:n, 0]
+            a_own, a_queue = np.ones((hi - lo, n)), np.ones(kq.shape[:2])
+            mass = (n + lengths[lo]) / k
             for _ in range(n_iters):
-                b = (m / k) / (a[:, None, :] @ kw)[:, 0]
-                a = 1.0 / (kw @ b[:, :, None])[:, :, 0]
-            scores = kw[:, :n] * b[:, None, :]  # the plan's batch rows, up to a factor per row
-            q[sel] = scores / scores.sum(axis=2, keepdims=True)
-            col_sums[sel] = b * (a[:, None, :] @ kw)[:, 0]
+                b = mass / (a_own[:, None, :] @ ko + a_queue[:, None, :] @ kq)[:, 0]
+                a_own = 1.0 / (ko @ b[:, :, None])[:, :, 0]
+                a_queue = 1.0 / (kq @ b[:, :, None])[:, :, 0]
+            # the plan's own rows, up to a factor per row, normalized in place
+            scores = np.multiply(ko, b[:, None, :], out=q[lo:hi])
+            scores /= scores.sum(axis=2, keepdims=True)
+            col_sums[lo:hi] = b * (a_own[:, None, :] @ ko + a_queue[:, None, :] @ kq)[:, 0]
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(col_sums))):
         raise FloatingPointError("non-finite Sinkhorn plan; inputs must be finite")
     return Assignment(q=q.reshape(-1, k), plan_col_sums=col_sums)

@@ -153,19 +153,26 @@ def train_step(features: np.ndarray, attn_stacks: np.ndarray | None,
     forward and one backward. Each image's Sinkhorn targets are assigned
     against the queue as it stands once the images before it were pushed,
     all in one call (``loss.compute_targets``).
-    """
-    batch_loss, batch_grads, _ = loss_mod.total_loss(
-        crop_batch(features, attn_stacks, crop_seeds, cfg), state.student, state.teacher,
-        state.queue,        tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
-        out_size=cfg.align_size,
-    )
 
-    lrs = _lr_table(cfg, state.step, total_steps)
-    lr = {name: lrs["__encoder__"] if name.startswith("encoder.") else lrs["__head__"]
-          for name in state.student}
-    optim.adam_step(state.student, batch_grads, state.adam, lr, cfg.weight_decay)
-    optim.ema_update(state.teacher, state.student,
-                     optim.ema_momentum(state.step, total_steps, cfg.ema_start))
+    A floating-point overflow or invalid operation anywhere in the step
+    means training has diverged: ``FloatingPointError`` names the step.
+    """
+    def diverged(kind: str, _flag: int) -> None:
+        raise FloatingPointError(f"training diverged at step {state.step + 1}: "
+                                 f"floating-point {kind}")
+
+    with np.errstate(over="call", invalid="call", call=diverged):
+        batch_loss, batch_grads, _ = loss_mod.total_loss(
+            crop_batch(features, attn_stacks, crop_seeds, cfg), state.student, state.teacher,
+            state.queue, tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
+            out_size=cfg.align_size,
+        )
+        lrs = _lr_table(cfg, state.step, total_steps)
+        lr = {name: lrs["__encoder__"] if name.startswith("encoder.") else lrs["__head__"]
+              for name in state.student}
+        optim.adam_step(state.student, batch_grads, state.adam, lr, cfg.weight_decay)
+        optim.ema_update(state.teacher, state.student,
+                         optim.ema_momentum(state.step, total_steps, cfg.ema_start))
     state.step += 1
     state.losses.append((state.step, batch_loss))
     return batch_loss

@@ -515,7 +515,7 @@ def test_hungarian_matched_miou_equals_miou_of_relabeled_maps(seed):
     optimal permutation and counting again scores, to the bit."""
     rng = np.random.default_rng(seed)
     n = 5
-    preds = [rng.integers(0, n, size=shape) for shape in [(6, 7), (3, 4), (5, 5)]]
+    preds = list(rng.integers(0, n, size=(3, 6, 7)))
     gts = [np.where(rng.uniform(size=p.shape) < 0.6, (p + 2) % (n - 1),
                     rng.integers(0, n - 1, size=p.shape)) for p in preds]  # no class n-1
     gts[0][0, :3] = 255
@@ -526,9 +526,18 @@ def test_hungarian_matched_miou_equals_miou_of_relabeled_maps(seed):
 
 
 def test_hungarian_matched_miou_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match=r"shape mismatch \(2, 3\) vs \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"shape mismatch \(1, 2, 3\) vs \(1, 3, 2\)"):
         cluster_eval.hungarian_matched_miou([np.zeros((2, 3), int)],
                                             [np.zeros((3, 2), int)], 2)
+
+
+@pytest.mark.parametrize("score", [cluster_eval.miou, cluster_eval.hungarian_matched_miou])
+def test_miou_rejects_a_ragged_list_of_maps(score):
+    """Maps are scored as one stack: a list of maps of two shapes is refused
+    even where each prediction matches its ground truth."""
+    maps = [np.zeros((2, 3), int), np.zeros((3, 2), int)]
+    with pytest.raises(ValueError, match="label maps must share one shape"):
+        score(maps, maps, 2)
 
 
 # ---------------------------------------------------------------- protocols

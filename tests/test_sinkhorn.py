@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,12 +37,19 @@ def reference_assign(rows, n_batch, prototypes, epsilon, n_iters):
     return (q / q.sum(axis=0, keepdims=True)).T, plan.sum(axis=1)
 
 
+def window_rows(feats, w):
+    """Window *w* of *feats* as rows: its own block, then its queue span."""
+    n, own, start = feats.n_batch, feats.own_start + w * feats.n_batch, feats.queue_starts[w]
+    return np.concatenate([feats.rows[own:own + n],
+                           feats.rows[start:start + feats.queue_lengths[w]]])
+
+
 def assert_matches_reference(out, feats, prototypes, epsilon, n_iters):
     """Each window of *feats* against the oracle run on that window alone."""
     n = feats.n_batch
     assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.plan_col_sums))
-    for w, window in enumerate(feats.windows):
-        q, col_sums = reference_assign(feats.rows[window], n, prototypes, epsilon, n_iters)
+    for w in range(len(feats.queue_lengths)):
+        q, col_sums = reference_assign(window_rows(feats, w), n, prototypes, epsilon, n_iters)
         assert np.abs(out.q[w * n:(w + 1) * n] - q).max() <= 1e-12 * np.abs(q).max()
         np.testing.assert_allclose(out.plan_col_sums[w], col_sums, rtol=1e-12)
 
@@ -175,22 +183,60 @@ def test_one_window_matches_log_domain_reference(epsilon, n_iters):
 
 
 def test_windows_of_shared_rows_match_reference_per_window():
-    """Ragged windows over one set of rows, as a batch's images read the
-    queue: no queue rows, a warm-up window, overlapping full windows, and
-    windows whose batch rows sit apart from their queue rows."""
+    """Windows over one set of rows, laid out as ``loss.compute_targets`` lays
+    out a batch: a queue of 6 rows, then 7 images of 6 rows, then those
+    images' rows again, kept apart from the queue as float64 callers keep
+    them. At capacity 36 the images see two empty windows (the warm-up), three
+    ragged ones and a capped run of two; a second batch reads spans that are
+    not n rows apart, repeat a span and cover every row."""
     rng = np.random.default_rng(8)
-    n = 6
-    rows = unit_rows(rng, 60, 5)
+    n, n_img, fill = 6, 7, 6
+    rows = unit_rows(rng, fill + 2 * n_img * n, 5)
     protos = unit_rows(rng, 4, 5)
-    batch = [np.arange(s, s + n) for s in (0, 6, 12, 18, 24, 30, 54)]
-    queue = [[], [], np.arange(40, 43), np.arange(36, 48), np.arange(30, 42),
-             np.arange(42, 54), np.arange(36, 48)]
-    windows = [np.concatenate([b, np.asarray(q, dtype=int)]) for b, q in zip(batch, queue)]
-    feats = sinkhorn.FeatureBatch(rows, windows, n)
-    for epsilon, n_iters in [(0.05, 3), (0.02, 25)]:
-        out = sinkhorn.assign(feats, protos, epsilon, n_iters)
-        assert out.q.shape == (len(windows) * n, 4)
-        assert_matches_reference(out, feats, protos, epsilon, n_iters)
+    lengths = sinkhorn.FeatureQueue(capacity=36)
+    lengths.push(np.zeros((fill, 1)))
+    lengths = lengths.window_lengths(n_img, n)
+    assert lengths.tolist() == [0, 0, 18, 24, 30, 36, 36]
+    starts = fill + n * np.arange(n_img) - lengths
+    laid_out = sinkhorn.FeatureBatch(rows, n, fill + n_img * n, starts, lengths)
+    scattered = sinkhorn.FeatureBatch(rows, n, 12, [40, 0, 40, 3, 9, 0, 88],
+                                      [12, 12, 12, 5, 5, 90, 0])
+    for feats in (laid_out, scattered):
+        for epsilon, n_iters in [(0.05, 3), (0.02, 25)]:
+            out = sinkhorn.assign(feats, protos, epsilon, n_iters)
+            assert out.q.shape == (len(feats.queue_lengths) * n, 4)
+            assert_matches_reference(out, feats, protos, epsilon, n_iters)
+
+
+@pytest.mark.parametrize("own_start, starts, lengths", [
+    (-1, [0], [0]), (0, [0, 1], [0]), (0, [], []), (8, [0], [0]), (0, [-1], [2]),
+    (0, [0], [-1]), (0, [5], [4])])
+def test_rejects_windows_outside_the_rows(own_start, starts, lengths):
+    rows = unit_rows(np.random.default_rng(11), 8, 3)
+    with pytest.raises(ValueError, match="inside the 8 rows"):
+        sinkhorn.FeatureBatch(rows, 2, own_start, starts, lengths)
+
+
+def test_views_keep_the_peak_below_two_kernels():
+    """16 windows of 2048 queue rows at K = 64, n = 16: a (W, m, K) copy of
+    the windows would hold 14 times the (M, K) kernel."""
+    rng = np.random.default_rng(12)
+    n, n_img, held, k = 16, 16, 2048, 64
+    rows = unit_rows(rng, held + n * n_img, 8)
+    # each image reads the full queue: the held rows just before its own
+    feats = sinkhorn.FeatureBatch(rows, n, held, n * np.arange(n_img), np.full(n_img, held))
+    protos = unit_rows(rng, k, 8)
+    kernel_bytes = len(rows) * k * 8
+    assert n_img * (n + held) * k * 8 >= 8 * kernel_bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sinkhorn.assign(feats, protos)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < 2 * kernel_bytes, (extra, kernel_bytes)
 
 
 @pytest.mark.parametrize("n_iters", [1, 3, 50])
