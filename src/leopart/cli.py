@@ -2,10 +2,29 @@
 
 Every subcommand takes its settings from one structured-text config (all
 keys optional), checked at load, where ``LEOPART_SEED`` replaces the
-``[run] seed`` that seeds it. Every command but ``eval`` and ``render``
-writes an output manifest listing the artifacts it produced together with
-the config hash, so any result can be traced to the exact settings that
-made it.
+``[run] seed`` that seeds it.
+
+Every command but ``eval`` and ``render`` is a stage that commits its
+outputs through a manifest, ``<out>/<command>_outputs.txt``. The stage
+first deletes that file, then creates ``<out>``, writes its outputs, and
+writes the manifest last, so a stage that fails or is killed leaves none.
+The manifest's lines, with no absolute paths and no times, so identical
+runs in different directories write identical bytes:
+
+    command <command>
+    config_hash <hash of the config that ran>
+    input <file name> <sha256>          one per manifest the stage read
+    output <file name> <size> <sha256>  one per file the stage wrote
+    warnings <n>                        the warnings raised while it ran
+
+A downstream stage reads an upstream directory, or a file in it, only
+through that manifest (:func:`read_outputs`): it refuses, with a
+``ManifestError``, a missing manifest, a listed file that is missing or
+whose size or sha256 differs, and a file argument that is not listed. It
+also refuses two inputs that record different digests of one upstream
+manifest: ``cbfe`` clusters made from another ``--data`` manifest, and
+``cooc`` an fg map made from other clusters. ``--data`` names a dataset
+manifest, whose digest is recorded but whose tensors are not digested.
 
 Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 """
@@ -13,7 +32,10 @@ Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +44,128 @@ from . import (cbfe, cluster_eval, community, config as config_mod, crops, pipel
                render, synth, tensor_io, training)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def write_outputs_manifest(out_dir: Path, command: str, cfg: config_mod.Config,
-                           outputs: list[Path]) -> Path:
+                           outputs: list[Path], inputs: dict[str, str],
+                           n_warnings: int) -> Path:
     lines = [f"command {command}", f"config_hash {cfg.hash()}"]
-    lines += [f"output {p.name}" for p in sorted(outputs)]
+    lines += [f"input {name} {digest}" for name, digest in sorted(inputs.items())]
+    for path in sorted(outputs, key=lambda p: p.name):
+        data = path.read_bytes()
+        lines.append(f"output {path.name} {len(data)} {_sha256(data)}")
+    lines.append(f"warnings {n_warnings}")
     path = out_dir / f"{command}_outputs.txt"
     tensor_io.write_text(path, "\n".join(lines) + "\n")
     return path
+
+
+@dataclass(frozen=True)
+class StageOutputs:
+    """A finished stage's outputs manifest, every listed file checked."""
+
+    manifest: Path
+    digest: str  # sha256 of the manifest's bytes
+    files: dict[str, Path]  # listed file name -> path
+    inputs: dict[str, str]  # name of a manifest the stage read -> its sha256
+
+    def file(self, name: str) -> Path:
+        if name not in self.files:
+            raise tensor_io.ManifestError(
+                f"{self.manifest.parent / name}: not listed in {self.manifest}")
+        return self.files[name]
+
+
+def read_outputs(path: str | Path, command: str) -> StageOutputs:
+    """The manifest of the *command* run that wrote *path*, its output
+    directory or a file in it. Each listed file must have the recorded size
+    and sha256, and a file *path* must be listed; else a ``ManifestError``
+    names the directory or file."""
+    path = Path(path)
+    root = path if path.is_dir() else path.parent
+    manifest = root / f"{command}_outputs.txt"
+    if not manifest.is_file():
+        raise tensor_io.ManifestError(
+            f"{root}: no {manifest.name}; no `{command}` run into it has finished")
+    text = tensor_io.read_text(manifest)
+    listed: dict[str, tuple[int, str]] = {}
+    inputs: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key, *fields = line.split() or [""]
+        if key == "output" and len(fields) == 3 and fields[1].isdecimal():
+            listed[fields[0]] = int(fields[1]), fields[2]
+        elif key == "input" and len(fields) == 2:
+            inputs[fields[0]] = fields[1]
+        elif key not in ("command", "config_hash", "warnings"):
+            raise tensor_io.ManifestError(f"{manifest}:{lineno}: malformed line {line!r}")
+    for name, (size, digest) in listed.items():
+        try:
+            content = (root / name).read_bytes()
+        except OSError as exc:
+            raise tensor_io.ManifestError(
+                f"{root / name}: listed in {manifest}, but unreadable: {exc.strerror}") from None
+        if len(content) != size or _sha256(content) != digest:
+            raise tensor_io.ManifestError(
+                f"{root / name}: not the {size}-byte file whose sha256 {manifest} records")
+    outputs = StageOutputs(manifest, _sha256(text.encode()),  # the bytes read_text decoded
+                           {name: root / name for name in listed}, inputs)
+    if path != root:
+        outputs.file(path.name)
+    return outputs
+
+
+class Stage:
+    """One command run: its output directory (None for ``eval`` and
+    ``render``) and the sha256 of each manifest it read, by file name."""
+
+    def __init__(self, out: Path | None = None):
+        self.out = out
+        self.inputs: dict[str, str] = {}
+
+    def dataset(self, data: str) -> tensor_io.DatasetManifest:
+        """The dataset manifest under *data*; its tensors are not digested."""
+        path = Path(data) / "manifest.txt"
+        manifest = tensor_io.load_manifest(path)
+        self.inputs[path.name] = _sha256(path.read_bytes())
+        return manifest
+
+    def upstream(self, path: str, command: str, *joins: str) -> StageOutputs:
+        """:func:`read_outputs` of *path*, recorded as an input. For each
+        manifest name in *joins*, which this run has read, the upstream run
+        must have read one of the same digest."""
+        outputs = read_outputs(path, command)
+        for name in joins:
+            if outputs.inputs.get(name) != self.inputs[name]:
+                raise tensor_io.ManifestError(
+                    f"{outputs.manifest}: made from another {name} than this run reads")
+        self.inputs[outputs.manifest.name] = outputs.digest
+        return outputs
+
+
+def run_stage(args, cfg: config_mod.Config) -> None:
+    """Run the stage ``args.command`` into ``args.out``: delete its outputs
+    manifest, create the directory, run the command and write the manifest
+    of the paths it returns. The warnings raised meanwhile are counted in
+    the manifest, every one however often it was raised before in this
+    process, and each distinct message is then re-emitted once."""
+    out = Path(args.out)
+    (out / f"{args.command}_outputs.txt").unlink(missing_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Stage(out)
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outputs = COMMANDS[args.command](args, cfg, stage)
+        write_outputs_manifest(out, args.command, cfg, outputs, stage.inputs, len(caught))
+    finally:
+        distinct: dict[tuple, warnings.WarningMessage] = {}
+        for w in caught:
+            distinct.setdefault((w.category, str(w.message)), w)
+        for w in distinct.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None:
@@ -50,142 +187,129 @@ def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None
     return params
 
 
-def read_cluster_maps(clusters_dir: Path, ids: list[str] | None = None,
+def read_cluster_maps(clusters: StageOutputs, ids: list[str] | None = None,
                       ) -> tuple[np.ndarray, int]:
-    """The maps ``<id>_clusters.lpt`` under *clusters_dir*, in the order of
-    *ids* (default: every such file, sorted), as one (N, H, W) array of
+    """The maps ``<id>_clusters.lpt`` that *clusters* lists, in the order of
+    *ids* (default: every listed map, sorted), as one (N, H, W) array of
     one dtype (else a ``TensorFormatError`` names the file), and k.
 
     k is the row count of ``centroids.lpt``, which ``cluster`` writes next to
     the maps: the highest cluster id can be missing from every map.
     """
-    paths = (sorted(clusters_dir.glob("*_clusters.lpt")) if ids is None
-             else [clusters_dir / f"{i}_clusters.lpt" for i in ids])
-    if not paths:
-        raise FileNotFoundError(f"no *_clusters.lpt files under {clusters_dir}")
-    k = len(tensor_io.read_tensor(clusters_dir / "centroids.lpt"))
+    names = (sorted(n for n in clusters.files if n.endswith("_clusters.lpt")) if ids is None
+             else [f"{i}_clusters.lpt" for i in ids])
+    if not names:
+        raise tensor_io.ManifestError(f"{clusters.manifest} lists no *_clusters.lpt maps")
+    paths = [clusters.file(name) for name in names]
+    k = len(tensor_io.read_tensor(clusters.file("centroids.lpt")))
     maps = tensor_io.stack_tensors(map(tensor_io.read_tensor, paths), list(map(str, paths)),
                                    "cluster map", tensor_io.TensorFormatError)
     top = int(maps.max())
     if top >= k:
         raise tensor_io.TensorFormatError(
-            f"{clusters_dir}: cluster id {top} is out of range for the "
+            f"{clusters.manifest.parent}: cluster id {top} is out of range for the "
             f"{k} centroids in centroids.lpt")
     return maps, k
 
 
 # ----------------------------------------------------------------- commands
+#
+# Each command takes (args, cfg, stage) and returns the paths it wrote.
 
 
-def cmd_gen(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
+def cmd_gen(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     spec = cfg.synth_spec()
-    synth.generate(spec, out)
-    outputs = sorted(out.glob("*.lpt")) + [out / "manifest.txt", out / "key.txt"]
-    write_outputs_manifest(out, "gen", cfg, outputs)
-    print(f"generated {spec.n_images} images under {out}")
-    return 0
+    manifest, _ = synth.generate(spec, stage.out)
+    print(f"generated {spec.n_images} images under {stage.out}")
+    names = [p for rec in manifest.records
+             for p in (rec.feature_path, rec.attention_path, rec.mask_path) if p is not None]
+    return [stage.out / p for p in names + ["prototypes.lpt", "key.txt", "manifest.txt"]]
 
 
-def cmd_train(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
+def cmd_train(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    manifest = stage.dataset(args.data)
     train_cfg = cfg.train_config()
     resume = tensor_io.load_checkpoint(Path(args.resume)) if args.resume else None
     ckpt, losses = training.train(manifest, train_cfg, resume=resume)
     if not losses:
         raise ValueError(f"nothing left to train: the run already ends at step {ckpt.step}")
-    ckpt_path = out / "checkpoint.lpc"
-    curve_path = out / "loss_curve.csv"
+    ckpt_path = stage.out / "checkpoint.lpc"
+    curve_path = stage.out / "loss_curve.csv"
     tensor_io.save_checkpoint(ckpt, ckpt_path)
     training.write_loss_curve(losses, curve_path)
-    write_outputs_manifest(out, "train", cfg, [ckpt_path, curve_path])
     print(f"trained {ckpt.step} steps; final loss {losses[-1][1]:.6f}")
-    return 0
+    return [ckpt_path, curve_path]
 
 
-def cmd_cluster(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
+def cmd_cluster(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    manifest = stage.dataset(args.data)
     dataset = pipeline.load_dataset(manifest)
     embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
                                       cfg["eval"]["use_head"])
     k = cfg["cbfe"]["k"]
     maps, result = cluster_eval.cluster_maps_for(embedded, k, seed=cfg["run"]["seed"])
-    outputs = [out / f"{rec.id}_clusters.lpt" for rec in manifest.records]
+    outputs = [stage.out / f"{rec.id}_clusters.lpt" for rec in manifest.records]
     for path, cm in zip(outputs, maps):
         tensor_io.write_tensor(cm, path)
-    centroid_path = out / "centroids.lpt"
+    centroid_path = stage.out / "centroids.lpt"
     tensor_io.write_tensor(result.centroids.astype(np.float32), centroid_path)
-    outputs.append(centroid_path)
-    write_outputs_manifest(out, "cluster", cfg, outputs)
     print(f"clustered {len(maps)} images into k={k} clusters")
-    return 0
+    return outputs + [centroid_path]
 
 
-def cmd_cbfe(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
+def cmd_cbfe(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    manifest = stage.dataset(args.data)
+    clusters = stage.upstream(args.clusters, "cluster", "manifest.txt")
     dataset = pipeline.load_dataset(manifest)
-    maps, k = read_cluster_maps(Path(args.clusters), [rec.id for rec in manifest.records])
+    maps, k = read_cluster_maps(clusters, [rec.id for rec in manifest.records])
     art = pipeline.label_foreground(maps, pipeline.attention_hints(dataset), k,
                                     cfg["cbfe"]["threshold"])
-    fg_path = out / "fg_map.txt"
+    fg_path = stage.out / "fg_map.txt"
     cbfe.write_foreground_map(art.fg_map, fg_path)
-    outputs = [out / f"{rec.id}_fg.lpt" for rec in manifest.records]
+    outputs = [stage.out / f"{rec.id}_fg.lpt" for rec in manifest.records]
     for path, mask in zip(outputs, art.fg_masks):
         tensor_io.write_tensor(mask, path)
-    outputs.append(fg_path)
-    write_outputs_manifest(out, "cbfe", cfg, outputs)
     n_fg = int(art.fg_map.theta.sum())
     print(f"labeled {n_fg}/{k} clusters as foreground")
-    return 0
+    return outputs + [fg_path]
 
 
-def cmd_cooc(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    maps, k = read_cluster_maps(Path(args.clusters))
+def cmd_cooc(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    maps, k = read_cluster_maps(stage.upstream(args.clusters, "cluster"))
     theta = np.ones(k, dtype=bool)
     if args.fg_map:
+        stage.upstream(args.fg_map, "cbfe", "cluster_outputs.txt")
         theta = cbfe.read_foreground_map(Path(args.fg_map))
         if len(theta) != k:
             raise ValueError(f"{args.fg_map} labels {len(theta)} clusters, "
                              f"the clusters have k={k}")
     graph = pipeline.foreground_graph(maps, theta, cfg["cd"]["edge_threshold"],
                                       cfg["cd"]["distance"])
-    graph_path = out / "graph.txt"
+    graph_path = stage.out / "graph.txt"
     community.write_graph(graph, graph_path)
-    write_outputs_manifest(out, "cooc", cfg, [graph_path])
     n_edges = int((graph.weights > 0).sum() // 2)
     print(f"co-occurrence graph: {k} nodes, {n_edges} edges")
-    return 0
+    return [graph_path]
 
 
-def cmd_communities(args, cfg: config_mod.Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_communities(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    stage.upstream(args.graph, "cooc")
     graph = community.read_graph(Path(args.graph))
     if cfg["cd"]["target_m"] is None:
         raise config_mod.ConfigError("no community count: set cd.target_m")
     partition = community.detect_communities(
         graph, target_m=cfg["cd"]["target_m"], markov_time=cfg["cd"]["markov_time"],
         seed=cfg["run"]["seed"])
-    part_path = out / "partition.txt"
+    part_path = stage.out / "partition.txt"
     community.write_partition(partition, part_path)
     bits = community.map_equation(graph, partition, cfg["cd"]["markov_time"])
-    write_outputs_manifest(out, "communities", cfg, [part_path])
     print(f"found {partition.n_communities} communities; "
           f"description length {bits:.4f} bits")
-    return 0
+    return [part_path]
 
 
-def cmd_eval(args, cfg: config_mod.Config) -> int:
-    manifest = tensor_io.load_manifest(Path(args.data) / "manifest.txt")
-    dataset = pipeline.load_dataset(manifest)
+def cmd_eval(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
+    dataset = pipeline.load_dataset(stage.dataset(args.data))
     seed = cfg["run"]["seed"]
     gt = dataset.object_maps
     if gt is None:
@@ -205,7 +329,7 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
         for stage, score in result.as_dict().items():
             print(f"{stage}: mIoU {score:.4f}")
         print(f"final mIoU: {result.cd:.4f}")
-        return 0
+        return []
 
     embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
                                       cfg["eval"]["use_head"])
@@ -237,10 +361,10 @@ def cmd_eval(args, cfg: config_mod.Config) -> int:
                              for p, g in zip(art.fg_masks, true_fg)]))
         print(f"foreground Jaccard: {jac:.4f}")
         print(f"foreground boundary F1: {bf1:.4f}")
-    return 0
+    return []
 
 
-def cmd_render(args, cfg: config_mod.Config) -> int:
+def cmd_render(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     label_map = tensor_io.read_tensor(Path(args.input))
     if label_map.ndim == 3:
         if label_map.shape[0] != 1:
@@ -249,7 +373,7 @@ def cmd_render(args, cfg: config_mod.Config) -> int:
     render.render_label_map(label_map.astype(np.int64), Path(args.out),
                             scale=args.scale)
     print(f"wrote {args.out}")
-    return 0
+    return [Path(args.out)]
 
 
 # ----------------------------------------------------------------- parser
@@ -325,11 +449,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_mod.load_config(args.config)
-        return COMMANDS[args.command](args, cfg)
+        if args.command in ("eval", "render"):  # they write no outputs manifest
+            COMMANDS[args.command](args, cfg, Stage())
+        else:
+            run_stage(args, cfg)
     except (community.CommunityError, crops.CropSamplingError, FloatingPointError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -145,16 +145,13 @@ class Partition:
 
     def canonical(self) -> "Partition":
         """Relabel communities 0..M-1 in order of their smallest node id."""
+        nodes = np.flatnonzero(self.assignment != BACKGROUND)
+        _, first, index = np.unique(self.assignment[nodes], return_index=True,
+                                    return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
         out = np.full_like(self.assignment, BACKGROUND)
-        next_id = 0
-        seen: dict[int, int] = {}
-        for node, comm in enumerate(self.assignment):
-            if comm == BACKGROUND:
-                continue
-            if comm not in seen:
-                seen[int(comm)] = next_id
-                next_id += 1
-            out[node] = seen[int(comm)]
+        out[nodes] = rank[index]
         return Partition(out)
 
 
@@ -480,10 +477,9 @@ def merge_by_communities(cluster_maps: np.ndarray, partition: Partition) -> np.n
 def write_graph(graph: CoocGraph, path: str | Path) -> None:
     lines = [f"nodes {graph.n}"]
     lines += [f"node {i} {int(graph.node_counts[i])}" for i in range(graph.n)]
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            if graph.weights[i, j] > 0:
-                lines.append(f"{i} {j} {float(graph.weights[i, j])!r}")
+    rows, cols = np.nonzero(np.triu(graph.weights > 0, 1))  # row-major order
+    lines += [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(),
+                                                  graph.weights[rows, cols].tolist())]
     tensor_io.write_text(path, "\n".join(lines) + "\n")
 
 

@@ -40,7 +40,8 @@ class TensorFormatError(ValueError):
 
 
 class ManifestError(ValueError):
-    """Raised on malformed or inconsistent dataset manifests."""
+    """Raised on malformed or inconsistent dataset manifests, and on a stage
+    outputs manifest that is missing or does not match the files it lists."""
 
 
 def _check_tensor(t: np.ndarray) -> np.ndarray:

@@ -96,13 +96,14 @@ def crop_batch(features: np.ndarray, attn_stacks: np.ndarray | None,
     raw = np.asarray(features, dtype=np.float32)[:, None]  # (B, 1, D, H, W)
     n_glob, g, l = cfg.n_global, cfg.global_grid, cfg.local_grid
     global_taps = crops.box_taps(coords[:, :n_glob], raw.shape[-2:], (g, g))
+    local_taps = crops.box_taps(coords[:, n_glob:], raw.shape[-2:], (l, l))
     if cfg.fg_masking == "all" or attn_stacks is None:
         masks = np.ones((len(raw), n_glob, g, g), dtype=np.uint8)
     else:
         masks = crop_masks(attn_stacks, global_taps, cfg)
     return loss_mod.CropBatch(
         global_raw=crops.resample(raw, global_taps),
-        local_raw=crops.align(raw, coords[:, n_glob:], l, l),
+        local_raw=crops.resample(raw, local_taps),
         boxes=crops.pair_boxes(coords),
         masks=masks,
     )

@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline and command-level behavior."""
 
 import argparse
+import hashlib
 import shlex
 import shutil
 from pathlib import Path
@@ -84,13 +85,48 @@ def test_output_manifests_carry_config_hash(workspace):
         assert "output " in text
 
 
+def test_output_manifests_chain_the_stages(workspace):
+    """Each stage records the sha256 of every manifest it read, and each
+    listed output's size and sha256."""
+    def digest(sub, name):
+        return hashlib.sha256((workspace / sub / name).read_bytes()).hexdigest()
+
+    data = digest("data", "manifest.txt")
+    clusters = digest("clusters", "cluster_outputs.txt")
+    chain = {("train", "train"): {"manifest.txt": data},
+             ("cluster", "clusters"): {"manifest.txt": data},
+             ("cbfe", "fg"): {"manifest.txt": data, "cluster_outputs.txt": clusters},
+             ("cooc", "cooc"): {"cluster_outputs.txt": clusters,
+                                "cbfe_outputs.txt": digest("fg", "cbfe_outputs.txt")},
+             ("communities", "comm"): {"cooc_outputs.txt": digest("cooc", "cooc_outputs.txt")}}
+    for (cmd, sub), inputs in chain.items():
+        outputs = cli.read_outputs(workspace / sub, cmd)
+        assert outputs.inputs == inputs, cmd
+        for name, path in outputs.files.items():
+            size = path.stat().st_size
+            assert f"output {name} {size} {digest(sub, name)}\n" in outputs.manifest.read_text()
+
+
+def commit(directory, command, inputs):
+    """Write *directory*'s ``<command>_outputs.txt`` through the stages'
+    writer, listing every other file in it and recording *inputs*."""
+    files = [p for p in directory.iterdir() if p.name != f"{command}_outputs.txt"]
+    cli.write_outputs_manifest(directory, command, config.Config(), files, inputs, 0)
+
+
+def workspace_cluster_inputs(workspace):
+    return cli.read_outputs(workspace / "clusters", "cluster").inputs
+
+
 def copy_clusters(workspace, dest, relabel):
-    """Copy the workspace's clusters dir, passing every map through *relabel*."""
+    """Copy the workspace's clusters dir, passing every map through *relabel*,
+    and commit the copy with the inputs the original records."""
     src = workspace / "clusters"
     dest.mkdir()
     (dest / "centroids.lpt").write_bytes((src / "centroids.lpt").read_bytes())
     for path in src.glob("*_clusters.lpt"):
         tensor_io.write_tensor(relabel(tensor_io.read_tensor(path)), dest / path.name)
+    commit(dest, "cluster", workspace_cluster_inputs(workspace))
     return len(tensor_io.read_tensor(src / "centroids.lpt"))
 
 
@@ -115,13 +151,18 @@ def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
     cm = np.zeros((10, 10), dtype=np.uint16)
     cm[0, 0] = k
     tensor_io.write_tensor(cm, clusters / "zzz_clusters.lpt")
+    commit(clusters, "cluster", {})
     assert cli.main(["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
     assert "out of range" in capsys.readouterr().err
 
 
 def test_cooc_rejects_malformed_fg_map(workspace, tmp_path, capsys):
-    fg_map = tmp_path / "fg_map.txt"
+    fg = tmp_path / "fg"
+    fg.mkdir()
+    fg_map = fg / "fg_map.txt"
     fg_map.write_text("0 0.500000 fg\n1 0.200000\n")
+    commit(fg, "cbfe", {"cluster_outputs.txt":
+                        cli.read_outputs(workspace / "clusters", "cluster").digest})
     assert cli.main(["cooc", "--clusters", str(workspace / "clusters"),
                      "--out", str(tmp_path / "cooc"), "--fg-map", str(fg_map)]) == 1
     assert f"{fg_map}:2" in capsys.readouterr().err
@@ -135,9 +176,14 @@ def test_cbfe_pairs_cluster_maps_with_records_by_id(workspace, tmp_path):
     meta = [ln for ln in lines if ln.startswith("#")]
     records = [ln for ln in lines if ln.startswith("id=")]
     (data / "manifest.txt").write_text("\n".join(meta + records[::-1]) + "\n")
+    # the same maps, committed as clusters of the reordered manifest
+    clusters = tmp_path / "clusters"
+    copy_clusters(workspace, clusters, lambda cm: cm)
+    commit(clusters, "cluster",
+           {"manifest.txt": hashlib.sha256((data / "manifest.txt").read_bytes()).hexdigest()})
     fg = tmp_path / "fg"
     assert cli.main(["--config", str(workspace / "run.cfg"), "cbfe", "--data", str(data),
-                     "--clusters", str(workspace / "clusters"), "--out", str(fg)]) == 0
+                     "--clusters", str(clusters), "--out", str(fg)]) == 0
     assert (fg / "fg_map.txt").read_bytes() == (workspace / "fg" / "fg_map.txt").read_bytes()
     masks = sorted((workspace / "fg").glob("*_fg.lpt"))
     assert len(masks) == len(records) == 24
@@ -230,6 +276,7 @@ def test_eval_unsupseg_honours_cd_distance_and_use_head(workspace, tmp_path, mon
 def test_communities_rejects_malformed_graph(tmp_path, capsys, edge):
     graph = tmp_path / "graph.txt"
     graph.write_text(f"nodes 3\n{edge}\n")
+    commit(tmp_path, "cooc", {})
     assert cli.main(["communities", "--graph", str(graph), "--out", str(tmp_path / "comm")]) == 1
     assert f"{graph}: line 2" in capsys.readouterr().err
 
@@ -448,24 +495,50 @@ def test_outputs_manifest_hash_covers_the_seed_env(tmp_path, monkeypatch):
         (tmp_path / "b" / "img00000_feat.lpt").read_bytes()
 
 
-def test_readme_walkthrough_parses(tmp_path):
-    """Every `leopart` command of the README parses, with continuations
-    joined and comments dropped, and the walkthrough config loads; together
-    they run every subcommand."""
+def readme_walkthrough():
+    """The README walkthrough's config text and the argv of each of its
+    `leopart` commands, with continuations joined and comments dropped."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text.split("cat > run.cfg <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
-    config.load_config(cfg)
+    cfg = text.split("cat > run.cfg <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    return cfg, [shlex.split(line, comments=True)[1:]
+                 for line in text.replace("\\\n", " ").splitlines()
+                 if line.startswith("leopart ")]
+
+
+def test_readme_walkthrough_parses(tmp_path):
+    """Every `leopart` command of the README parses and the walkthrough
+    config loads; together they run every subcommand."""
+    cfg_text, commands = readme_walkthrough()
+    (tmp_path / "run.cfg").write_text(cfg_text)
+    config.load_config(tmp_path / "run.cfg")
     parser = cli.build_parser()
-    commands = set()
-    for line in text.replace("\\\n", " ").splitlines():
-        if line.startswith("leopart "):
-            argv = shlex.split(line, comments=True)[1:]
-            try:
-                commands.add(parser.parse_args(argv).command)
-            except SystemExit:
-                pytest.fail(f"README command does not parse: {line}")
-    assert commands == set(cli.COMMANDS)
+    names = set()
+    for argv in commands:
+        try:
+            names.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+    assert names == set(cli.COMMANDS)
+
+
+def test_readme_walkthrough_writes_identical_manifests_in_two_roots(tmp_path, monkeypatch):
+    """The walkthrough, run as written in two directories, writes the same
+    bytes to every outputs manifest, since they hold no paths and no times,
+    and every file a manifest lists has its recorded size and sha256."""
+    cfg_text, commands = readme_walkthrough()
+    manifests = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        root.mkdir()
+        (root / "run.cfg").write_text(cfg_text)
+        monkeypatch.chdir(root)
+        for argv in commands:
+            assert cli.main(argv) == 0, shlex.join(argv)
+        manifests.append({p.relative_to(root): p.read_bytes()
+                          for p in sorted(root.rglob("*_outputs.txt"))})
+        for rel in manifests[-1]:  # every listed file checks out
+            cli.read_outputs(root / rel.parent, rel.name.removesuffix("_outputs.txt"))
+    assert len(manifests[0]) == 6
+    assert manifests[0] == manifests[1]
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -548,9 +621,153 @@ def test_cluster_maps_of_another_shape_name_the_file(workspace, tmp_path, capsys
     copy_clusters(workspace, clusters, lambda cm: cm)
     odd = sorted(clusters.glob("*_clusters.lpt"))[3]
     tensor_io.write_tensor(np.zeros((9, 10), dtype=np.uint16), odd)
+    commit(clusters, "cluster", workspace_cluster_inputs(workspace))
     argv = {"cbfe": ["cbfe", "--data", str(workspace / "data")], "cooc": ["cooc"]}[command]
     capsys.readouterr()
     assert cli.main(argv + ["--clusters", str(clusters), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {odd}: cluster map uint16 (9, 10), the first has "
                           "cluster map uint16 (10, 10)")
+
+
+# --------------------------------------------------------- stage manifests
+
+
+def cluster_argv(workspace, data, out, cfg=None):
+    return ["--config", str(cfg or workspace / "run.cfg"), "cluster", "--data", str(data),
+            "--out", str(out)]
+
+
+def test_a_cluster_rerun_on_fewer_images_lists_only_its_maps(workspace, tmp_path, capsys):
+    """Clustering 10 images into a dir that holds 24 maps: `cooc` reads the
+    10 listed maps, `cbfe` refuses the 24-image data, and `cooc` the fg map
+    made from the 24 maps."""
+    c = ["--config", str(workspace / "run.cfg")]
+    data10 = tmp_path / "data10"
+    shutil.copytree(workspace / "data", data10)
+    lines = (data10 / "manifest.txt").read_text().splitlines()
+    (data10 / "manifest.txt").write_text("\n".join(lines[:-14]) + "\n")
+    clusters, fresh = tmp_path / "clusters", tmp_path / "fresh"
+    shutil.copytree(workspace / "clusters", clusters)
+    for out in (clusters, fresh):
+        assert cli.main(cluster_argv(workspace, data10, out)) == 0
+    for out, src in (("cooc", clusters), ("cooc_fresh", fresh)):
+        assert cli.main(c + ["cooc", "--clusters", str(src), "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "cooc" / "graph.txt").read_bytes()
+            == (tmp_path / "cooc_fresh" / "graph.txt").read_bytes())
+    capsys.readouterr()
+    assert cli.main(c + ["cbfe", "--data", str(workspace / "data"), "--clusters", str(clusters),
+                         "--out", str(tmp_path / "fg")]) == 1
+    assert capsys.readouterr().err == (f"error: {clusters / 'cluster_outputs.txt'}: made from "
+                                       "another manifest.txt than this run reads\n")
+    assert cli.main(c + ["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "o"),
+                         "--fg-map", str(workspace / "fg" / "fg_map.txt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workspace / 'fg' / 'cbfe_outputs.txt'}: made from another "
+        "cluster_outputs.txt than this run reads\n")
+
+
+def downstream_of(workspace, clusters, tmp_path):
+    c = ["--config", str(workspace / "run.cfg")]
+    return {"cbfe": c + ["cbfe", "--data", str(workspace / "data"), "--clusters", str(clusters),
+                         "--out", str(tmp_path / "fg")],
+            "cooc": c + ["cooc", "--clusters", str(clusters), "--out", str(tmp_path / "cooc")]}
+
+
+def test_an_interrupted_cluster_run_is_refused_downstream(workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    """A k = 4 run over a finished k = 16 dir that fails after 10 maps leaves
+    no manifest, so neither the 10 new maps nor the 14 stale ones are read."""
+    clusters = tmp_path / "clusters"
+    shutil.copytree(workspace / "clusters", clusters)
+    cfg = tmp_path / "k4.cfg"
+    cfg.write_text(SMALL_CFG.replace("[cbfe]\nk = 16", "[cbfe]\nk = 4"))
+    write, written = tensor_io.write_tensor, []
+
+    def failing_write(t, path):
+        if len(written) == 10:
+            raise OSError(f"{path}: no space left on device")
+        written.append(path)
+        write(t, path)
+
+    monkeypatch.setattr(tensor_io, "write_tensor", failing_write)
+    assert cli.main(cluster_argv(workspace, workspace / "data", clusters, cfg)) == 1
+    monkeypatch.undo()
+    assert len(written) == 10
+    for command, argv in downstream_of(workspace, clusters, tmp_path).items():
+        capsys.readouterr()
+        assert cli.main(argv) == 1, command
+        assert capsys.readouterr().err == (f"error: {clusters}: no cluster_outputs.txt; no "
+                                           "`cluster` run into it has finished\n")
+
+
+def test_a_flipped_byte_in_a_cluster_map_is_refused(workspace, tmp_path, capsys):
+    clusters = tmp_path / "clusters"
+    shutil.copytree(workspace / "clusters", clusters)
+    victim = clusters / "img00007_clusters.lpt"
+    data = bytearray(victim.read_bytes())
+    data[-2] ^= 1  # the low byte of the last id: still a valid id below k
+    victim.write_bytes(bytes(data))
+    for command, argv in downstream_of(workspace, clusters, tmp_path).items():
+        capsys.readouterr()
+        assert cli.main(argv) == 1, command
+        assert capsys.readouterr().err == (
+            f"error: {victim}: not the {len(data)}-byte file whose sha256 "
+            f"{clusters / 'cluster_outputs.txt'} records\n")
+
+
+def test_cooc_refuses_an_fg_map_of_another_cluster_run(workspace, tmp_path, capsys):
+    cfg = tmp_path / "seed1.cfg"
+    cfg.write_text(SMALL_CFG + "\n[run]\nseed = 1\n")
+    clusters1, fg1 = tmp_path / "clusters1", tmp_path / "fg1"
+    assert cli.main(cluster_argv(workspace, workspace / "data", clusters1, cfg)) == 0
+    assert cli.main(["--config", str(cfg), "cbfe", "--data", str(workspace / "data"),
+                     "--clusters", str(clusters1), "--out", str(fg1)]) == 0
+    capsys.readouterr()
+    assert cli.main(["cooc", "--clusters", str(workspace / "clusters"),
+                     "--out", str(tmp_path / "cooc"), "--fg-map", str(fg1 / "fg_map.txt")]) == 1
+    assert capsys.readouterr().err == (f"error: {fg1 / 'cbfe_outputs.txt'}: made from another "
+                                       "cluster_outputs.txt than this run reads\n")
+
+
+def test_a_file_argument_must_be_listed(workspace, tmp_path, capsys):
+    cooc = tmp_path / "cooc"
+    shutil.copytree(workspace / "cooc", cooc)
+    shutil.copy(cooc / "graph.txt", cooc / "other.txt")
+    capsys.readouterr()
+    assert cli.main(["communities", "--graph", str(cooc / "other.txt"),
+                     "--out", str(tmp_path / "comm")]) == 1
+    assert capsys.readouterr().err == (f"error: {cooc / 'other.txt'}: not listed in "
+                                       f"{cooc / 'cooc_outputs.txt'}\n")
+
+
+def test_gen_lists_only_its_own_files(workspace, tmp_path):
+    """10 images generated into a dir that holds 24 list the 10 images'
+    tensors, the prototypes, the key and the manifest: no stale file."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    cfg = tmp_path / "ten.cfg"
+    cfg.write_text(SMALL_CFG.replace("n_images = 24", "n_images = 10"))
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(data)]) == 0
+    listed = cli.read_outputs(data, "gen").files
+    assert sorted(listed) == sorted(
+        [f"img{i:05d}_{kind}.lpt" for i in range(10) for kind in ("attn", "feat", "mask")]
+        + ["key.txt", "manifest.txt", "prototypes.lpt"])
+
+
+def test_a_stage_counts_its_warnings(workspace, tmp_path):
+    """Each run counts every warning it raised, however often the process
+    raised it before, and re-emits each distinct message once."""
+    clusters = tmp_path / "clusters"
+    copy_clusters(workspace, clusters, lambda cm: np.where(cm >= cm.max(), 0, cm))
+    for run in ("fg_a", "fg_b"):
+        with pytest.warns(UserWarning, match="never appear") as record:
+            assert cli.main(["--config", str(workspace / "run.cfg"), "cbfe",
+                             "--data", str(workspace / "data"), "--clusters", str(clusters),
+                             "--out", str(tmp_path / run)]) == 0
+        assert len([w for w in record if "never appear" in str(w.message)]) == 1
+        last = (tmp_path / run / "cbfe_outputs.txt").read_text().splitlines()[-1]
+        assert last.startswith("warnings ") and int(last.split()[1]) >= 1
+    assert ((tmp_path / "fg_a" / "cbfe_outputs.txt").read_bytes()
+            == (tmp_path / "fg_b" / "cbfe_outputs.txt").read_bytes())
+    assert (workspace / "fg" / "cbfe_outputs.txt").read_text().endswith("\nwarnings 0\n")

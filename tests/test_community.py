@@ -603,6 +603,38 @@ def test_partition_canonical_and_count():
     assert canon.n_communities == 2
 
 
+def canonical_reference(assignment):
+    """Per-node loop: communities numbered in order of first appearance."""
+    out, seen = np.full(len(assignment), community.BACKGROUND), {}
+    for node, comm in enumerate(assignment):
+        if comm != community.BACKGROUND:
+            out[node] = seen.setdefault(int(comm), len(seen))
+    return out
+
+
+def graph_text_reference(graph):
+    """Per-pair loop over the upper triangle, row-major."""
+    lines = [f"nodes {graph.n}"] + [f"node {i} {int(graph.node_counts[i])}"
+                                     for i in range(graph.n)]
+    lines += [f"{i} {j} {float(graph.weights[i, j])!r}" for i in range(graph.n)
+              for j in range(i + 1, graph.n) if graph.weights[i, j] > 0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonical_and_write_graph_match_their_loops(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    assignment = rng.integers(-1, 8, size=n)
+    assert np.array_equal(community.Partition(assignment).canonical().assignment,
+                          canonical_reference(assignment))
+    w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    graph = community.CoocGraph((w + w.T).astype(np.float32 if seed % 2 else np.float64),
+                                rng.integers(0, 100, size=n))
+    community.write_graph(graph, tmp_path / "graph.txt")
+    assert (tmp_path / "graph.txt").read_text() == graph_text_reference(graph)
+
+
 # ---------------------------------------------------------------- persistence
 
 

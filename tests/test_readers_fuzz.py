@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leopart import cbfe, community, render, tensor_io
+from leopart import cbfe, cli, community, config, render, tensor_io
 
 NAMED_ERRORS = (tensor_io.TensorFormatError, tensor_io.ManifestError, ValueError,
                 community.CommunityError)
@@ -128,6 +128,24 @@ def test_read_foreground_map_returns_flags_or_a_named_error(tmp_path, data):
     theta = check_reader(tmp_path, cbfe.read_foreground_map, data, "fg_map.txt")
     if theta is not None:
         assert theta.dtype == bool
+
+
+def valid_outputs(tmp_path) -> bytes:
+    """A ``cluster_outputs.txt`` listing one tensor beside it."""
+    (tmp_path / "a.lpt").write_bytes(valid_tensor())
+    path = cli.write_outputs_manifest(tmp_path, "cluster", config.Config(),
+                                      [tmp_path / "a.lpt"], {"manifest.txt": "0" * 64}, 2)
+    return path.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_outputs_returns_checked_outputs_or_a_named_error(tmp_path, data):
+    raw = data.draw(fuzz_inputs(valid_outputs(tmp_path)))
+    outputs = check_reader(tmp_path, lambda p: cli.read_outputs(p.parent, "cluster"), raw,
+                           "cluster_outputs.txt")
+    if outputs is not None:  # only the one file beside it can match its record
+        assert set(outputs.files) <= {"a.lpt"}
 
 
 VALID_PPM = b"P6\n5 4\n255\n" + bytes(range(60))

@@ -271,7 +271,7 @@ def _text_writers(tmp_path):
         "loss_curve": (tmp_path / "c.csv",
                        lambda v: training.write_loss_curve([(1, v)], tmp_path / "c.csv")),
         "outputs": (tmp_path / "train_outputs.txt", lambda v: cli.write_outputs_manifest(
-            tmp_path, "train", config.Config(), [tmp_path / f"o{v}.lpc"])),
+            tmp_path, "train", config.Config(), [], {"manifest.txt": f"{v:064x}"}, v)),
         "text": (tmp_path / "key.txt", lambda v: tensor_io.write_text(tmp_path / "key.txt",
                                                                       f"parts={v}\n")),
     }
