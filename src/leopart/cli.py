@@ -84,6 +84,8 @@ def read_outputs(path: str | Path, command: str) -> StageOutputs:
     and sha256, and a file *path* must be listed; else a ``ManifestError``
     names the directory or file."""
     path = Path(path)
+    if not path.exists():
+        raise tensor_io.ManifestError(f"{path}: no such file or directory")
     root = path if path.is_dir() else path.parent
     manifest = root / f"{command}_outputs.txt"
     if not manifest.is_file():

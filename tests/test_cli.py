@@ -730,7 +730,7 @@ def test_cooc_refuses_an_fg_map_of_another_cluster_run(workspace, tmp_path, caps
                                        "cluster_outputs.txt than this run reads\n")
 
 
-def test_a_file_argument_must_be_listed(workspace, tmp_path, capsys):
+def test_an_input_must_exist_and_be_listed(workspace, tmp_path, capsys):
     cooc = tmp_path / "cooc"
     shutil.copytree(workspace / "cooc", cooc)
     shutil.copy(cooc / "graph.txt", cooc / "other.txt")
@@ -739,6 +739,9 @@ def test_a_file_argument_must_be_listed(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "comm")]) == 1
     assert capsys.readouterr().err == (f"error: {cooc / 'other.txt'}: not listed in "
                                        f"{cooc / 'cooc_outputs.txt'}\n")
+    nowhere = tmp_path / "nowhere"
+    assert cli.main(["cooc", "--clusters", str(nowhere), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {nowhere}: no such file or directory\n"
 
 
 def test_gen_lists_only_its_own_files(workspace, tmp_path):
