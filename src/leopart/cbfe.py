@@ -53,9 +53,7 @@ def cluster_precision(cluster_maps: np.ndarray, hint_masks: np.ndarray,
     if missing.any():
         warnings.warn(f"{int(missing.sum())} clusters never appear; precision set to 0",
                       stacklevel=2)
-    with np.errstate(invalid="ignore"):
-        precision = np.where(total > 0, inside / np.maximum(total, 1), 0.0)
-    return precision
+    return np.where(total > 0, inside / np.maximum(total, 1), 0.0)
 
 
 def build_theta(precisions: np.ndarray, c: float) -> ForegroundMap:

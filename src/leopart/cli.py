@@ -18,7 +18,9 @@ runs in different directories write identical bytes:
     warnings <n>                        the warnings raised while it ran
 
 A downstream stage reads an upstream directory, or a file in it, only
-through that manifest (:func:`read_outputs`): it refuses, with a
+through that manifest (:func:`read_outputs`); ``--fg-map`` and ``--graph``
+take the ``cbfe`` and ``cooc`` directory, whose listed ``fg_map.txt`` and
+``graph.txt`` are read, or that file itself. The stage refuses, with a
 ``ManifestError``, a missing manifest, a listed file that is missing or
 whose size or sha256 differs, and a file argument that is not listed. It
 also refuses two inputs that record different digests of one upstream
@@ -116,6 +118,13 @@ def read_outputs(path: str | Path, command: str) -> StageOutputs:
     if path != root:
         outputs.file(path.name)
     return outputs
+
+
+def listed_file(outputs: StageOutputs, path: str, name: str) -> Path:
+    """The file *path*, or the listed *name* when *path* is the directory
+    of *outputs*."""
+    path = Path(path)
+    return outputs.file(name) if path.is_dir() else path
 
 
 class Stage:
@@ -280,8 +289,8 @@ def cmd_cooc(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     maps, k = read_cluster_maps(stage.upstream(args.clusters, "cluster"))
     theta = np.ones(k, dtype=bool)
     if args.fg_map:
-        stage.upstream(args.fg_map, "cbfe", "cluster_outputs.txt")
-        theta = cbfe.read_foreground_map(Path(args.fg_map))
+        fg = stage.upstream(args.fg_map, "cbfe", "cluster_outputs.txt")
+        theta = cbfe.read_foreground_map(listed_file(fg, args.fg_map, "fg_map.txt"))
         if len(theta) != k:
             raise ValueError(f"{args.fg_map} labels {len(theta)} clusters, "
                              f"the clusters have k={k}")
@@ -295,8 +304,8 @@ def cmd_cooc(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
 
 
 def cmd_communities(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
-    stage.upstream(args.graph, "cooc")
-    graph = community.read_graph(Path(args.graph))
+    cooc = stage.upstream(args.graph, "cooc")
+    graph = community.read_graph(listed_file(cooc, args.graph, "graph.txt"))
     if cfg["cd"]["target_m"] is None:
         raise config_mod.ConfigError("no community count: set cd.target_m")
     partition = community.detect_communities(
@@ -412,10 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cooc", help="build the cluster co-occurrence graph")
     p.add_argument("--clusters", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fg-map", help="disconnect background clusters first")
+    p.add_argument("--fg-map", help="a cbfe output directory or its fg_map.txt: "
+                                    "disconnect background clusters first")
 
     p = sub.add_parser("communities", help="detect cluster communities")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True, help="a cooc output directory or its graph.txt")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="run an evaluation protocol")

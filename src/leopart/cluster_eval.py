@@ -37,7 +37,7 @@ def resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of an (H, W) or (C, H, W) feature grid."""
+    """Bilinear resize of an (H, W) or (..., C, H, W) feature grid."""
     return crops.align(grid, crops.FULL_BOX, out_h, out_w)
 
 
@@ -325,7 +325,7 @@ class _Assignment:
         self.exact = False
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansResult:
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int = 100) -> KMeansResult:
     k = len(centroids)
     nearest = _Assignment(points, centroids)
     labels = np.full(len(points), -1)
@@ -348,20 +348,13 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
                         inertia=float(nearest.dist.sum()))
 
 
-def kmeans(points: np.ndarray, k: int, n_seeds: int = DEFAULT_SEEDS,
-           max_iter: int = 100, seed: int = 0) -> KMeansResult:
-    """k-means++ / Lloyd; the best of *n_seeds* runs by inertia."""
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
+    """k-means++ seeding, then Lloyd iterations."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
-    best: KMeansResult | None = None
-    for s in range(n_seeds):
-        rng = np.random.default_rng([seed, 17, s])
-        result = _lloyd(points, _kmeans_pp_init(points, k, rng), max_iter)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    assert best is not None
-    return best
+    rng = np.random.default_rng([seed, 17, 0])
+    return _lloyd(points, _kmeans_pp_init(points, k, rng))
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +484,7 @@ def cluster_maps_for(features: np.ndarray, k: int,
                      seed: int) -> tuple[np.ndarray, KMeansResult]:
     """Run one K-means over all spatial tokens; (N, H, W) cluster-id grids."""
     features = np.asarray(features)
-    result = kmeans(token_rows(features), k, n_seeds=1, seed=seed)
+    result = kmeans(token_rows(features), k, seed=seed)
     maps = result.labels.astype(np.uint16).reshape(len(features), *features.shape[2:])
     return maps, result
 
@@ -531,8 +524,7 @@ def probe_loss_and_grads(w: np.ndarray, b: np.ndarray, tokens: np.ndarray,
 def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
                  eval_features: np.ndarray, eval_gt: np.ndarray,
                  n_classes: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
-                 ignore_label: int | None = None, seed: int = 0,
-                 ) -> tuple[float, dict[str, np.ndarray]]:
+                 seed: int = 0) -> tuple[float, dict[str, np.ndarray]]:
     """Multinomial logistic regression on frozen tokens, evaluated by mIoU.
 
     Training pairs each token with the nearest-neighbor downsampled mask
@@ -540,9 +532,6 @@ def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
     """
     x = token_rows(train_features).astype(np.float64)
     y = resize_nearest(train_gt, *np.shape(train_features)[-2:]).ravel().astype(np.intp)
-    if ignore_label is not None:
-        keep = y != ignore_label
-        x, y = x[keep], y[keep]
 
     rng = np.random.default_rng([seed, 23])
     params = {
@@ -554,10 +543,15 @@ def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
         loss, gw, gb = probe_loss_and_grads(params["w"], params["b"], x, y)
         optim.adam_step(params, {"w": gw, "b": gb}, state, lr)
 
-    preds = []
-    for f, g in zip(eval_features, eval_gt):
-        up = resize_bilinear(f.astype(np.float64), g.shape[0], g.shape[1])
-        logits = np.einsum("dhw,dc->chw", up, params["w"]) + params["b"][:, None, None]
-        preds.append(logits.argmax(axis=0))
-    score, _ = miou(preds, eval_gt, n_classes, ignore_label)
+    eval_gt = np.asarray(eval_gt)
+    logits = probe_logits(eval_features, params, *eval_gt.shape[-2:])
+    score, _ = miou(logits.argmax(axis=1), eval_gt, n_classes)
     return score, params
+
+
+def probe_logits(features: np.ndarray, params: dict[str, np.ndarray],
+                 out_h: int, out_w: int) -> np.ndarray:
+    """(N, classes, out_h, out_w) probe logits of (N, D, H, W) features,
+    bilinearly upsampled in one resize of the stack."""
+    up = resize_bilinear(np.asarray(features, dtype=np.float64), out_h, out_w)
+    return np.einsum("ndhw,dc->nchw", up, params["w"]) + params["b"][:, None, None]

@@ -463,7 +463,7 @@ def merge_by_communities(cluster_maps: np.ndarray, partition: Partition) -> np.n
     background (unassigned or unseen cluster ids).
     """
     k = len(partition.assignment)
-    lut = np.where(partition.assignment == BACKGROUND, -1, partition.assignment) + 1
+    lut = partition.assignment + 1  # BACKGROUND is -1, so it becomes label 0
     cm = np.asarray(cluster_maps, dtype=np.int64)
     unseen = cm >= k
     merged = lut[np.where(unseen, 0, cm)]

@@ -107,7 +107,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "markov_time": (_positive, community.DEFAULT_MARKOV_TIME),
         "distance": (_count, community.DEFAULT_DISTANCE),
         "target_m": (_ranged(_optional_int, lambda v: v >= 1, "at least 1"),
-                     None),  # None: #classes - 1
+                     None),  # `communities` refuses None; unsupseg reads no target_m
     },
     "eval": {
         "k": (_count, 20),

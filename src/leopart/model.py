@@ -146,7 +146,7 @@ def forward_crop(grids: list[np.ndarray],
     z, cache = head_forward(tokens, params)
     logits = z @ params["prototypes"].T
     shapes = [g.shape[:1] + g.shape[2:] for g in grids]  # (N, h, w) per stack
-    cache.update({"raw": raw, "shapes": shapes})
+    cache["raw"] = raw
     out, start = [], 0
     for n, h, w in shapes:
         stop = start + n * h * w

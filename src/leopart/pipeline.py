@@ -79,7 +79,7 @@ def stage_cbfe(features: np.ndarray, artifacts: CbfeArtifacts,
     """Stage 3: background from CBFE, K-means over foreground tokens only."""
     fg = artifacts.fg_masks.ravel().astype(bool)
     result = cluster_eval.kmeans(cluster_eval.token_rows(features)[fg], n_classes - 1,
-                                 n_seeds=1, seed=seed)
+                                 seed=seed)
     labels = np.zeros(len(fg), dtype=np.int64)
     labels[fg] = result.labels + 1
     return hungarian_matched_miou(labels.reshape(artifacts.fg_masks.shape), gt_maps, n_classes)

@@ -187,15 +187,15 @@ class ManifestRecord:
     mask_path: Path | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
-    """Line-per-record dataset index.
+    """Line-per-record dataset index, as parsed; reading its tensors (see
+    :class:`Dataset`) never changes it.
 
     Record lines look like ``id=<s> feature=<path> [attention=<path>]
     [mask=<path>]``; paths are relative to the manifest file. The token
     grid and feature dimensionality may be declared in ``# grid=HxW`` /
-    ``# dim=D`` comment lines, otherwise they are taken from the first
-    feature tensor loaded; every later load is validated against them.
+    ``# dim=D`` comment lines; None where the manifest declares none.
     """
 
     records: list[ManifestRecord]
@@ -205,44 +205,6 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def load_features(self, rec: ManifestRecord) -> np.ndarray:
-        """Load the D x H' x W' feature tensor of *rec*, validating shape."""
-        t = read_tensor(self.root / rec.feature_path)
-        if t.ndim != 3:
-            raise ManifestError(f"{rec.id}: feature tensor must be D x H' x W'")
-        d, h, w = t.shape
-        if self.feature_dim is None:
-            self.feature_dim = d
-        if self.token_grid is None:
-            self.token_grid = (h, w)
-        if d != self.feature_dim or (h, w) != self.token_grid:
-            raise ManifestError(
-                f"{rec.id}: feature tensor {t.shape} does not match manifest "
-                f"dim={self.feature_dim} grid={self.token_grid}"
-            )
-        return t
-
-    def load_attention(self, rec: ManifestRecord) -> np.ndarray | None:
-        if rec.attention_path is None:
-            return None
-        t = read_tensor(self.root / rec.attention_path)
-        if t.ndim == 2:
-            t = t[None]
-        if self.token_grid is not None and tuple(t.shape[1:]) != self.token_grid:
-            raise ManifestError(
-                f"{rec.id}: attention grid {t.shape[1:]} != {self.token_grid}"
-            )
-        return t
-
-    def load_mask(self, rec: ManifestRecord) -> np.ndarray | None:
-        """The (C, H, W) mask of *rec*, channel 0 its object classes."""
-        if rec.mask_path is None:
-            return None
-        t = read_tensor(self.root / rec.mask_path)
-        if t.ndim != 3:
-            raise ManifestError(f"{rec.id}: mask tensor must be C x H x W, got {t.shape}")
-        return t
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -341,10 +303,11 @@ class Dataset:
     and ground truth.
 
     Each kind is read, for every record at once, on first access and kept,
-    so a stage reads only the kinds it uses; :func:`stack_tensors` checks
-    that it has one shape and dtype. Attention read before the features is
-    checked against the manifest's ``# grid=`` header, or else against the
-    first feature tensor.
+    so a stage reads only the kinds it uses. :func:`stack_tensors` checks
+    that a kind has one shape and dtype, and each stack is then checked once
+    against the manifest's headers: features against ``# dim=`` and
+    ``# grid=``, attention against ``# grid=`` or else the first feature
+    tensor's grid. Every refusal is a ``ManifestError`` naming a record.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -352,29 +315,57 @@ class Dataset:
             raise ManifestError(f"the dataset manifest under {manifest.root} lists no records")
         self.manifest = manifest
 
-    def _stack(self, kind: str, load) -> np.ndarray | None:
-        records = self.manifest.records
-        return stack_tensors(map(load, records), [rec.id for rec in records], kind)
+    def _stack(self, kind: str, attr: str, lift=lambda t: t) -> np.ndarray | None:
+        """The *attr* tensors of every record, each through *lift*, as one
+        stack; None if no record has one."""
+        root, records = self.manifest.root, self.manifest.records
+        paths = [getattr(rec, attr) for rec in records]
+        tensors = (None if p is None else lift(read_tensor(root / p)) for p in paths)
+        return stack_tensors(tensors, [rec.id for rec in records], kind)
+
+    def _error(self, message: str) -> ManifestError:
+        """An error naming the first record: a stack's records share one
+        shape, so the first is as wrong as any."""
+        return ManifestError(f"{self.manifest.records[0].id}: {message}")
 
     @cached_property
     def features(self) -> np.ndarray:
         """(N, D, H, W) raw token grids."""
-        return self._stack("feature tensor", self.manifest.load_features)
+        feats = self._stack("feature tensor", "feature_path")
+        shape, m = feats.shape[1:], self.manifest
+        if feats.ndim != 4:
+            raise self._error(f"feature tensor must be D x H' x W', got {shape}")
+        if m.feature_dim not in (None, shape[0]) or m.token_grid not in (None, shape[1:]):
+            raise self._error(f"feature tensor {shape} does not match manifest "
+                              f"dim={m.feature_dim} grid={m.token_grid}")
+        return feats
 
     @cached_property
     def attn_stacks(self) -> np.ndarray | None:
-        """(N, heads, H, W) attention stacks; None if no record has any."""
-        manifest = self.manifest
-        if manifest.token_grid is None:
-            manifest.load_features(manifest.records[0])
-        return self._stack("attention", manifest.load_attention)
+        """(N, heads, H, W) attention stacks, a 2-D record one head; None if
+        no record has any."""
+        attn = self._stack("attention", "attention_path",
+                           lambda t: t[None] if t.ndim == 2 else t)
+        if attn is None:
+            return None
+        grid = self.manifest.token_grid
+        if grid is None:
+            first = self.manifest.records[0]
+            grid = read_tensor(self.manifest.root / first.feature_path).shape[1:]
+        if attn.shape[2:] != grid:
+            raise self._error(f"attention grid {attn.shape[2:]} != {grid}")
+        return attn
 
     @cached_property
     def object_maps(self) -> np.ndarray | None:
         """(N, H, W) object-class maps, 0 = background, from channel 0 of
-        each mask; None if no record has a mask."""
-        masks = self._stack("mask", self.manifest.load_mask)
-        return None if masks is None else masks[:, 0].astype(np.int64)
+        each (C, H, W) mask; None if no record has a mask."""
+        masks = self._stack("mask", "mask_path")
+        if masks is None:
+            return None
+        if masks.ndim != 4:
+            raise self._error(f"mask tensor must be C x H x W, got {masks.shape[1:]}")
+        return masks[:, 0].astype(np.int64)
 
 
 def load_dataset(manifest: DatasetManifest) -> Dataset:

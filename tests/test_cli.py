@@ -145,6 +145,19 @@ def test_cbfe_and_cooc_take_k_from_centroids(workspace, tmp_path):
     assert len(cbfe.read_foreground_map(fg / "fg_map.txt")) == k
 
 
+def test_fg_map_and_graph_take_the_stage_directory(workspace, tmp_path):
+    """``--fg-map`` and ``--graph`` read the listed fg_map.txt and graph.txt
+    of a stage directory: the same bytes as the file arguments write."""
+    c = ["--config", str(workspace / "run.cfg")]
+    cooc, comm = tmp_path / "cooc", tmp_path / "comm"
+    assert cli.main(c + ["cooc", "--clusters", str(workspace / "clusters"), "--out", str(cooc),
+                         "--fg-map", str(workspace / "fg")]) == 0
+    assert cli.main(c + ["communities", "--graph", str(cooc), "--out", str(comm)]) == 0
+    for name in ("cooc/graph.txt", "cooc/cooc_outputs.txt", "comm/partition.txt",
+                 "comm/communities_outputs.txt"):
+        assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes(), name
+
+
 def test_cooc_rejects_cluster_ids_beyond_centroids(workspace, tmp_path, capsys):
     clusters = tmp_path / "clusters"
     k = copy_clusters(workspace, clusters, lambda cm: np.full_like(cm, 0))

@@ -57,7 +57,7 @@ def test_kmeans_matches_bruteforce_partition_1d():
             inertia += ((sel - sel.mean(axis=0)) ** 2).sum()
         best_inertia = min(best_inertia, inertia)
 
-    result = cluster_eval.kmeans(points, 2, n_seeds=5, seed=0)
+    result = cluster_eval.kmeans(points, 2, seed=0)
     assert result.inertia == pytest.approx(best_inertia, abs=1e-12)
     assert result.labels[0] == result.labels[1]
     assert result.labels[2] == result.labels[3]
@@ -623,3 +623,18 @@ def test_linear_probe_chance_on_shuffled_labels():
     score, _ = cluster_eval.linear_probe(feats[:6], shuffled[:6], feats[6:],
                                          shuffled[6:], n_classes=3, epochs=100, lr=0.1)
     assert score < 0.5
+
+
+def test_probe_logits_equal_the_per_image_loop():
+    """One resize of the stack and one einsum give, bit for bit, the logits
+    of resizing and scoring each held-out image on its own."""
+    rng = np.random.default_rng(14)
+    feats = np.stack(planted_features(rng, n_images=5, h=7, w=9)[0]).astype(np.float32)
+    params = {"w": rng.normal(size=(6, 3)), "b": rng.normal(size=3)}
+    for out_hw in ((7, 9), (20, 15)):
+        want = np.stack([
+            np.einsum("dhw,dc->chw", cluster_eval.resize_bilinear(f.astype(np.float64), *out_hw),
+                      params["w"]) + params["b"][:, None, None] for f in feats])
+        got = cluster_eval.probe_logits(feats, params, *out_hw)
+        assert got.shape == (5, 3, *out_hw)
+        assert np.array_equal(got, want)

@@ -30,9 +30,8 @@ def test_generate_writes_consistent_artifacts(tmp_path):
     assert len(key.part_maps) == spec.n_images
 
     rec = manifest.records[0]
-    feats = manifest.load_features(rec)
-    attn = manifest.load_attention(rec)
-    mask = manifest.load_mask(rec)
+    feats, attn, mask = (tensor_io.read_tensor(manifest.root / path) for path in
+                         (rec.feature_path, rec.attention_path, rec.mask_path))
     assert feats.shape == (16, 10, 10)
     assert feats.dtype == np.float32
     assert attn.shape == (1, 10, 10)
@@ -86,9 +85,8 @@ def test_nearest_prototype_recovers_part_labels(tmp_path):
     manifest, key = synth.generate(spec, tmp_path)
     wrong = 0
     total = 0
-    for rec, part_map in zip(manifest.records, key.part_maps):
-        feats = manifest.load_features(rec).astype(np.float64)
-        tokens = feats.reshape(spec.raw_dim, -1).T
+    for feats, part_map in zip(tensor_io.load_dataset(manifest).features, key.part_maps):
+        tokens = feats.astype(np.float64).reshape(spec.raw_dim, -1).T
         nearest = np.argmax(tokens @ key.prototypes.T, axis=1)
         wrong += int((nearest != part_map.ravel()).sum())
         total += len(nearest)
@@ -98,8 +96,8 @@ def test_nearest_prototype_recovers_part_labels(tmp_path):
 def test_noiseless_generation_is_exactly_recoverable(tmp_path):
     spec = small_spec(noise_sigma=0.0)
     manifest, key = synth.generate(spec, tmp_path)
-    rec = manifest.records[0]
-    tokens = manifest.load_features(rec).astype(np.float64).reshape(spec.raw_dim, -1).T
+    feats = tensor_io.load_dataset(manifest).features[0]
+    tokens = feats.astype(np.float64).reshape(spec.raw_dim, -1).T
     nearest = np.argmax(tokens @ key.prototypes.T, axis=1)
     assert np.array_equal(nearest, key.part_maps[0].ravel())
 
@@ -107,8 +105,8 @@ def test_noiseless_generation_is_exactly_recoverable(tmp_path):
 def test_attention_flip_count(tmp_path):
     spec = small_spec(attention_flip=0.1)
     manifest, key = synth.generate(spec, tmp_path)
-    for rec, obj_map in zip(manifest.records, key.object_maps):
-        attn = manifest.load_attention(rec)[0].astype(np.float64)
+    for stack, obj_map in zip(tensor_io.load_dataset(manifest).attn_stacks, key.object_maps):
+        attn = stack[0].astype(np.float64)
         raw = (attn - 0.01) / 0.98  # undo the affine squeeze
         fg = (obj_map > 0).astype(np.float64)
         n_flipped = int(np.sum(np.round(raw) != fg))
@@ -137,5 +135,5 @@ def test_manifest_roundtrip_of_generated_set(tmp_path):
     assert len(manifest) == spec.n_images
     assert manifest.token_grid == spec.grid
     assert manifest.feature_dim == spec.raw_dim
-    feats = manifest.load_features(manifest.records[3])
-    assert feats.shape == (spec.raw_dim, *spec.grid)
+    feats = tensor_io.load_dataset(manifest).features
+    assert feats.shape == (spec.n_images, spec.raw_dim, *spec.grid)

@@ -100,12 +100,19 @@ def test_manifest_missing_feature(tmp_path):
 
 
 def test_manifest_dim_mismatch_on_first_load(tmp_path):
+    """A ``# dim=`` or ``# grid=`` header that the feature stack does not
+    match is refused once for the stack, naming its first record."""
     _write_feature(tmp_path, "a.lpt", shape=(64, 3, 3))
-    mpath = tmp_path / "manifest.txt"
-    mpath.write_text("# dim=32\nid=img1 feature=a.lpt\n")
-    m = tensor_io.load_manifest(mpath)
-    with pytest.raises(tensor_io.ManifestError):
-        m.load_features(m.records[0])
+    _write_feature(tmp_path, "b.lpt", shape=(64, 3, 3))
+    records = "id=img1 feature=a.lpt\nid=img2 feature=b.lpt\n"
+    for header, declared in (("# dim=32", "dim=32 grid=None"),
+                             ("# grid=3x4", "dim=None grid=(3, 4)")):
+        (tmp_path / "manifest.txt").write_text(f"{header}\n{records}")
+        dataset = tensor_io.load_dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
+        with pytest.raises(tensor_io.ManifestError) as exc:
+            dataset.features
+        assert str(exc.value) == \
+            f"img1: feature tensor (64, 3, 3) does not match manifest {declared}"
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -373,7 +380,7 @@ INCONSISTENT_RECORDS = {
     "attention_only_later": ([record(attention=False), record()], "attn_stacks",
                              "img1: attention float32 (1, 3, 3), the first has no attention"),
     "mask_not_chw": ([record(), record(mask_shape=(3, 3))], "object_maps",
-                     "img1: mask tensor must be C x H x W, got (3, 3)"),
+                     "img1: mask uint16 (3, 3), the first has mask uint16 (2, 3, 3)"),
     "mask_channels": ([record(), record(mask_shape=(1, 3, 3))], "object_maps",
                       "img1: mask uint16 (1, 3, 3), the first has mask uint16 (2, 3, 3)"),
     "mask_grid": ([record(), record(mask_shape=(2, 4, 4))], "object_maps",
@@ -411,3 +418,47 @@ def test_dataset_of_no_records_is_a_named_error(tmp_path, capsys):
         assert cli.main(argv + ["--data", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "lists no records" in err
+
+
+def test_a_first_record_whose_mask_is_2d_is_refused(tmp_path):
+    """The mask stack is checked once: (C, H, W) on every record, so 2-D masks
+    are refused by the first record, and a 3-D mask after a 2-D one by its own."""
+    for later, named in (
+            ((3, 3), "img0: mask tensor must be C x H x W, got (3, 3)"),
+            ((2, 3, 3), "img1: mask uint16 (2, 3, 3), the first has mask uint16 (3, 3)")):
+        manifest = write_records(tmp_path, [record(mask_shape=(3, 3)), record(mask_shape=later)])
+        with pytest.raises(tensor_io.ManifestError) as exc:
+            tensor_io.load_dataset(tensor_io.load_manifest(manifest)).object_maps
+        assert str(exc.value) == named
+
+
+def test_attention_with_a_grid_header_reads_no_feature_file(tmp_path, monkeypatch):
+    manifest = write_records(tmp_path, [record(), record()])
+    manifest.write_text("# grid=3x3\n" + manifest.read_text())
+    reads = []
+    read = tensor_io.read_tensor
+    monkeypatch.setattr(tensor_io, "read_tensor", lambda path: reads.append(path) or read(path))
+    attn = tensor_io.load_dataset(tensor_io.load_manifest(manifest)).attn_stacks
+    assert attn.shape == (2, 1, 3, 3)
+    assert reads == [tmp_path / "img0_attention.lpt", tmp_path / "img1_attention.lpt"]
+
+
+def test_two_dimensional_attention_is_one_head(tmp_path):
+    recs = [dict(record(), attention=np.full((3, 3), 0.5, np.float32)), record()]
+    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    assert dataset.attn_stacks.shape == (2, 1, 3, 3)
+    assert np.array_equal(dataset.attn_stacks[0, 0], np.full((3, 3), 0.5))
+
+
+@pytest.mark.parametrize("header", ["", "# grid=3x3\n# dim=4\n"])
+def test_reading_never_changes_the_manifest(tmp_path, header):
+    path = write_records(tmp_path, [record(), record()])
+    path.write_text(header + path.read_text())
+    manifest = tensor_io.load_manifest(path)
+    before = (manifest.token_grid, manifest.feature_dim)
+    dataset = tensor_io.load_dataset(manifest)
+    for kind in ("attn_stacks", "features", "object_maps"):
+        getattr(dataset, kind)
+    assert (manifest.token_grid, manifest.feature_dim) == before
+    with pytest.raises(AttributeError):
+        manifest.token_grid = (3, 3)

@@ -219,7 +219,7 @@ def test_embed_features_shape_and_head(tiny_dataset):
     manifest, _ = tiny_dataset
     cfg = tiny_config(epochs=1)
     state = training.init_state(cfg, raw_dim=16)
-    raw = manifest.load_features(manifest.records[0]).astype(np.float32)
+    raw = tensor_io.load_dataset(manifest).features[0]
     enc = training.embed_features(raw, state.student, use_head=False)
     proj = training.embed_features(raw, state.student, use_head=True)
     assert enc.shape == (16, 10, 10)
@@ -233,7 +233,7 @@ def test_float32_parameters_keep_float32_features(tiny_dataset):
     float32 activations to float64."""
     manifest, _ = tiny_dataset
     state = training.init_state(tiny_config(epochs=1), raw_dim=16)
-    raw = manifest.load_features(manifest.records[0]).astype(np.float32)
+    raw = tensor_io.load_dataset(manifest).features[0]
     assert training.embed_features(raw, state.student, use_head=False).dtype == np.float32
     assert training.embed_features(raw, state.student, use_head=True).dtype == np.float32
     tokens = model.encoder_forward(raw.reshape(16, -1).T, state.student)
