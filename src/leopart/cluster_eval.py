@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import crops, model, optim
+from . import crops, optim
 
 EVAL_MASK_SIZE = 100
 DEFAULT_SEEDS = 5

@@ -375,9 +375,9 @@ class _LocalMover:
         to_module = self.w[np.ix_(self.active, self.active)] @ member
         return to_module, member.T @ to_module
 
-    def merge_deltas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Module pairs (a, b), a < b, in row-major order, the weight between
-        them and the change in description length of merging each pair."""
+    def merge_deltas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Module pairs (a, b), a < b, in row-major order, and the change in
+        description length of merging each pair."""
         comms = np.unique(self.assignment[self.active])
         _, between = self._module_weights(comms)
         ai, bi = np.triu_indices(len(comms), 1)
@@ -387,21 +387,13 @@ class _LocalMover:
         cut_b = self.deg_sum[b] - self.internal[b]
         deltas = self._delta(-2.0 * w_ab, (flow_a, flow_b), (cut_a, cut_b),
                              (flow_a + flow_b,), (cut_a + cut_b - 2.0 * w_ab,))
-        return a, b, w_ab, deltas
+        return a, b, deltas
 
     def merge_to_target(self, target_m: int) -> None:
         while len(np.unique(self.assignment[self.active])) > target_m:
-            a, b, w_ab, deltas = self.merge_deltas()
+            a, b, deltas = self.merge_deltas()
             best = _scan_best(deltas)
-            a, b, w_ab = int(a[best]), int(b[best]), float(w_ab[best])
-            self.flow[a] += self.flow[b]
-            self.deg_sum[a] += self.deg_sum[b]
-            self.internal[a] += self.internal[b] + 2.0 * w_ab
-            self.size[a] += self.size[b]
-            self.flow[b] = self.deg_sum[b] = self.internal[b] = 0.0
-            self.size[b] = 0
-            self.total_cut -= 2.0 * w_ab
-            self.assignment[self.assignment == b] = a
+            self._apply_move(np.flatnonzero(self.assignment == b[best]), int(a[best]))
 
     def split_deltas(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes of modules with two or more nodes, by module id and then

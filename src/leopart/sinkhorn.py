@@ -27,7 +27,6 @@ gives the floor.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +110,6 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
     c = np.asarray(prototypes, dtype=np.float64)
     k, n = len(c), features.n_batch
     starts, lengths = features.queue_starts, features.queue_lengths
-    if n + lengths.min() < k:
-        warnings.warn(f"fewer features ({n + lengths.min()}) than prototypes ({k}); "
-                      "equipartition is unattainable", stacklevel=2)
     # non-finite inputs surface as a non-finite plan, checked below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernel = features.rows @ np.ascontiguousarray(c.T)  # (M, K), built in place

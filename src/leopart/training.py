@@ -118,6 +118,12 @@ class TrainState:
     step: int = 0
     losses: list[tuple[int, float]] = field(default_factory=list)
 
+    def scopes(self) -> dict[str, dict[str, np.ndarray]]:
+        """The parameter dicts that a checkpoint saves, by the scope that
+        prefixes their tensor names (``student/<name>`` and so on)."""
+        return {"student": self.student, "teacher": self.teacher,
+                "adam_m": self.adam.m, "adam_v": self.adam.v}
+
 
 def init_state(cfg: TrainConfig, raw_dim: int) -> TrainState:
     dims = model.ModelDims(
@@ -136,12 +142,6 @@ def init_state(cfg: TrainConfig, raw_dim: int) -> TrainState:
         adam=optim.AdamState(),
         queue=sinkhorn.FeatureQueue(capacity=cfg.queue_capacity),
     )
-
-
-def _lr_table(cfg: TrainConfig, step: int, total_steps: int) -> dict[str, float]:
-    head_lr = optim.cosine_decay(cfg.lr_head, step, total_steps)
-    enc_lr = optim.cosine_decay(cfg.lr_encoder, step, total_steps)
-    return {"__head__": head_lr, "__encoder__": enc_lr}
 
 
 def train_step(features: np.ndarray, attn_stacks: np.ndarray | None,
@@ -168,8 +168,9 @@ def train_step(features: np.ndarray, attn_stacks: np.ndarray | None,
             state.queue, tau=cfg.temperature, epsilon=cfg.epsilon, n_iters=cfg.sinkhorn_iters,
             out_size=cfg.align_size,
         )
-        lrs = _lr_table(cfg, state.step, total_steps)
-        lr = {name: lrs["__encoder__"] if name.startswith("encoder.") else lrs["__head__"]
+        head_lr = optim.cosine_decay(cfg.lr_head, state.step, total_steps)
+        encoder_lr = optim.cosine_decay(cfg.lr_encoder, state.step, total_steps)
+        lr = {name: encoder_lr if name.startswith("encoder.") else head_lr
               for name in state.student}
         optim.adam_step(state.student, batch_grads, state.adam, lr, cfg.weight_decay)
         optim.ema_update(state.teacher, state.student,
@@ -185,47 +186,39 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
           ) -> tuple[tensor_io.Checkpoint, list[tuple[int, float]]]:
     """Full training run; returns the final checkpoint and the loss curve.
 
-    ``stop_after`` interrupts the run once that many optimizer steps have
-    completed (counted from step 0), leaving a resumable checkpoint.
+    The run is ``cfg.epochs`` epochs of ceil(images / batch size) steps. Step
+    s is batch s mod steps-per-epoch of epoch s div steps-per-epoch: that
+    epoch's image order and each image's crop seed depend only on the seed,
+    the epoch and the image, so a run resumed from the checkpoint of any
+    step continues the uninterrupted one exactly. ``stop_after`` ends the run
+    once the state reaches that step (counted from step 0), leaving a
+    resumable checkpoint; a state already there takes no step.
     """
     dataset = tensor_io.load_dataset(manifest)
     features, attn_stacks = dataset.features, dataset.attn_stacks
     n_images, raw_dim = features.shape[:2]
     steps_per_epoch = (n_images + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
+    end = total_steps if stop_after is None else min(total_steps, stop_after)
 
     if resume is not None:
         state = state_from_checkpoint(resume, cfg, raw_dim)
     else:
         state = init_state(cfg, raw_dim)
 
-    start_epoch = state.step // steps_per_epoch
-    for epoch in range(start_epoch, cfg.epochs):
+    for step in range(state.step, end):
+        epoch, batch_pos = divmod(step, steps_per_epoch)
         order = np.random.default_rng([cfg.seed, 11, epoch]).permutation(n_images)
-        for b_start in range(0, n_images, cfg.batch_size):
-            batch_pos = b_start // cfg.batch_size
-            step_index = epoch * steps_per_epoch + batch_pos
-            if step_index < state.step:
-                continue  # already done before a resume
-            if stop_after is not None and state.step >= stop_after:
-                return checkpoint_from_state(state, cfg), state.losses
-            idxs = order[b_start:b_start + cfg.batch_size]
-            seeds = [[cfg.seed, 13, epoch, int(i)] for i in idxs]
-            train_step(features[idxs], None if attn_stacks is None else attn_stacks[idxs],
-                       state, cfg, total_steps, seeds)
+        idxs = order[batch_pos * cfg.batch_size:(batch_pos + 1) * cfg.batch_size]
+        seeds = [[cfg.seed, 13, epoch, int(i)] for i in idxs]
+        train_step(features[idxs], None if attn_stacks is None else attn_stacks[idxs],
+                   state, cfg, total_steps, seeds)
     return checkpoint_from_state(state, cfg), state.losses
 
 
 def checkpoint_from_state(state: TrainState, cfg: TrainConfig) -> tensor_io.Checkpoint:
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in state.student.items():
-        tensors[f"student/{name}"] = p.astype(np.float32)
-    for name, p in state.teacher.items():
-        tensors[f"teacher/{name}"] = p.astype(np.float32)
-    for name, p in state.adam.m.items():
-        tensors[f"adam_m/{name}"] = p.astype(np.float32)
-    for name, p in state.adam.v.items():
-        tensors[f"adam_v/{name}"] = p.astype(np.float32)
+    tensors = {f"{scope}/{name}": p.astype(np.float32)
+               for scope, params in state.scopes().items() for name, p in params.items()}
     queue_rows = state.queue.snapshot()
     if len(queue_rows):
         tensors["queue/rows"] = queue_rows.astype(np.float32)
@@ -246,6 +239,7 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
     missing = sorted(expected.keys() - ckpt.tensors.keys())
     if missing:
         raise tensor_io.TensorFormatError(f"checkpoint has no tensor {missing[0]!r}")
+    scopes = state.scopes()
     for name, t in sorted(ckpt.tensors.items()):
         if name == "queue/rows":
             ok = t.ndim == 2 and t.shape[0] <= cfg.queue_capacity and t.shape[1] == cfg.out_dim
@@ -260,13 +254,10 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
             raise tensor_io.TensorFormatError(
                 f"checkpoint tensor {name!r} is {t.dtype} {t.shape}; this config and "
                 f"{raw_dim}-dimensional tokens need float32 {want}")
-    scopes = {"student": state.student, "teacher": state.teacher,
-              "adam_m": state.adam.m, "adam_v": state.adam.v}
-    for name, t in ckpt.tensors.items():
-        scope, _, rest = name.partition("/")
-        if scope == "queue":
+        if name == "queue/rows":
             state.queue.push(t)
         else:
+            scope, _, rest = name.partition("/")
             scopes[scope][rest] = t.copy()
     state.adam.t = ckpt.step
     state.step = ckpt.step

@@ -486,10 +486,10 @@ class CheckedMover(community._LocalMover):
         return cands, deltas
 
     def merge_deltas(self):
-        a, b, w_ab, deltas = super().merge_deltas()
+        a, b, deltas = super().merge_deltas()
         self._check(deltas, (self._moved(self.assignment == bb, aa)
                              for aa, bb in zip(a, b)))
-        return a, b, w_ab, deltas
+        return a, b, deltas
 
     def split_deltas(self):
         nodes, deltas = super().split_deltas()

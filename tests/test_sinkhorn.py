@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,12 +144,19 @@ def test_permutation_equivariance(seed):
     np.testing.assert_allclose(q2, q1[:, perm], atol=1e-10)
 
 
-def test_warns_when_fewer_features_than_prototypes():
+def test_fewer_features_than_prototypes_still_equipartition():
+    """With m < K rows a soft plan still meets every column target m / K
+    (each row spreads its unit mass over several prototypes), so such a
+    window converges like any other and warns of nothing."""
     rng = np.random.default_rng(4)
     feats = sinkhorn.FeatureBatch.from_rows(unit_rows(rng, 3, 8))
     protos = unit_rows(rng, 5, 8)
-    with pytest.warns(UserWarning, match="fewer features"):
-        sinkhorn.assign(feats, protos)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = [np.abs(sinkhorn.assign(feats, protos, n_iters=iters).plan_col_sums
+                         - 3 / 5).max() for iters in (3, 50, 200)]
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < 1e-12
 
 
 def test_rejects_non_finite_plan():

@@ -148,21 +148,32 @@ def test_train_never_opens_a_mask(tiny_dataset, monkeypatch):
                                    for p in (rec.feature_path, rec.attention_path))
 
 
-def test_resume_reproduces_uninterrupted_run(tiny_dataset, tmp_path):
+@pytest.fixture(scope="module")
+def uninterrupted_run(tiny_dataset):
+    return training.train(tiny_dataset[0], tiny_config())
+
+
+@pytest.mark.parametrize("stop_after", [0, 1, 3, 5, 11, 12, 20])
+def test_resume_reproduces_uninterrupted_run(tiny_dataset, uninterrupted_run, tmp_path,
+                                             stop_after):
+    """3 steps per epoch, 12 steps: a stop before any step, after the first,
+    at an epoch boundary, mid-epoch, before the last step, at the end and
+    past it."""
     manifest, _ = tiny_dataset
     cfg = tiny_config()
-    full_ckpt, full_losses = training.train(manifest, cfg)
+    full_ckpt, full_losses = uninterrupted_run
+    done = min(stop_after, len(full_losses))
 
-    half_ckpt, half_losses = training.train(manifest, cfg, stop_after=5)
-    assert half_ckpt.step == 5
+    half_ckpt, half_losses = training.train(manifest, cfg, stop_after=stop_after)
+    assert half_ckpt.step == done
     # round-trip through the serialized form, as a real restart would
     path = tmp_path / "half.lpc"
     tensor_io.save_checkpoint(half_ckpt, path)
     restored = tensor_io.load_checkpoint(path)
     resumed_ckpt, resumed_losses = training.train(manifest, cfg, resume=restored)
 
-    assert half_losses == full_losses[:5]
-    assert resumed_losses == full_losses[5:]
+    assert half_losses == full_losses[:done]
+    assert resumed_losses == full_losses[done:]
     pa, pb = tmp_path / "full.lpc", tmp_path / "resumed.lpc"
     tensor_io.save_checkpoint(full_ckpt, pa)
     tensor_io.save_checkpoint(resumed_ckpt, pb)
