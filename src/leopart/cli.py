@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (cbfe, cluster_eval, community, config as config_mod, crops, pipeline,
-               render, synth, tensor_io, training)
+from . import (cbfe, cluster_eval, community, config as config_mod, crops, model,
+               pipeline, render, synth, tensor_io, training)
 
 
 def _sha256(data: bytes) -> str:
@@ -179,9 +179,12 @@ def run_stage(args, cfg: config_mod.Config) -> None:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
-def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None:
-    """The student parameters of ``--checkpoint`` (None without one); a
-    checkpoint of another config hash is refused unless ``--force`` is given."""
+def student_params(args, cfg: config_mod.Config,
+                   dataset: tensor_io.Dataset) -> dict[str, np.ndarray] | None:
+    """The student parameters of ``--checkpoint`` (None without one) for
+    *dataset*. A checkpoint of another config hash is refused unless
+    ``--force`` is given; a ``TensorFormatError`` names a student tensor that
+    is missing, extra, or (``encoder.w``) of another token dimension."""
     if args.checkpoint is None:
         return None
     path = Path(args.checkpoint)
@@ -193,8 +196,18 @@ def student_params(args, cfg: config_mod.Config) -> dict[str, np.ndarray] | None
             f"config ({expected}); pass --force to evaluate anyway")
     params = {name.removeprefix("student/"): t
               for name, t in ckpt.tensors.items() if name.startswith("student/")}
-    if not params:
-        raise tensor_io.TensorFormatError(f"{path}: checkpoint has no student parameters")
+    # the names do not depend on the dims
+    names = model.init_params(model.ModelDims(1, 1, 1, 1, 1), np.random.default_rng(0)).keys()
+    odd = sorted(names ^ params.keys())
+    if odd:
+        raise tensor_io.TensorFormatError(
+            f"{path}: checkpoint tensor 'student/{odd[0]}' is not a model parameter"
+            if odd[0] in params else f"{path}: checkpoint has no tensor 'student/{odd[0]}'")
+    n_in, raw_dim = params["encoder.w"].shape[0], dataset.features.shape[1]
+    if n_in != raw_dim:
+        raise tensor_io.TensorFormatError(
+            f"{path}: checkpoint tensor 'student/encoder.w' takes {n_in}-dimensional "
+            f"tokens; the dataset's are {raw_dim}-dimensional")
     return params
 
 
@@ -255,7 +268,7 @@ def cmd_train(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
 def cmd_cluster(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     manifest = stage.dataset(args.data)
     dataset = pipeline.load_dataset(manifest)
-    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
+    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg, dataset),
                                       cfg["eval"]["use_head"])
     k = cfg["cbfe"]["k"]
     maps, result = cluster_eval.cluster_maps_for(embedded, k, seed=cfg["run"]["seed"])
@@ -328,7 +341,7 @@ def cmd_eval(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     n_classes = int(gt.max()) + 1
 
     if args.protocol == "unsupseg":
-        params = student_params(args, cfg)
+        params = student_params(args, cfg, dataset)
         if params is None:
             raise config_mod.ConfigError("unsupseg evaluation requires --checkpoint")
         result = pipeline.run_ladder(
@@ -342,7 +355,7 @@ def cmd_eval(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
         print(f"final mIoU: {result.cd:.4f}")
         return []
 
-    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg),
+    embedded = pipeline.embed_dataset(dataset, student_params(args, cfg, dataset),
                                       cfg["eval"]["use_head"])
     if args.protocol == "overcluster":
         mean, std, _ = cluster_eval.overcluster_eval(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import crops, optim
+from . import crops, model, optim
 
 EVAL_MASK_SIZE = 100
 DEFAULT_SEEDS = 5
@@ -360,29 +360,23 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
 # --------------------------------------------------------------------------
 # matching and metrics
 
-def confusion_matrix(pred: np.ndarray, gt: np.ndarray, n_pred: int, n_gt: int,
+def confusion_matrix(pred, gt, n_pred: int, n_gt: int,
                      ignore_label: int | None = None) -> np.ndarray:
-    """counts[pred_class][gt_class] over non-ignored pixels."""
-    pred = np.asarray(pred).ravel()
-    gt = np.asarray(gt).ravel()
+    """counts[pred_class][gt_class] over the non-ignored pixels of two label
+    maps, or two stacks of maps of one shape ((N, H, W) arrays or lists of
+    same-shape maps), counted at once."""
+    try:
+        pred, gt = np.asarray(pred), np.asarray(gt)
+    except ValueError:
+        raise ValueError("label maps must share one shape") from None
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
+    pred, gt = pred.ravel(), gt.ravel()
     if ignore_label is not None:
         keep = gt != ignore_label
         pred, gt = pred[keep], gt[keep]
     idx = pred.astype(np.int64) * n_gt + gt.astype(np.int64)
     return np.bincount(idx, minlength=n_pred * n_gt).reshape(n_pred, n_gt)
-
-
-def _summed_confusion(pred_maps, gt_maps, n_pred: int, n_gt: int,
-                      ignore_label: int | None) -> np.ndarray:
-    """Confusion counts over every pixel of two stacks of maps of one shape,
-    (N, H, W) arrays or lists of same-shape maps, counted at once."""
-    try:
-        pred, gt = np.asarray(pred_maps), np.asarray(gt_maps)
-    except ValueError:
-        raise ValueError("label maps must share one shape") from None
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    return confusion_matrix(pred, gt, n_pred, n_gt, ignore_label)
 
 
 def greedy_precision_match(cluster_maps: np.ndarray, gt_maps: np.ndarray,
@@ -395,7 +389,7 @@ def greedy_precision_match(cluster_maps: np.ndarray, gt_maps: np.ndarray,
     non-ignored pixels of the split; ties break toward the lower class id.
     Returns the merged maps and the cluster -> class table.
     """
-    counts = _summed_confusion(cluster_maps, gt_maps, k, n_classes, ignore_label)
+    counts = confusion_matrix(cluster_maps, gt_maps, k, n_classes, ignore_label)
     assignment = counts.argmax(axis=1)
     empty = counts.sum(axis=1) == 0
     if empty.any():
@@ -460,13 +454,13 @@ def miou(pred_maps, gt_maps, n_classes: int,
 
     Returns (mean, per-class IoU vector with NaN for classes excluded).
     """
-    return _mean_iou(_summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label))
+    return _mean_iou(confusion_matrix(pred_maps, gt_maps, n_classes, n_classes, ignore_label))
 
 
 def hungarian_matched_miou(pred_maps, gt_maps, n_classes: int,
                            ignore_label: int | None = None) -> float:
     """Permutation-invariant mIoU: optimal relabeling, then mean IoU."""
-    conf = _summed_confusion(pred_maps, gt_maps, n_classes, n_classes, ignore_label)
+    conf = confusion_matrix(pred_maps, gt_maps, n_classes, n_classes, ignore_label)
     perm = hungarian(-conf.astype(np.float64))
     return _mean_iou(conf[np.argsort(perm)])[0]  # relabeling moves count row p to perm[p]
 
@@ -474,17 +468,11 @@ def hungarian_matched_miou(pred_maps, gt_maps, n_classes: int,
 # --------------------------------------------------------------------------
 # protocols
 
-def token_rows(grids: np.ndarray) -> np.ndarray:
-    """The spatial tokens of (N, D, H, W) grids as rows, image by image."""
-    grids = np.asarray(grids)
-    return grids.reshape(*grids.shape[:2], -1).transpose(0, 2, 1).reshape(-1, grids.shape[1])
-
-
 def cluster_maps_for(features: np.ndarray, k: int,
                      seed: int) -> tuple[np.ndarray, KMeansResult]:
     """Run one K-means over all spatial tokens; (N, H, W) cluster-id grids."""
     features = np.asarray(features)
-    result = kmeans(token_rows(features), k, seed=seed)
+    result = kmeans(model.token_rows(features), k, seed=seed)
     maps = result.labels.astype(np.uint16).reshape(len(features), *features.shape[2:])
     return maps, result
 
@@ -530,7 +518,7 @@ def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
     Training pairs each token with the nearest-neighbor downsampled mask
     label; evaluation bilinearly upsamples features to mask size.
     """
-    x = token_rows(train_features).astype(np.float64)
+    x = model.token_rows(train_features).astype(np.float64)
     y = resize_nearest(train_gt, *np.shape(train_features)[-2:]).ravel().astype(np.intp)
 
     rng = np.random.default_rng([seed, 23])

@@ -108,8 +108,8 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     kernel, and the batch's rows are pushed once. Returns (B, G, K, g, g)
     row-stochastic target grids and the (B, G * g * g, D) teacher rows.
     """
-    n_img, n_glob, raw_dim, g, _ = batch.global_raw.shape
-    raw = batch.global_raw.transpose(0, 1, 3, 4, 2).reshape(-1, raw_dim)
+    n_img, n_glob, _, g, _ = batch.global_raw.shape
+    raw = model.token_rows(batch.global_raw)
     rows = model.project(model.encoder_forward(raw, teacher_params), teacher_params)
     n = n_glob * g * g
     pushed = rows.astype(np.float32)
@@ -128,7 +128,7 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     q = sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q
     if queue is not None:
         queue.push(pushed)
-    q = q.reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
+    q = model.token_grids(q, (n_img, n_glob, g, g))
     return q.astype(rows.dtype), rows.reshape(n_img, n, -1)
 
 
@@ -142,10 +142,7 @@ def loss_given_targets(batch: CropBatch, params: dict[str, np.ndarray],
     pairs; the batch loss is the mean over images.
     """
     n_img, n_glob = batch.global_raw.shape[:2]
-    stacks = [batch.global_raw, batch.local_raw]
-    flat_logits, cache = model.forward_crop([v.reshape(-1, *v.shape[2:]) for v in stacks],
-                                            params)
-    logits = [f.reshape(v.shape[:2] + f.shape[1:]) for f, v in zip(flat_logits, stacks)]
+    logits, cache = model.forward_crop([batch.global_raw, batch.local_raw], params)
 
     # every ordered (target j, predictor i != j) pair of every image, in that order
     off_diag = ~np.eye(batch.boxes.shape[1], dtype=bool)[:n_glob]
@@ -182,7 +179,7 @@ def loss_given_targets(batch: CropBatch, params: dict[str, np.ndarray],
     g_logits = [np.zeros_like(stack_logits) for stack_logits in logits]
     for kind, sel, key, g_pred in groups:
         np.add.at(g_logits[kind], key, g_pred * scale[sel, None, None, None].astype(g_pred.dtype))
-    grads = model.backward_crop([g.reshape(-1, *g.shape[2:]) for g in g_logits], cache, params)
+    grads = model.backward_crop(g_logits, cache, params)
     return total, grads, diag
 
 

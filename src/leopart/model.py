@@ -133,33 +133,42 @@ def project(tokens: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     return z
 
 
+def token_rows(grids) -> np.ndarray:
+    """The tokens of (..., D, h, w) grids (any array-like) as (M, D) rows,
+    image by image and row-major: the one conversion from grids to rows."""
+    grids = np.asarray(grids)
+    return np.moveaxis(grids, -3, -1).reshape(-1, grids.shape[-3])
+
+
+def token_grids(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(M, D) rows as (..., D, h, w) grids, *shape* being (..., h, w): the
+    inverse of :func:`token_rows`."""
+    return np.moveaxis(rows.reshape(*shape, rows.shape[-1]), -1, -3)
+
+
 def forward_crop(grids: list[np.ndarray],
                  params: dict[str, np.ndarray]) -> tuple[list[np.ndarray], dict]:
     """Prototype logits of stacks of crops in one pass over all their tokens.
 
-    Each entry of *grids* is an (N, raw_dim, h, w) stack of same-size raw
-    crops; the result holds one (N, K, h, w) logits stack per entry, plus
+    Each entry of *grids* is a (..., raw_dim, h, w) stack of same-size raw
+    crops; the result holds one (..., K, h, w) logits stack per entry, plus
     the caches :func:`backward_crop` needs.
     """
-    raw = np.concatenate([g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1]) for g in grids])
+    raw = np.concatenate([token_rows(g) for g in grids])
     tokens = encoder_forward(raw, params)
     z, cache = head_forward(tokens, params)
     logits = z @ params["prototypes"].T
-    shapes = [g.shape[:1] + g.shape[2:] for g in grids]  # (N, h, w) per stack
     cache["raw"] = raw
-    out, start = [], 0
-    for n, h, w in shapes:
-        stop = start + n * h * w
-        out.append(logits[start:stop].reshape(n, h, w, logits.shape[1]).transpose(0, 3, 1, 2))
-        start = stop
-    return out, cache
+    shapes = [g.shape[:-3] + g.shape[-2:] for g in grids]  # (..., h, w) per stack
+    splits = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [token_grids(part, s) for part, s in zip(np.split(logits, splits), shapes)], cache
 
 
 def backward_crop(g_logits: list[np.ndarray], cache: dict,
                   params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Backprop (N, K, h, w) logits gradients, one per stack given to
+    """Backprop (..., K, h, w) logits gradients, one per stack given to
     :func:`forward_crop`, to encoder/head/prototype grads in one pass."""
-    g = np.concatenate([gs.transpose(0, 2, 3, 1).reshape(-1, gs.shape[1]) for gs in g_logits])
+    g = np.concatenate([token_rows(gs) for gs in g_logits])
     grads = {"prototypes": g.T @ cache["z"]}
     gz = g @ params["prototypes"]
     g_tokens, head_grads = head_backward(gz, cache, params)

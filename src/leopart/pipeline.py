@@ -19,20 +19,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, cbfe, cluster_eval, community, tensor_io, training
+from . import attention, cbfe, cluster_eval, community, model, tensor_io
 from .cluster_eval import hungarian_matched_miou
-from .tensor_io import Dataset, load_dataset  # noqa: F401  (pipeline.load_dataset is public)
+from .tensor_io import Dataset
+
+
+def load_dataset(manifest: tensor_io.DatasetManifest) -> Dataset:
+    """The dataset of *manifest*; each kind of tensor is read on first use."""
+    return Dataset(manifest)
 
 
 def embed_dataset(dataset: Dataset, params: dict[str, np.ndarray] | None,
                   use_head: bool) -> np.ndarray:
-    """(N, D, H, W) encoder embeddings of all images; raw features if params
-    is None."""
+    """(N, D, H, W) encoder (and head, if *use_head*) embeddings of all
+    images, one image at a time into one stack; raw features if params is None."""
     if params is None:
         return dataset.features
+
+    def embed(grid: np.ndarray) -> np.ndarray:
+        tokens = model.encoder_forward(model.token_rows(grid).astype(np.float32), params)
+        if use_head:
+            tokens = model.project(tokens, params)
+        return model.token_grids(tokens, grid.shape[-2:])
+
     ids = [rec.id for rec in dataset.manifest.records]
-    return tensor_io.stack_tensors((training.embed_features(f, params, use_head)
-                                    for f in dataset.features), ids, "embedding")
+    return tensor_io.stack_tensors(map(embed, dataset.features), ids, "embedding")
 
 
 def attention_hints(dataset: Dataset) -> np.ndarray:
@@ -78,8 +89,7 @@ def stage_cbfe(features: np.ndarray, artifacts: CbfeArtifacts,
                gt_maps: np.ndarray, n_classes: int, seed: int = 0) -> float:
     """Stage 3: background from CBFE, K-means over foreground tokens only."""
     fg = artifacts.fg_masks.ravel().astype(bool)
-    result = cluster_eval.kmeans(cluster_eval.token_rows(features)[fg], n_classes - 1,
-                                 seed=seed)
+    result = cluster_eval.kmeans(model.token_rows(features)[fg], n_classes - 1, seed=seed)
     labels = np.zeros(len(fg), dtype=np.int64)
     labels[fg] = result.labels + 1
     return hungarian_matched_miou(labels.reshape(artifacts.fg_masks.shape), gt_maps, n_classes)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor_io
+from . import model, tensor_io
 
 PLACEMENT_RETRIES = 100
 SEPARATION_RETRIES = 1000
@@ -155,7 +155,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[tensor_io.DatasetMan
         nearest = np.argmax(tokens @ prototypes.T, axis=1)
         mismatches += int((nearest != part_map.ravel()).sum())
         total_tokens += tokens.shape[0]
-        features = tokens.T.reshape(spec.raw_dim, h, w).astype(np.float32)
+        features = model.token_grids(tokens, (h, w)).astype(np.float32)
 
         fg = (obj_map >= 0).astype(np.float64)
         n_flips = int(round(spec.attention_flip * h * w))

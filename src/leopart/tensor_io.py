@@ -306,8 +306,8 @@ class Dataset:
     so a stage reads only the kinds it uses. :func:`stack_tensors` checks
     that a kind has one shape and dtype, and each stack is then checked once
     against the manifest's headers: features against ``# dim=`` and
-    ``# grid=``, attention against ``# grid=`` or else the first feature
-    tensor's grid. Every refusal is a ``ManifestError`` naming a record.
+    ``# grid=``, attention against ``# grid=`` or else the features' grid.
+    Every refusal is a ``ManifestError`` naming a record.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -348,10 +348,7 @@ class Dataset:
                            lambda t: t[None] if t.ndim == 2 else t)
         if attn is None:
             return None
-        grid = self.manifest.token_grid
-        if grid is None:
-            first = self.manifest.records[0]
-            grid = read_tensor(self.manifest.root / first.feature_path).shape[1:]
+        grid = self.manifest.token_grid or self.features.shape[2:]
         if attn.shape[2:] != grid:
             raise self._error(f"attention grid {attn.shape[2:]} != {grid}")
         return attn
@@ -366,11 +363,6 @@ class Dataset:
         if masks.ndim != 4:
             raise self._error(f"mask tensor must be C x H x W, got {masks.shape[1:]}")
         return masks[:, 0].astype(np.int64)
-
-
-def load_dataset(manifest: DatasetManifest) -> Dataset:
-    """The dataset of *manifest*; each kind of tensor is read on first use."""
-    return Dataset(manifest)
 
 
 PROTO_NORM_TOL = 1e-5

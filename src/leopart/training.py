@@ -194,7 +194,7 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
     once the state reaches that step (counted from step 0), leaving a
     resumable checkpoint; a state already there takes no step.
     """
-    dataset = tensor_io.load_dataset(manifest)
+    dataset = tensor_io.Dataset(manifest)
     features, attn_stacks = dataset.features, dataset.attn_stacks
     n_images, raw_dim = features.shape[:2]
     steps_per_epoch = (n_images + cfg.batch_size - 1) // cfg.batch_size
@@ -262,17 +262,6 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
     state.adam.t = ckpt.step
     state.step = ckpt.step
     return state
-
-
-def embed_features(raw_grid: np.ndarray, params: dict[str, np.ndarray],
-                   use_head: bool) -> np.ndarray:
-    """Encoder (optionally + head) features of one image grid, (D, H', W')."""
-    _, h, w = raw_grid.shape
-    raw = raw_grid.reshape(raw_grid.shape[0], h * w).T.astype(np.float32)
-    tokens = model.encoder_forward(raw, params)
-    if use_head:
-        tokens = model.project(tokens, params)
-    return tokens.T.reshape(-1, h, w)
 
 
 def write_loss_curve(losses: list[tuple[int, float]], path) -> None:

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,18 @@ def test_tracer_builds_and_observes_traced_functions():
     traced = {name for _, _, name in tracer.targets}
     assert "training.train_step" in traced and "sinkhorn.queue_push" in traced
     assert set(spans.OBSERVERS) <= traced, set(spans.OBSERVERS) - traced
+
+
+def test_every_per_layer_time_and_call_count_names_a_traced_span():
+    """A per-layer ``<span>.s``, ``.calls`` or ``.self_s`` metric of a
+    function that is renamed, moved or re-exported from another module
+    would read 0 without failing."""
+    traced = {name for _, _, name in spans.Tracer(leopart).targets}
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    untraced = [m["name"] for m in declared
+                if m["name"].rsplit(".", 1)[0] not in traced
+                and m["name"].endswith((".s", ".calls", ".self_s"))]
+    assert untraced == []
 
 
 def test_train_looks_up_train_step_as_a_module_global(tmp_path, monkeypatch):

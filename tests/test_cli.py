@@ -249,7 +249,7 @@ def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
     cfg = config.load_config(workspace / "run.cfg")
     dataset = pipeline.load_dataset(tensor_io.load_manifest(workspace / "data" / "manifest.txt"))
     args = argparse.Namespace(checkpoint=workspace / "train" / "checkpoint.lpc", force=False)
-    embedded = pipeline.embed_dataset(dataset, cli.student_params(args, cfg),
+    embedded = pipeline.embed_dataset(dataset, cli.student_params(args, cfg, dataset),
                                       cfg["eval"]["use_head"])
     art = pipeline.run_cbfe(embedded, pipeline.attention_hints(dataset), cfg["cbfe"]["k"],
                             cfg["cbfe"]["threshold"], seed=0)
@@ -326,6 +326,37 @@ def test_eval_refuses_mismatched_checkpoint_without_force(workspace, tmp_path, c
     assert cli.main(args) == 1
     assert "config hash" in capsys.readouterr().err
     assert cli.main(args + ["--force"]) == 0
+
+
+def drop_encoder_bias(tensors):
+    del tensors["student/encoder.b"]
+
+
+def narrow_encoder(tensors):
+    tensors["student/encoder.w"] = tensors["student/encoder.w"][:12]
+
+
+def add_a_tensor(tensors):
+    tensors["student/extra"] = tensors["student/encoder.b"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_encoder_bias, "checkpoint has no tensor 'student/encoder.b'"),
+    (add_a_tensor, "checkpoint tensor 'student/extra' is not a model parameter"),
+    (narrow_encoder, "checkpoint tensor 'student/encoder.w' takes 12-dimensional tokens; "
+                     "the dataset's are 16-dimensional"),
+], ids=["missing", "extra", "narrow"])
+def test_cluster_refuses_a_checkpoint_whose_student_is_not_the_model(
+        workspace, tmp_path, capsys, edit, message):
+    ckpt = tensor_io.load_checkpoint(workspace / "train" / "checkpoint.lpc")
+    edit(ckpt.tensors)
+    path = tmp_path / "edited.lpc"
+    tensor_io.save_checkpoint(ckpt, path)
+    capsys.readouterr()
+    assert cli.main(["--config", str(workspace / "run.cfg"), "cluster",
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "c"),
+                     "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def resume_training(workspace, tmp_path, ckpt_path, cfg_text=SMALL_CFG, data=None):

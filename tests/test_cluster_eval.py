@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leopart import cluster_eval, pipeline, synth
+from leopart import cluster_eval, model, pipeline, synth
 
 
 # ---------------------------------------------------------------- resizing
@@ -191,7 +191,7 @@ def canonical_tokens(tmp_path_factory):
     """The raw tokens of the default dataset at seed 0: 20,000 x 32."""
     manifest, _ = synth.generate(synth.SynthSpec(seed=0), tmp_path_factory.mktemp("canonical"))
     features = pipeline.load_dataset(manifest).features
-    return cluster_eval.token_rows(features).astype(np.float64)
+    return model.token_rows(features).astype(np.float64)
 
 
 @pytest.mark.parametrize("pp_seed", range(4))
@@ -418,6 +418,9 @@ def test_confusion_matrix_ignore_label():
     conf = cluster_eval.confusion_matrix(pred, gt, 2, 2, ignore_label=255)
     assert conf.sum() == 2
     assert conf[0, 0] == 1 and conf[1, 1] == 1
+    # maps of the same size but not the same shape do not pair up pixel by pixel
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 3\) vs \(3, 2\)"):
+        cluster_eval.confusion_matrix(np.zeros((2, 3), int), np.zeros((3, 2), int), 2, 2)
 
 
 def test_greedy_precision_match_counting_oracle():

@@ -85,7 +85,7 @@ def test_nearest_prototype_recovers_part_labels(tmp_path):
     manifest, key = synth.generate(spec, tmp_path)
     wrong = 0
     total = 0
-    for feats, part_map in zip(tensor_io.load_dataset(manifest).features, key.part_maps):
+    for feats, part_map in zip(tensor_io.Dataset(manifest).features, key.part_maps):
         tokens = feats.astype(np.float64).reshape(spec.raw_dim, -1).T
         nearest = np.argmax(tokens @ key.prototypes.T, axis=1)
         wrong += int((nearest != part_map.ravel()).sum())
@@ -96,7 +96,7 @@ def test_nearest_prototype_recovers_part_labels(tmp_path):
 def test_noiseless_generation_is_exactly_recoverable(tmp_path):
     spec = small_spec(noise_sigma=0.0)
     manifest, key = synth.generate(spec, tmp_path)
-    feats = tensor_io.load_dataset(manifest).features[0]
+    feats = tensor_io.Dataset(manifest).features[0]
     tokens = feats.astype(np.float64).reshape(spec.raw_dim, -1).T
     nearest = np.argmax(tokens @ key.prototypes.T, axis=1)
     assert np.array_equal(nearest, key.part_maps[0].ravel())
@@ -105,7 +105,7 @@ def test_noiseless_generation_is_exactly_recoverable(tmp_path):
 def test_attention_flip_count(tmp_path):
     spec = small_spec(attention_flip=0.1)
     manifest, key = synth.generate(spec, tmp_path)
-    for stack, obj_map in zip(tensor_io.load_dataset(manifest).attn_stacks, key.object_maps):
+    for stack, obj_map in zip(tensor_io.Dataset(manifest).attn_stacks, key.object_maps):
         attn = stack[0].astype(np.float64)
         raw = (attn - 0.01) / 0.98  # undo the affine squeeze
         fg = (obj_map > 0).astype(np.float64)
@@ -135,5 +135,5 @@ def test_manifest_roundtrip_of_generated_set(tmp_path):
     assert len(manifest) == spec.n_images
     assert manifest.token_grid == spec.grid
     assert manifest.feature_dim == spec.raw_dim
-    feats = tensor_io.load_dataset(manifest).features
+    feats = tensor_io.Dataset(manifest).features
     assert feats.shape == (spec.n_images, spec.raw_dim, *spec.grid)

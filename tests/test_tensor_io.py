@@ -108,7 +108,7 @@ def test_manifest_dim_mismatch_on_first_load(tmp_path):
     for header, declared in (("# dim=32", "dim=32 grid=None"),
                              ("# grid=3x4", "dim=None grid=(3, 4)")):
         (tmp_path / "manifest.txt").write_text(f"{header}\n{records}")
-        dataset = tensor_io.load_dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
+        dataset = tensor_io.Dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
         with pytest.raises(tensor_io.ManifestError) as exc:
             dataset.features
         assert str(exc.value) == \
@@ -349,7 +349,7 @@ def test_dataset_stacks_each_kind(tmp_path):
     recs = [{"feature": rng.normal(size=(4, 3, 3)).astype(np.float32),
              "attention": rng.uniform(size=(2, 3, 3)).astype(np.float32),
              "mask": rng.integers(0, 3, size=(2, 3, 3)).astype(np.uint16)} for _ in range(3)]
-    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    dataset = tensor_io.Dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
     assert dataset.features.dtype == np.float32 and dataset.features.shape == (3, 4, 3, 3)
     assert dataset.attn_stacks.dtype == np.float32 and dataset.attn_stacks.shape == (3, 2, 3, 3)
     assert dataset.object_maps.dtype == np.int64 and dataset.object_maps.shape == (3, 3, 3)
@@ -361,7 +361,7 @@ def test_dataset_stacks_each_kind(tmp_path):
 
 def test_dataset_without_attention_or_masks_has_none(tmp_path):
     recs = [record(attention=False, mask=False)] * 2
-    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    dataset = tensor_io.Dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
     assert dataset.attn_stacks is None and dataset.object_maps is None
 
 
@@ -399,7 +399,7 @@ def test_dataset_refuses_a_record_unlike_the_first(tmp_path, capsys, case):
     from leopart import cli
 
     records, kind, message = INCONSISTENT_RECORDS[case]
-    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, records)))
+    dataset = tensor_io.Dataset(tensor_io.load_manifest(write_records(tmp_path, records)))
     with pytest.raises(tensor_io.ManifestError) as exc:
         getattr(dataset, kind)
     assert str(exc.value) == message
@@ -412,7 +412,7 @@ def test_dataset_of_no_records_is_a_named_error(tmp_path, capsys):
 
     (tmp_path / "manifest.txt").write_text("# grid=3x3\n")
     with pytest.raises(tensor_io.ManifestError, match="lists no records"):
-        tensor_io.load_dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
+        tensor_io.Dataset(tensor_io.load_manifest(tmp_path / "manifest.txt"))
     for argv in (["cluster", "--out", str(tmp_path / "c")],
                  ["train", "--out", str(tmp_path / "t")], ["eval", "--protocol", "overcluster"]):
         assert cli.main(argv + ["--data", str(tmp_path)]) == 1
@@ -428,7 +428,7 @@ def test_a_first_record_whose_mask_is_2d_is_refused(tmp_path):
             ((2, 3, 3), "img1: mask uint16 (2, 3, 3), the first has mask uint16 (3, 3)")):
         manifest = write_records(tmp_path, [record(mask_shape=(3, 3)), record(mask_shape=later)])
         with pytest.raises(tensor_io.ManifestError) as exc:
-            tensor_io.load_dataset(tensor_io.load_manifest(manifest)).object_maps
+            tensor_io.Dataset(tensor_io.load_manifest(manifest)).object_maps
         assert str(exc.value) == named
 
 
@@ -438,14 +438,27 @@ def test_attention_with_a_grid_header_reads_no_feature_file(tmp_path, monkeypatc
     reads = []
     read = tensor_io.read_tensor
     monkeypatch.setattr(tensor_io, "read_tensor", lambda path: reads.append(path) or read(path))
-    attn = tensor_io.load_dataset(tensor_io.load_manifest(manifest)).attn_stacks
+    attn = tensor_io.Dataset(tensor_io.load_manifest(manifest)).attn_stacks
     assert attn.shape == (2, 1, 3, 3)
     assert reads == [tmp_path / "img0_attention.lpt", tmp_path / "img1_attention.lpt"]
 
 
+def test_attention_without_a_grid_header_checks_against_the_features(tmp_path, monkeypatch):
+    """Without ``# grid=``, attention takes its grid from the feature stack:
+    no feature file is read a second time."""
+    manifest = write_records(tmp_path, [record(), record(), record()])
+    reads = []
+    read = tensor_io.read_tensor
+    monkeypatch.setattr(tensor_io, "read_tensor", lambda path: reads.append(path) or read(path))
+    dataset = tensor_io.Dataset(tensor_io.load_manifest(manifest))
+    assert dataset.features.shape == (3, 4, 3, 3)
+    assert dataset.attn_stacks.shape == (3, 1, 3, 3)
+    assert len(reads) == len(set(reads)) == 6
+
+
 def test_two_dimensional_attention_is_one_head(tmp_path):
     recs = [dict(record(), attention=np.full((3, 3), 0.5, np.float32)), record()]
-    dataset = tensor_io.load_dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
+    dataset = tensor_io.Dataset(tensor_io.load_manifest(write_records(tmp_path, recs)))
     assert dataset.attn_stacks.shape == (2, 1, 3, 3)
     assert np.array_equal(dataset.attn_stacks[0, 0], np.full((3, 3), 0.5))
 
@@ -456,7 +469,7 @@ def test_reading_never_changes_the_manifest(tmp_path, header):
     path.write_text(header + path.read_text())
     manifest = tensor_io.load_manifest(path)
     before = (manifest.token_grid, manifest.feature_dim)
-    dataset = tensor_io.load_dataset(manifest)
+    dataset = tensor_io.Dataset(manifest)
     for kind in ("attn_stacks", "features", "object_maps"):
         getattr(dataset, kind)
     assert (manifest.token_grid, manifest.feature_dim) == before

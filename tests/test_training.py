@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leopart import attention, crops, model, synth, tensor_io, training
+from leopart import attention, crops, model, pipeline, synth, tensor_io, training
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,7 @@ def test_teacher_follows_ema_not_gradient(tiny_dataset):
     state = training.init_state(cfg, raw_dim=16)
     teacher_before = {k: v.copy() for k, v in state.teacher.items()}
     student_before = {k: v.copy() for k, v in state.student.items()}
-    dataset = tensor_io.load_dataset(manifest)
+    dataset = tensor_io.Dataset(manifest)
     seeds = [[cfg.seed, 13, 0, i] for i in range(2)]
     training.train_step(dataset.features[:2], dataset.attn_stacks[:2], state, cfg,
                         total_steps=10, crop_seeds=seeds)
@@ -226,17 +226,20 @@ def test_checkpoint_state_roundtrip(tiny_dataset):
         assert np.array_equal(again.tensors[name], t), name
 
 
-def test_embed_features_shape_and_head(tiny_dataset):
+def test_embed_dataset_shape_and_head(tiny_dataset):
     manifest, _ = tiny_dataset
     cfg = tiny_config(epochs=1)
     state = training.init_state(cfg, raw_dim=16)
-    raw = tensor_io.load_dataset(manifest).features[0]
-    enc = training.embed_features(raw, state.student, use_head=False)
-    proj = training.embed_features(raw, state.student, use_head=True)
-    assert enc.shape == (16, 10, 10)
-    assert proj.shape == (cfg.out_dim, 10, 10)
-    norms = np.linalg.norm(proj.reshape(cfg.out_dim, -1), axis=0)
-    assert np.allclose(norms, 1.0, atol=1e-5)
+    dataset = tensor_io.Dataset(manifest)
+    enc = pipeline.embed_dataset(dataset, state.student, use_head=False)
+    proj = pipeline.embed_dataset(dataset, state.student, use_head=True)
+    assert enc.shape == (12, 16, 10, 10)
+    assert proj.shape == (12, cfg.out_dim, 10, 10)
+    assert np.allclose(np.linalg.norm(proj, axis=1), 1.0, atol=1e-5)
+    # image 3's token at row 2, column 7 is the encoder of that raw token
+    raw = dataset.features[3, :, 2, 7]
+    assert np.allclose(enc[3, :, 2, 7], model.encoder_forward(raw[None], state.student)[0],
+                       atol=1e-6)
 
 
 def test_float32_parameters_keep_float32_features(tiny_dataset):
@@ -244,10 +247,10 @@ def test_float32_parameters_keep_float32_features(tiny_dataset):
     float32 activations to float64."""
     manifest, _ = tiny_dataset
     state = training.init_state(tiny_config(epochs=1), raw_dim=16)
-    raw = tensor_io.load_dataset(manifest).features[0]
-    assert training.embed_features(raw, state.student, use_head=False).dtype == np.float32
-    assert training.embed_features(raw, state.student, use_head=True).dtype == np.float32
-    tokens = model.encoder_forward(raw.reshape(16, -1).T, state.student)
+    dataset = tensor_io.Dataset(manifest)
+    assert pipeline.embed_dataset(dataset, state.student, use_head=False).dtype == np.float32
+    assert pipeline.embed_dataset(dataset, state.student, use_head=True).dtype == np.float32
+    tokens = model.encoder_forward(model.token_rows(dataset.features[0]), state.student)
     assert model.project(tokens, state.student).dtype == np.float32
 
 
