@@ -183,8 +183,12 @@ def student_params(args, cfg: config_mod.Config,
                    dataset: tensor_io.Dataset) -> dict[str, np.ndarray] | None:
     """The student parameters of ``--checkpoint`` (None without one) for
     *dataset*. A checkpoint of another config hash is refused unless
-    ``--force`` is given; a ``TensorFormatError`` names a student tensor that
-    is missing, extra, or (``encoder.w``) of another token dimension."""
+    ``--force`` is given. The student tensors must be exactly the model's
+    parameters, each of float32 and of its shape at the dims that the
+    checkpoint's ``encoder.w`` (raw, token), ``head.l1.b`` (hidden),
+    ``head.l3.b`` (out) and ``prototypes`` (K) imply, and the raw dim must be
+    the dataset's; else a ``TensorFormatError`` names the first tensor that
+    differs."""
     if args.checkpoint is None:
         return None
     path = Path(args.checkpoint)
@@ -194,20 +198,26 @@ def student_params(args, cfg: config_mod.Config,
         raise config_mod.ConfigError(
             f"checkpoint config hash {ckpt.config_hash} does not match this "
             f"config ({expected}); pass --force to evaluate anyway")
-    params = {name.removeprefix("student/"): t
-              for name, t in ckpt.tensors.items() if name.startswith("student/")}
-    # the names do not depend on the dims
-    names = model.init_params(model.ModelDims(1, 1, 1, 1, 1), np.random.default_rng(0)).keys()
-    odd = sorted(names ^ params.keys())
-    if odd:
+    student = {name: t for name, t in ckpt.tensors.items() if name.startswith("student/")}
+
+    def shape(name: str, rank: int) -> tuple[int, ...]:  # all 1s if it is missing
+        t = student.get(f"student/{name}")
+        return t.shape if t is not None and t.ndim == rank else (1,) * rank
+
+    (raw_dim, token_dim), (hidden,), (out,) = (shape("encoder.w", 2), shape("head.l1.b", 1),
+                                               shape("head.l3.b", 1))
+    dims = model.ModelDims(raw_dim, token_dim, hidden, out, shape("prototypes", 2)[0])
+    model_params = model.init_params(dims, np.random.default_rng(0))
+    try:
+        tensor_io.match_tensors(student, {f"student/{n}": t for n, t in model_params.items()},
+                                "a model parameter", f"the student's dims ({dims}) need")
+    except tensor_io.TensorFormatError as exc:
+        raise tensor_io.TensorFormatError(f"{path}: {exc}") from None
+    params = {name.removeprefix("student/"): t for name, t in student.items()}
+    if raw_dim != dataset.features.shape[1]:
         raise tensor_io.TensorFormatError(
-            f"{path}: checkpoint tensor 'student/{odd[0]}' is not a model parameter"
-            if odd[0] in params else f"{path}: checkpoint has no tensor 'student/{odd[0]}'")
-    n_in, raw_dim = params["encoder.w"].shape[0], dataset.features.shape[1]
-    if n_in != raw_dim:
-        raise tensor_io.TensorFormatError(
-            f"{path}: checkpoint tensor 'student/encoder.w' takes {n_in}-dimensional "
-            f"tokens; the dataset's are {raw_dim}-dimensional")
+            f"{path}: checkpoint tensor 'student/encoder.w' takes {raw_dim}-dimensional "
+            f"tokens; the dataset's are {dataset.features.shape[1]}-dimensional")
     return params
 
 
@@ -368,10 +378,8 @@ def cmd_eval(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
             raise tensor_io.ManifestError(f"the linear probe trains on half of the images and "
                                           f"scores the rest: {args.data} has only 1")
         half = len(embedded) // 2
-        score, _ = cluster_eval.linear_probe(
-            embedded[:half], gt[:half], embedded[half:], gt[half:],
-            n_classes=n_classes, epochs=cfg["eval"]["probe_epochs"],
-            lr=cfg["eval"]["probe_lr"], seed=seed)
+        score, _ = cluster_eval.linear_probe(embedded[:half], gt[:half], embedded[half:],
+                                             gt[half:], n_classes=n_classes)
         print(f"linear probe mIoU: {score:.4f}")
         print(f"final mIoU: {score:.4f}")
     else:  # fg

@@ -14,14 +14,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize
 
-from . import crops, model, optim
+from . import crops, model
 
 EVAL_MASK_SIZE = 100
 DEFAULT_SEEDS = 5
-PROBE_EPOCHS = 100
-PROBE_LR = 1e-2
+PROBE_L2 = 1e-3  # ridge weight on every probe weight and bias
+PROBE_GTOL = 1e-6  # max |gradient| of the probe objective at its minimum
 
 
 # --------------------------------------------------------------------------
@@ -511,25 +511,41 @@ def probe_loss_and_grads(w: np.ndarray, b: np.ndarray, tokens: np.ndarray,
 
 def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
                  eval_features: np.ndarray, eval_gt: np.ndarray,
-                 n_classes: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
-                 seed: int = 0) -> tuple[float, dict[str, np.ndarray]]:
+                 n_classes: int) -> tuple[float, dict[str, np.ndarray]]:
     """Multinomial logistic regression on frozen tokens, evaluated by mIoU.
 
     Training pairs each token with the nearest-neighbor downsampled mask
-    label; evaluation bilinearly upsamples features to mask size.
+    label; evaluation bilinearly upsamples features to mask size. The
+    training tokens are standardized per dimension (a constant dimension
+    keeps divisor 1), and L-BFGS runs from zero on the mean cross-entropy
+    plus ``PROBE_L2 / 2`` times the squared norm of every weight and bias.
+    That objective is strictly convex, so the probe is its one minimum,
+    reached once the gradient's max-norm is at most ``PROBE_GTOL``; a solve
+    that stops short raises ``FloatingPointError``. The returned params act
+    on unstandardized features.
     """
     x = model.token_rows(train_features).astype(np.float64)
     y = resize_nearest(train_gt, *np.shape(train_features)[-2:]).ravel().astype(np.intp)
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    std[std == 0] = 1.0
+    z = (x - mean) / std
+    n_w = z.shape[1] * n_classes
 
-    rng = np.random.default_rng([seed, 23])
-    params = {
-        "w": rng.normal(0.0, 0.01, size=(x.shape[1], n_classes)),
-        "b": np.zeros(n_classes),
-    }
-    state = optim.AdamState()
-    for _ in range(epochs):
-        loss, gw, gb = probe_loss_and_grads(params["w"], params["b"], x, y)
-        optim.adam_step(params, {"w": gw, "b": gb}, state, lr)
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, gw, gb = probe_loss_and_grads(theta[:n_w].reshape(-1, n_classes),
+                                            theta[n_w:], z, y)
+        return (loss + 0.5 * PROBE_L2 * theta @ theta,
+                np.concatenate([gw.ravel(), gb]) + PROBE_L2 * theta)
+
+    # ftol=0: only the gradient tolerance ends the solve
+    result = minimize(objective, np.zeros(n_w + n_classes), jac=True, method="L-BFGS-B",
+                      options={"gtol": PROBE_GTOL, "ftol": 0.0})
+    g_max = float(np.abs(result.jac).max())
+    if not g_max <= PROBE_GTOL:
+        raise FloatingPointError(f"linear probe did not converge: gradient max-norm "
+                                 f"{g_max:.2e} > {PROBE_GTOL:g} ({result.message})")
+    w = result.x[:n_w].reshape(-1, n_classes) / std[:, None]
+    params = {"w": w, "b": result.x[n_w:] - mean @ w}
 
     eval_gt = np.asarray(eval_gt)
     logits = probe_logits(eval_features, params, *eval_gt.shape[-2:])

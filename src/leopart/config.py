@@ -112,8 +112,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "eval": {
         "k": (_count, 20),
         "n_seeds": (_count, cluster_eval.DEFAULT_SEEDS),
-        "probe_epochs": (_count, cluster_eval.PROBE_EPOCHS),
-        "probe_lr": (_positive, cluster_eval.PROBE_LR),
         "use_head": (_bool, True),
     },
     "run": {
@@ -154,10 +152,10 @@ class Config:
 
     def train_config(self) -> training.TrainConfig:
         """The [train] keys are the TrainConfig fields of the same names."""
-        sk = self["sinkhorn"]
         return training.TrainConfig(
-            **self["train"], epsilon=sk["epsilon"], sinkhorn_iters=sk["n_iters"],
-            queue_capacity=sk["queue_capacity"], seed=self["run"]["seed"])
+            **self["train"], epsilon=self["sinkhorn"]["epsilon"],
+            sinkhorn_iters=self["sinkhorn"]["n_iters"],
+            queue_capacity=self["sinkhorn"]["queue_capacity"], seed=self["run"]["seed"])
 
 
 def load_config(path: str | Path | None) -> Config:

@@ -380,12 +380,38 @@ class Checkpoint:
         for name, t in self.tensors.items():
             is_param = not name.startswith(("adam_m/", "adam_v/"))
             if name.split("/")[-1] == "prototypes" and is_param:
+                if t.ndim != 2:
+                    raise TensorFormatError(
+                        f"checkpoint tensor {name!r}: prototypes must be 2-D (K, D), "
+                        f"got shape {t.shape}")
                 norms = np.linalg.norm(t.astype(np.float64), axis=1)
                 if not np.allclose(norms, 1.0, atol=PROTO_NORM_TOL):
                     raise TensorFormatError(
                         f"checkpoint tensor {name!r}: prototype rows not unit-norm "
                         f"(max deviation {np.abs(norms - 1).max():.2e})"
                     )
+
+
+def match_tensors(tensors: dict[str, np.ndarray], expected: dict[str, np.ndarray],
+                  kind: str, need: str) -> None:
+    """Refuse checkpoint *tensors* unless their names are those of
+    *expected* and each has the shape and dtype of its namesake there.
+
+    ``TensorFormatError`` names the first tensor, in name order, that is
+    missing, that is extra (not *kind*, say "a model parameter"), or that
+    differs; in the last case *need* (say "this config needs") leads the
+    wanted dtype and shape.
+    """
+    missing = sorted(expected.keys() - tensors.keys())
+    if missing:
+        raise TensorFormatError(f"checkpoint has no tensor {missing[0]!r}")
+    for name, t in sorted(tensors.items()):
+        if name not in expected:
+            raise TensorFormatError(f"checkpoint tensor {name!r} is not {kind}")
+        want = expected[name]
+        if t.shape != want.shape or t.dtype != want.dtype:
+            raise TensorFormatError(f"checkpoint tensor {name!r} is {t.dtype} {t.shape}; "
+                                    f"{need} {want.dtype} {want.shape}")
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

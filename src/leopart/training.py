@@ -235,30 +235,22 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
     state = init_state(cfg, raw_dim)
     if ckpt.step > 0:  # Adam moments exist from the first step on
         state.adam.ensure(state.student)
-    expected = checkpoint_from_state(state, cfg).tensors
-    missing = sorted(expected.keys() - ckpt.tensors.keys())
-    if missing:
-        raise tensor_io.TensorFormatError(f"checkpoint has no tensor {missing[0]!r}")
+    tensors = dict(ckpt.tensors)
+    rows = tensors.pop("queue/rows", None)  # any count up to the capacity
+    if rows is not None and not (rows.ndim == 2 and rows.shape[0] <= cfg.queue_capacity
+                                 and rows.shape[1] == cfg.out_dim and rows.dtype == np.float32):
+        raise tensor_io.TensorFormatError(
+            f"checkpoint tensor 'queue/rows' is {rows.dtype} {rows.shape}; this config "
+            f"needs float32 (rows <= {cfg.queue_capacity}, {cfg.out_dim})")
+    tensor_io.match_tensors(tensors, checkpoint_from_state(state, cfg).tensors,
+                            "part of a training state",
+                            f"this config and {raw_dim}-dimensional tokens need")
+    if rows is not None:
+        state.queue.push(rows)
     scopes = state.scopes()
-    for name, t in sorted(ckpt.tensors.items()):
-        if name == "queue/rows":
-            ok = t.ndim == 2 and t.shape[0] <= cfg.queue_capacity and t.shape[1] == cfg.out_dim
-            want = f"(rows <= {cfg.queue_capacity}, {cfg.out_dim})"
-        elif name in expected:
-            ok = t.shape == expected[name].shape
-            want = str(expected[name].shape)
-        else:
-            raise tensor_io.TensorFormatError(f"checkpoint tensor {name!r} is not part of "
-                                              "a training state")
-        if not ok or t.dtype != np.float32:
-            raise tensor_io.TensorFormatError(
-                f"checkpoint tensor {name!r} is {t.dtype} {t.shape}; this config and "
-                f"{raw_dim}-dimensional tokens need float32 {want}")
-        if name == "queue/rows":
-            state.queue.push(t)
-        else:
-            scope, _, rest = name.partition("/")
-            scopes[scope][rest] = t.copy()
+    for name, t in tensors.items():
+        scope, _, rest = name.partition("/")
+        scopes[scope][rest] = t.copy()
     state.adam.t = ckpt.step
     state.step = ckpt.step
     return state

@@ -340,12 +340,28 @@ def add_a_tensor(tensors):
     tensors["student/extra"] = tensors["student/encoder.b"]
 
 
+def cut_head_columns(tensors):
+    tensors["student/head.l1.w"] = tensors["student/head.l1.w"][:, :5]
+
+
+def byte_head_bias(tensors):
+    tensors["student/head.l1.b"] = tensors["student/head.l1.b"].astype(np.uint8)
+
+
+# the walkthrough model's dims, which its checkpoint's own tensors imply
+DIMS = "ModelDims(raw_dim=16, token_dim=16, hidden_dim=32, out_dim=16, n_prototypes=8)"
+
+
 @pytest.mark.parametrize("edit, message", [
     (drop_encoder_bias, "checkpoint has no tensor 'student/encoder.b'"),
     (add_a_tensor, "checkpoint tensor 'student/extra' is not a model parameter"),
     (narrow_encoder, "checkpoint tensor 'student/encoder.w' takes 12-dimensional tokens; "
                      "the dataset's are 16-dimensional"),
-], ids=["missing", "extra", "narrow"])
+    (cut_head_columns, "checkpoint tensor 'student/head.l1.w' is float32 (16, 5); "
+                       f"the student's dims ({DIMS}) need float32 (16, 32)"),
+    (byte_head_bias, "checkpoint tensor 'student/head.l1.b' is uint8 (32,); "
+                     f"the student's dims ({DIMS}) need float32 (32,)"),
+], ids=["missing", "extra", "narrow", "cut", "dtype"])
 def test_cluster_refuses_a_checkpoint_whose_student_is_not_the_model(
         workspace, tmp_path, capsys, edit, message):
     ckpt = tensor_io.load_checkpoint(workspace / "train" / "checkpoint.lpc")
@@ -473,7 +489,6 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
     ("[sinkhorn]\nn_iters = 0", "[sinkhorn] n_iters must be at least 1, got 0"),
     ("[sinkhorn]\nqueue_capacity = 0", "[sinkhorn] queue_capacity must be at least 1, got 0"),
     ("[eval]\nn_seeds = 0", "bad value for eval.n_seeds: must be at least 1, got 0"),
-    ("[eval]\nprobe_lr = 0", "bad value for eval.probe_lr: must be positive, got 0.0"),
     ("[cbfe]\nthreshold = 1.5", "bad value for cbfe.threshold: must be in [0, 1], got 1.5"),
     ("[cd]\nmarkov_time = -1", "bad value for cd.markov_time: must be positive, got -1.0"),
     ("[cd]\ntarget_m = 0", "bad value for cd.target_m: must be at least 1, got 0"),

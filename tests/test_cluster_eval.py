@@ -614,7 +614,7 @@ def test_linear_probe_learns_planted_classes():
     rng = np.random.default_rng(12)
     feats, gts = planted_features(rng, n_images=8)
     score, params = cluster_eval.linear_probe(feats[:6], gts[:6], feats[6:], gts[6:],
-                                              n_classes=3, epochs=200, lr=0.1)
+                                              n_classes=3)
     assert score > 0.95
     assert params["w"].shape == (6, 3)
 
@@ -624,8 +624,40 @@ def test_linear_probe_chance_on_shuffled_labels():
     feats, gts = planted_features(rng, n_images=8)
     shuffled = [rng.integers(0, 3, size=g.shape) for g in gts]
     score, _ = cluster_eval.linear_probe(feats[:6], shuffled[:6], feats[6:],
-                                         shuffled[6:], n_classes=3, epochs=100, lr=0.1)
+                                         shuffled[6:], n_classes=3)
     assert score < 0.5
+
+
+def test_linear_probe_is_the_minimum_of_its_objective():
+    """Two probes of the same tokens return bit-identical params, and there
+    the penalized objective over the standardized tokens (a constant
+    dimension keeps divisor 1) has a gradient max-norm of at most PROBE_GTOL."""
+    rng = np.random.default_rng(15)
+    feats, gts = planted_features(rng, n_images=8)
+    feats = [np.concatenate([f, np.full((1, 8, 8), 2.0)]) for f in feats]
+    (score, params), (again, params_again) = [
+        cluster_eval.linear_probe(feats[:6], gts[:6], feats[6:], gts[6:], n_classes=3)
+        for _ in range(2)]
+    assert score == again
+    assert all(np.array_equal(params[k], params_again[k]) for k in ("w", "b"))
+
+    x, y = model.token_rows(feats[:6]), np.ravel(gts[:6])
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    assert std[-1] == 0
+    std[-1] = 1.0
+    w, b = params["w"] * std[:, None], params["b"] + mean @ params["w"]
+    _, gw, gb = cluster_eval.probe_loss_and_grads(w, b, (x - mean) / std, y)
+    grad = np.concatenate([gw.ravel(), gb]) + cluster_eval.PROBE_L2 * np.concatenate(
+        [w.ravel(), b])
+    assert np.abs(grad).max() <= cluster_eval.PROBE_GTOL
+
+
+def test_linear_probe_that_misses_its_tolerance_raises(monkeypatch):
+    rng = np.random.default_rng(16)
+    feats, gts = planted_features(rng, n_images=4)
+    monkeypatch.setattr(cluster_eval, "PROBE_GTOL", 0.0)
+    with pytest.raises(FloatingPointError, match="linear probe did not converge"):
+        cluster_eval.linear_probe(feats[:2], gts[:2], feats[2:], gts[2:], n_classes=3)
 
 
 def test_probe_logits_equal_the_per_image_loop():

@@ -152,6 +152,17 @@ def test_checkpoint_rejects_unnormalized_prototypes(tmp_path):
         tensor_io.save_checkpoint(ckpt, tmp_path / "c.lpc")
 
 
+def test_checkpoint_rejects_prototypes_that_are_not_a_matrix():
+    ckpt = tensor_io.Checkpoint(
+        tensors={"student/prototypes": np.ones(4, dtype=np.float32) / 2},
+        step=0, config_hash="h",
+    )
+    with pytest.raises(tensor_io.TensorFormatError,
+                       match=r"'student/prototypes': prototypes must be 2-D \(K, D\), "
+                             r"got shape \(4,\)"):
+        ckpt.validate()
+
+
 def small_checkpoint_bytes(tmp_path):
     ckpt = tensor_io.Checkpoint(tensors={"student/encoder.w": np.eye(3, dtype=np.float32)},
                                 step=3, config_hash="0123456789abcdef")
