@@ -13,6 +13,7 @@ Supported dtypes: f32 (code 1), u16 (code 2), u8 (code 3).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from collections.abc import Iterable
@@ -157,13 +158,14 @@ def _read_tensor_from(buf: bytes, offset: int, origin: str) -> tuple[np.ndarray,
     if any(d < 1 for d in shape):
         raise TensorFormatError(f"{origin}: zero dimension in {shape}")
     dt = _CODE_DTYPES[code]
-    nbytes = int(np.prod(shape)) * dt.itemsize
+    count = math.prod(shape)  # exact, where np.prod would wrap in int64
+    nbytes = count * dt.itemsize
     if len(buf) < offset + nbytes:
         raise TensorFormatError(
             f"{origin}: payload truncated, need {nbytes} bytes, "
             f"have {len(buf) - offset}"
         )
-    data = np.frombuffer(buf, dtype=dt, count=int(np.prod(shape)), offset=offset)
+    data = np.frombuffer(buf, dtype=dt, count=count, offset=offset)
     return data.reshape(shape).copy(), offset + nbytes
 
 
@@ -307,7 +309,8 @@ class Dataset:
     that a kind has one shape and dtype, and each stack is then checked once
     against the manifest's headers: features against ``# dim=`` and
     ``# grid=``, attention against ``# grid=`` or else the features' grid.
-    Every refusal is a ``ManifestError`` naming a record.
+    Features must be finite, and attention finite and non-negative. Every
+    refusal is a ``ManifestError`` naming a record.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -322,6 +325,15 @@ class Dataset:
         paths = [getattr(rec, attr) for rec in records]
         tensors = (None if p is None else lift(read_tensor(root / p)) for p in paths)
         return stack_tensors(tensors, [rec.id for rec in records], kind)
+
+    def _check_values(self, stack: np.ndarray, ok, message: str) -> None:
+        """Refuse *stack* unless ``ok(lo, hi)`` holds for each record's
+        least and greatest value; NaN carries into both. The error names
+        the first record that fails."""
+        axes = tuple(range(1, stack.ndim))
+        bad = ~ok(stack.min(axis=axes), stack.max(axis=axes))
+        if bad.any():
+            raise ManifestError(f"{self.manifest.records[int(np.argmax(bad))].id}: {message}")
 
     def _error(self, message: str) -> ManifestError:
         """An error naming the first record: a stack's records share one
@@ -338,6 +350,8 @@ class Dataset:
         if m.feature_dim not in (None, shape[0]) or m.token_grid not in (None, shape[1:]):
             raise self._error(f"feature tensor {shape} does not match manifest "
                               f"dim={m.feature_dim} grid={m.token_grid}")
+        self._check_values(feats, lambda lo, hi: np.isfinite(lo) & np.isfinite(hi),
+                           "feature tensor has a non-finite value")
         return feats
 
     @cached_property
@@ -351,6 +365,8 @@ class Dataset:
         grid = self.manifest.token_grid or self.features.shape[2:]
         if attn.shape[2:] != grid:
             raise self._error(f"attention grid {attn.shape[2:]} != {grid}")
+        self._check_values(attn, lambda lo, hi: (lo >= 0) & np.isfinite(hi),
+                           "attention entries must be finite and non-negative")
         return attn
 
     @cached_property

@@ -77,12 +77,11 @@ def crop_masks(attn_stacks: np.ndarray, global_taps: tuple[np.ndarray, np.ndarra
     ``attn_stacks`` holds the images' (n, heads, H, W) attention and
     ``global_taps`` the :func:`crops.box_taps` pair of their G global boxes
     each, the one that resamples their feature grids: the loader checks
-    attention against the feature grid. ``"bg"`` masking returns the
-    background instead.
+    attention against the feature grid, and that its entries are finite and
+    non-negative. ``"bg"`` masking returns the background instead.
     """
     aligned = crops.resample(attn_stacks.astype(np.float64)[:, None], global_taps)
-    merged = attention.merge_heads(np.maximum(aligned, 0.0))  # (n, G, g, g)
-    fg = attention.foreground_mask(merged[:, :, None])  # one head left per map
+    fg = attention.foreground_mask(aligned)  # (n, G, g, g)
     return fg if cfg.fg_masking == "fg" else (1 - fg).astype(np.uint8)
 
 
@@ -113,7 +112,8 @@ def crop_batch(features: np.ndarray, attn_stacks: np.ndarray | None,
 class TrainState:
     student: dict[str, np.ndarray]
     teacher: dict[str, np.ndarray]
-    adam: optim.AdamState
+    adam_m: dict[str, np.ndarray]  # Adam's moments, one per student parameter
+    adam_v: dict[str, np.ndarray]
     queue: sinkhorn.FeatureQueue
     step: int = 0
     losses: list[tuple[int, float]] = field(default_factory=list)
@@ -122,7 +122,7 @@ class TrainState:
         """The parameter dicts that a checkpoint saves, by the scope that
         prefixes their tensor names (``student/<name>`` and so on)."""
         return {"student": self.student, "teacher": self.teacher,
-                "adam_m": self.adam.m, "adam_v": self.adam.v}
+                "adam_m": self.adam_m, "adam_v": self.adam_v}
 
 
 def init_state(cfg: TrainConfig, raw_dim: int) -> TrainState:
@@ -139,7 +139,8 @@ def init_state(cfg: TrainConfig, raw_dim: int) -> TrainState:
     return TrainState(
         student=student,
         teacher=teacher,
-        adam=optim.AdamState(),
+        adam_m={k: np.zeros_like(v) for k, v in student.items()},
+        adam_v={k: np.zeros_like(v) for k, v in student.items()},
         queue=sinkhorn.FeatureQueue(capacity=cfg.queue_capacity),
     )
 
@@ -172,9 +173,10 @@ def train_step(features: np.ndarray, attn_stacks: np.ndarray | None,
         encoder_lr = optim.cosine_decay(cfg.lr_encoder, state.step, total_steps)
         lr = {name: encoder_lr if name.startswith("encoder.") else head_lr
               for name in state.student}
-        optim.adam_step(state.student, batch_grads, state.adam, lr, cfg.weight_decay)
+        optim.adam_step(state.student, batch_grads, state.adam_m, state.adam_v,
+                        state.step + 1, lr, cfg.weight_decay)
         optim.ema_update(state.teacher, state.student,
-                         optim.ema_momentum(state.step, total_steps, cfg.ema_start))
+                         optim.cosine_decay(cfg.ema_start, state.step, total_steps, end=1.0))
     state.step += 1
     state.losses.append((state.step, batch_loss))
     return batch_loss
@@ -233,8 +235,6 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
     if ckpt.config_hash != cfg.hash():
         raise ValueError("checkpoint config hash does not match the given config")
     state = init_state(cfg, raw_dim)
-    if ckpt.step > 0:  # Adam moments exist from the first step on
-        state.adam.ensure(state.student)
     tensors = dict(ckpt.tensors)
     rows = tensors.pop("queue/rows", None)  # any count up to the capacity
     if rows is not None and not (rows.ndim == 2 and rows.shape[0] <= cfg.queue_capacity
@@ -251,7 +251,6 @@ def state_from_checkpoint(ckpt: tensor_io.Checkpoint, cfg: TrainConfig,
     for name, t in tensors.items():
         scope, _, rest = name.partition("/")
         scopes[scope][rest] = t.copy()
-    state.adam.t = ckpt.step
     state.step = ckpt.step
     return state
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leopart import cbfe, cli, community, config, pipeline, render, tensor_io
+from leopart import cbfe, cli, cluster_eval, community, config, pipeline, render, tensor_io
 
 SMALL_CFG = """
 [synth]
@@ -243,9 +243,47 @@ def test_cbfe_names_a_truncated_attention_file(workspace, tmp_path, capsys):
     assert str(attn) in err and "payload truncated" in err
 
 
-def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
-    """cbfe and communities give what pipeline.run_cbfe and pipeline.stage_cd
-    give on the checkpoint's embeddings: one code path for CLI and ladder."""
+def altered_copy(workspace, tmp_path, name, value):
+    """A copy of the workspace's data with one entry of the tensor *name*
+    set to *value*."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    t = tensor_io.read_tensor(data / name)
+    t.flat[5] = value
+    tensor_io.write_tensor(t, data / name)
+    return data
+
+
+@pytest.mark.parametrize("name, value, commands, message", [
+    ("img00005_attn.lpt", -1e-3, ["train", "cbfe"],
+     "img00005: attention entries must be finite and non-negative"),
+    ("img00007_feat.lpt", np.nan, ["train", "cluster", "eval"],
+     "img00007: feature tensor has a non-finite value"),
+], ids=["negative_attention", "nan_feature"])
+def test_out_of_range_values_name_the_record(workspace, tmp_path, capsys, name, value,
+                                             commands, message):
+    """A negative attention entry or a non-finite feature is refused where
+    the dataset is read: every stage that reads it exits 1 naming the record."""
+    data = altered_copy(workspace, tmp_path, name, value)
+    c = ["--config", str(workspace / "run.cfg")]
+    checkpoint = ["--checkpoint", str(workspace / "train" / "checkpoint.lpc")]
+    argv = {"train": ["train", "--data", str(data), "--out", str(tmp_path / "t")],
+            "cbfe": ["cbfe", "--data", str(data), "--clusters", str(workspace / "clusters"),
+                     "--out", str(tmp_path / "fg")],
+            "cluster": ["cluster", "--data", str(data), "--out", str(tmp_path / "c")]
+            + checkpoint,
+            "eval": ["eval", "--data", str(data), "--protocol", "overcluster"] + checkpoint}
+    capsys.readouterr()
+    for command in commands:
+        assert cli.main(c + argv[command]) == 1, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+
+
+def test_cli_stages_match_pipeline_functions(workspace, tmp_path, capsys):
+    """cluster, cbfe and communities give what pipeline.run_cbfe and
+    pipeline.stage_cd give on the checkpoint's embeddings, and the CLI's
+    maps merged by its communities score what ``eval --protocol unsupseg``
+    prints for the cd stage: one code path for CLI and ladder."""
     cfg = config.load_config(workspace / "run.cfg")
     dataset = pipeline.load_dataset(tensor_io.load_manifest(workspace / "data" / "manifest.txt"))
     args = argparse.Namespace(checkpoint=workspace / "train" / "checkpoint.lpc", force=False)
@@ -253,6 +291,9 @@ def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
                                       cfg["eval"]["use_head"])
     art = pipeline.run_cbfe(embedded, pipeline.attention_hints(dataset), cfg["cbfe"]["k"],
                             cfg["cbfe"]["threshold"], seed=0)
+    ids = [rec.id for rec in dataset.manifest.records]
+    maps, _ = cli.read_cluster_maps(cli.read_outputs(workspace / "clusters", "cluster"), ids)
+    assert np.array_equal(maps, art.cluster_maps)
     cbfe.write_foreground_map(art.fg_map, tmp_path / "fg_map.txt")
     assert (tmp_path / "fg_map.txt").read_bytes() == (workspace / "fg" / "fg_map.txt").read_bytes()
     _, partition = pipeline.stage_cd(
@@ -260,6 +301,14 @@ def test_cli_stages_match_pipeline_functions(workspace, tmp_path):
         cfg["cd"]["markov_time"], cfg["cd"]["distance"], seed=0)
     cli_partition = community.read_partition(workspace / "comm" / "partition.txt")
     assert np.array_equal(partition.assignment, cli_partition.assignment)
+
+    merged, gt = community.merge_by_communities(maps, cli_partition), dataset.object_maps
+    score = cluster_eval.hungarian_matched_miou(merged, gt, max(merged.max(), gt.max()) + 1)
+    capsys.readouterr()
+    assert cli.main(["--config", str(workspace / "run.cfg"), "eval", "--data",
+                     str(workspace / "data"), "--protocol", "unsupseg",
+                     "--checkpoint", str(workspace / "train" / "checkpoint.lpc")]) == 0
+    assert f"cd: mIoU {score:.4f}\n" in capsys.readouterr().out
 
 
 def test_eval_unsupseg_honours_cd_distance_and_use_head(workspace, tmp_path, monkeypatch):

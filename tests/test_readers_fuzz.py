@@ -1,6 +1,8 @@
 """Fuzzing of every artifact reader: a reader given any bytes either returns
 a valid object or raises a named error, never another exception."""
 
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,25 @@ def test_read_ppm_returns_an_image_or_a_named_error(tmp_path, data):
     if image is not None:  # the payload is exactly the image's bytes
         assert image.dtype == np.uint8 and image.shape[2:] == (3,)
         assert data.endswith(b"\n" + image.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(65536,) * 4, (65536, 65536, 65536, 32768)])
+def test_a_size_past_int64_is_a_truncated_payload(tmp_path, shape):
+    """A header whose element count wraps in int64 (to 0 or below) is
+    refused as a truncated payload naming the file, in a tensor file and in
+    a checkpoint alike: the size is an exact integer."""
+    header = tensor_io.MAGIC + struct.pack(f"<BB{len(shape)}I", 3, len(shape), *shape)
+    name = b"student/w"
+    files = {"t.lpt": (tensor_io.read_tensor, header + b"\0" * 8),
+             "c.lpc": (tensor_io.load_checkpoint,
+                       tensor_io.CHECKPOINT_MAGIC + struct.pack("<QHIH", 0, 0, 1, len(name))
+                       + name + header + b"\0" * 8)}
+    for file, (reader, data) in files.items():
+        (tmp_path / file).write_bytes(data)
+        with pytest.raises(tensor_io.TensorFormatError) as exc:
+            reader(tmp_path / file)
+        assert str(tmp_path / file) in str(exc.value), file
+        assert f"payload truncated, need {math.prod(shape)} bytes, have 8" in str(exc.value)
 
 
 def test_valid_ppm_loads(tmp_path):

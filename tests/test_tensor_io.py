@@ -355,6 +355,14 @@ def record(feature_dtype=np.float32, heads=1, attn_dtype=np.float32, mask_shape=
             "mask": np.ones(mask_shape, mask_dtype) if mask else None}
 
 
+def valued(kind, value):
+    """A :func:`record` whose *kind* tensor holds one entry *value*."""
+    rec = record()
+    rec[kind] = rec[kind].copy()
+    rec[kind][0, 1, 2] = value
+    return rec
+
+
 def test_dataset_stacks_each_kind(tmp_path):
     rng = np.random.default_rng(0)
     recs = [{"feature": rng.normal(size=(4, 3, 3)).astype(np.float32),
@@ -400,13 +408,24 @@ INCONSISTENT_RECORDS = {
                    "img1: mask uint8 (2, 3, 3), the first has mask uint16 (2, 3, 3)"),
     "mask_missing": ([record(), record(mask=False)], "object_maps",
                      "img1: no mask, the first has mask uint16 (2, 3, 3)"),
+    "feature_nan": ([record(), valued("feature", np.nan), valued("feature", np.nan)],
+                    "features", "img1: feature tensor has a non-finite value"),
+    "feature_inf": ([valued("feature", -np.inf), record()], "features",
+                    "img0: feature tensor has a non-finite value"),
+    "attention_negative": ([record(), record(), valued("attention", -1e-3)], "attn_stacks",
+                           "img2: attention entries must be finite and non-negative"),
+    "attention_nan": ([record(), valued("attention", np.nan)], "attn_stacks",
+                      "img1: attention entries must be finite and non-negative"),
+    "attention_inf": ([record(), valued("attention", np.inf)], "attn_stacks",
+                      "img1: attention entries must be finite and non-negative"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_RECORDS))
 def test_dataset_refuses_a_record_unlike_the_first(tmp_path, capsys, case):
     """Each kind has one shape and dtype per dataset, on every record or on
-    none; the loader names the first record that differs, and so does the CLI."""
+    none, features are finite and attention finite and non-negative; the
+    loader names the first record that fails, and so does the CLI."""
     from leopart import cli
 
     records, kind, message = INCONSISTENT_RECORDS[case]

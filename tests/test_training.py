@@ -180,6 +180,28 @@ def test_resume_reproduces_uninterrupted_run(tiny_dataset, uninterrupted_run, tm
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_step_zero_checkpoint_holds_every_tensor(tiny_dataset, uninterrupted_run):
+    """The training state is complete from step 0: Adam's moments are zero
+    there, so a step-0 checkpoint names every tensor that a later one does
+    but the queue's rows, and one without the moments is refused by name."""
+    manifest, _ = tiny_dataset
+    cfg = tiny_config()
+    start, _ = training.train(manifest, cfg, stop_after=0)
+    later, _ = training.train(manifest, cfg, stop_after=5)
+    assert start.step == 0 and later.step == 5
+    assert set(start.tensors) == set(later.tensors) - {"queue/rows"}
+    assert set(start.tensors) == set(uninterrupted_run[0].tensors) - {"queue/rows"}
+    moments = [n for n in start.tensors if n.startswith(("adam_m/", "adam_v/"))]
+    assert len(moments) == 2 * sum(n.startswith("student/") for n in start.tensors)
+    assert all(not start.tensors[n].any() for n in moments)
+
+    no_moments = tensor_io.Checkpoint(
+        tensors={n: t for n, t in start.tensors.items() if n not in moments},
+        step=0, config_hash=start.config_hash)
+    with pytest.raises(tensor_io.TensorFormatError, match="no tensor 'adam_m/"):
+        training.train(manifest, cfg, resume=no_moments)
+
+
 def test_resume_rejects_mismatched_config(tiny_dataset):
     manifest, _ = tiny_dataset
     ckpt, _ = training.train(manifest, tiny_config(epochs=1))
@@ -207,7 +229,7 @@ def test_teacher_follows_ema_not_gradient(tiny_dataset):
     training.train_step(dataset.features[:2], dataset.attn_stacks[:2], state, cfg,
                         total_steps=10, crop_seeds=seeds)
     from leopart import optim
-    m = optim.ema_momentum(0, 10, cfg.ema_start)
+    m = optim.cosine_decay(cfg.ema_start, 0, 10, end=1.0)
     for name, t in state.teacher.items():
         expected = m * teacher_before[name] + (1 - m) * state.student[name]
         assert np.allclose(t, expected, atol=1e-7), name
