@@ -104,8 +104,3 @@ def resample_mask(mask: np.ndarray, tap_pair: tuple[np.ndarray, np.ndarray]) -> 
     re-binarizing at 0.5."""
     sampled = crops.resample(mask.astype(np.float64), tap_pair)
     return (sampled >= 0.5).astype(np.uint8)
-
-
-def align_mask(mask: np.ndarray, box, out_h: int, out_w: int) -> np.ndarray:
-    """:func:`resample_mask` of *mask* over *box*."""
-    return resample_mask(mask, crops.box_taps(box, mask.shape[-2:], (out_h, out_w)))

@@ -398,6 +398,9 @@ def cmd_eval(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
 
 def cmd_render(args, cfg: config_mod.Config, stage: Stage) -> list[Path]:
     label_map = tensor_io.read_tensor(Path(args.input))
+    if label_map.dtype.kind != "u":  # a float tensor would be truncated to labels
+        raise ValueError(f"{args.input}: cannot render a {label_map.dtype} tensor; "
+                         f"a label map is u8 or u16")
     if label_map.ndim == 3:
         if label_map.shape[0] != 1:
             raise ValueError(f"cannot render multi-channel tensor {label_map.shape}")

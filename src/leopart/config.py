@@ -13,6 +13,7 @@ that produced them.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -50,8 +51,15 @@ def _ranged(parse, ok, requirement: str):
     return checked
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 _count = _ranged(int, lambda v: v >= 1, "at least 1")
-_positive = _ranged(float, lambda v: v > 0, "positive")
+_positive = _ranged(_finite, lambda v: v > 0, "positive")
 _unit = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 

@@ -1,8 +1,8 @@
 """Token encoder, projection head and prototype scoring with manual backprop.
 
 Parameters live in flat ``{name: array}`` dicts so the optimizer and the
-finite-difference harness can treat them uniformly. Tokens are rows; all
-forward functions return the caches their backward twins need.
+finite-difference harness can treat them uniformly. Tokens are rows; a
+forward pass that has a backward twin caches exactly what the twin reads.
 """
 
 from __future__ import annotations
@@ -89,38 +89,37 @@ def encoder_forward(raw: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarra
     return raw @ params["encoder.w"] + params["encoder.b"]
 
 
-def encoder_backward(g: np.ndarray, raw: np.ndarray) -> dict[str, np.ndarray]:
-    return {"encoder.w": raw.T @ g, "encoder.b": g.sum(axis=0)}
+def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
+                 cache: dict | None = None) -> np.ndarray:
+    """Three affine layers with GELU gates, then a row-wise L2 bottleneck.
 
-
-def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict]:
-    """Three affine layers with GELU gates, then a row-wise L2 bottleneck."""
-    p = lambda name: params[f"head.{name}"]
-    h1 = tokens @ p("l1.w") + p("l1.b")
-    a1, gate1 = gelu(h1)
-    h2 = a1 @ p("l2.w") + p("l2.b")
-    a2, gate2 = gelu(h2)
-    h3 = a2 @ p("l3.w") + p("l3.b")
-    z, norms = l2_normalize_rows(h3)
-    cache = {"tokens": tokens, "h1": h1, "gate1": gate1, "a1": a1, "h2": h2,
-             "gate2": gate2, "a2": a2, "norms": norms, "z": z}
-    return z, cache
+    Into *cache*, if given, go all that :func:`head_backward` reads: each
+    GELU layer's output ``a`` and slope ``d``, its pre-activation and gate
+    dropped once ``d`` exists, and the bottleneck's rows ``z`` and norms."""
+    a = tokens
+    for i in (1, 2):
+        h = a @ params[f"head.l{i}.w"] + params[f"head.l{i}.b"]
+        a, gate = gelu(h)
+        if cache is not None:
+            cache[f"a{i}"], cache[f"d{i}"] = a, gelu_grad(h, gate)
+        del h, gate
+    z, norms = l2_normalize_rows(a @ params["head.l3.w"] + params["head.l3.b"])
+    if cache is not None:
+        cache.update(z=z, norms=norms)
+    return z
 
 
 def head_backward(gz: np.ndarray, cache: dict,
                   params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     p = lambda name: params[f"head.{name}"]
     gh3 = l2_normalize_rows_backward(gz, cache["z"], cache["norms"])
-    grads = {
-        "head.l3.w": cache["a2"].T @ gh3,
-        "head.l3.b": gh3.sum(axis=0),
-    }
-    ga2 = gh3 @ p("l3.w").T
-    gh2 = ga2 * gelu_grad(cache["h2"], cache["gate2"])
+    grads = {"head.l3.w": cache["a2"].T @ gh3, "head.l3.b": gh3.sum(axis=0)}
+    gh2 = gh3 @ p("l3.w").T
+    gh2 *= cache["d2"]
     grads["head.l2.w"] = cache["a1"].T @ gh2
     grads["head.l2.b"] = gh2.sum(axis=0)
-    ga1 = gh2 @ p("l2.w").T
-    gh1 = ga1 * gelu_grad(cache["h1"], cache["gate1"])
+    gh1 = gh2 @ p("l2.w").T
+    gh1 *= cache["d1"]
     grads["head.l1.w"] = cache["tokens"].T @ gh1
     grads["head.l1.b"] = gh1.sum(axis=0)
     g_tokens = gh1 @ p("l1.w").T
@@ -128,9 +127,9 @@ def head_backward(gz: np.ndarray, cache: dict,
 
 
 def project(tokens: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Head forward without caches; rows come back unit-norm."""
-    z, _ = head_forward(tokens, params)
-    return z
+    """The head's unit-norm rows from a pass that keeps no cache and
+    computes no GELU slope: the teacher's and every embedding's forward."""
+    return head_forward(tokens, params)
 
 
 def token_rows(grids) -> np.ndarray:
@@ -156,9 +155,9 @@ def forward_crop(grids: list[np.ndarray],
     """
     raw = np.concatenate([token_rows(g) for g in grids])
     tokens = encoder_forward(raw, params)
-    z, cache = head_forward(tokens, params)
+    cache = {"raw": raw, "tokens": tokens}
+    z = head_forward(tokens, params, cache)
     logits = z @ params["prototypes"].T
-    cache["raw"] = raw
     shapes = [g.shape[:-3] + g.shape[-2:] for g in grids]  # (..., h, w) per stack
     splits = np.cumsum([math.prod(s) for s in shapes])[:-1]
     return [token_grids(part, s) for part, s in zip(np.split(logits, splits), shapes)], cache
@@ -173,5 +172,6 @@ def backward_crop(g_logits: list[np.ndarray], cache: dict,
     gz = g @ params["prototypes"]
     g_tokens, head_grads = head_backward(gz, cache, params)
     grads.update(head_grads)
-    grads.update(encoder_backward(g_tokens, cache["raw"]))
+    grads["encoder.w"] = cache["raw"].T @ g_tokens
+    grads["encoder.b"] = g_tokens.sum(axis=0)
     return grads

@@ -7,6 +7,7 @@ the uninterrupted run bit-for-bit (single-threaded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -48,10 +49,18 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.fg_masking not in ("all", "fg", "bg"):
             raise ValueError(f"unknown fg_masking mode {self.fg_masking!r}")
+        for name in ("lr_head", "lr_encoder", "weight_decay"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and at least 0, got {value}")
+        if not 0 <= self.ema_start <= 1:
+            raise ValueError(f"ema_start must be in [0, 1], got {self.ema_start}")
         # the [sinkhorn] keys, under their config names
         if not self.epsilon >= sinkhorn.MIN_EPSILON:  # NaN too
             raise ValueError(f"epsilon must be at least sinkhorn.MIN_EPSILON = "
                              f"{sinkhorn.MIN_EPSILON:.6f}, got {self.epsilon}")
+        if self.epsilon == math.inf:
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.sinkhorn_iters < 1:
             raise ValueError(f"n_iters must be at least 1, got {self.sinkhorn_iters}")
         if self.queue_capacity < 1:

@@ -482,6 +482,18 @@ def test_render_all_background_map(tmp_path):
     assert np.all(render.read_ppm(out) == 0)
 
 
+def test_render_refuses_a_float_tensor(workspace, tmp_path, capsys):
+    """A float32 tensor, such as the centroids, is no label map: truncating
+    it to labels would render noise."""
+    centroids = workspace / "clusters" / "centroids.lpt"
+    out = tmp_path / "centroids.ppm"
+    capsys.readouterr()
+    assert cli.main(["render", "--input", str(centroids), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {centroids}: cannot render a float32 tensor; "
+                                       f"a label map is u8 or u16\n")
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -540,6 +552,13 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
     ("[eval]\nn_seeds = 0", "bad value for eval.n_seeds: must be at least 1, got 0"),
     ("[cbfe]\nthreshold = 1.5", "bad value for cbfe.threshold: must be in [0, 1], got 1.5"),
     ("[cd]\nmarkov_time = -1", "bad value for cd.markov_time: must be positive, got -1.0"),
+    ("[cd]\nmarkov_time = inf", "bad value for cd.markov_time: must be finite, got inf"),
+    ("[sinkhorn]\nepsilon = inf", "[sinkhorn] epsilon must be finite, got inf"),
+    ("[train]\nweight_decay = -1", "[train] weight_decay must be finite and at least 0, got -1.0"),
+    ("[train]\nlr_head = -0.001", "[train] lr_head must be finite and at least 0, got -0.001"),
+    ("[train]\nlr_encoder = inf", "[train] lr_encoder must be finite and at least 0, got inf"),
+    ("[train]\nema_start = 2", "[train] ema_start must be in [0, 1], got 2.0"),
+    ("[train]\nema_start = -5", "[train] ema_start must be in [0, 1], got -5.0"),
     ("[cd]\ntarget_m = 0", "bad value for cd.target_m: must be at least 1, got 0"),
     *[(f"[train]\n{key} = 0", f"[train] {key} must be at least 1, got 0")
       for key in ("batch_size", "epochs", "hidden_dim", "out_dim", "n_prototypes",

@@ -168,13 +168,18 @@ def test_pair_loss_grad_matches_fd_through_alignment():
 # after each image. Kept as the oracle for the batched path.
 
 
+def align_mask(mask, box, out_h, out_w):
+    """The binary *mask* resampled over *box* to (out_h, out_w)."""
+    return attention.resample_mask(mask, crops.box_taps(box, mask.shape[-2:], (out_h, out_w)))
+
+
 def reference_pair_loss(pred_logits, target_q, box_pred, box_target, fg_mask, tau, out_size):
     aligned_pred = crops.align(pred_logits, box_pred, out_size, out_size)
     aligned_q = crops.align(target_q, box_target, out_size, out_size)
     if fg_mask is None:
         mask = np.ones((out_size, out_size))
     else:
-        mask = attention.align_mask(fg_mask, box_target, out_size, out_size).astype(np.float64)
+        mask = align_mask(fg_mask, box_target, out_size, out_size).astype(np.float64)
     val, g_aligned, n_active = loss.softmax_cross_entropy_grid(aligned_pred, aligned_q, mask, tau)
     _, h, w = pred_logits.shape
     return float(val), crops.align_backward(g_aligned, box_pred, h, w), int(n_active)

@@ -123,7 +123,7 @@ def test_head_forward_matches_scalar_oracle():
     dims = small_dims()
     params = f64_params(dims, seed=3)
     tokens = np.random.default_rng(4).normal(size=(3, dims.token_dim))
-    z, _ = model.head_forward(tokens, params)
+    z = model.head_forward(tokens, params)
 
     def affine_row(row, w, b):
         return np.array([sum(row[i] * w[i, j] for i in range(len(row))) + b[j]
@@ -183,17 +183,90 @@ def test_forward_crop_gradients_match_fd():
         assert rel_err(grads[name], fd) < 1e-6, name
 
 
-def test_encoder_backward_matches_fd():
-    dims = small_dims()
-    params = f64_params(dims, seed=10)
-    rng = np.random.default_rng(11)
-    raw = rng.normal(size=(5, dims.raw_dim))
-    weights = rng.normal(size=(5, dims.token_dim))
+# ---------------------------------------------------------------- head cache
 
-    def scalar(ps):
-        return float((model.encoder_forward(raw, ps) * weights).sum())
 
-    grads = model.encoder_backward(weights, raw)
-    for name in ("encoder.w", "encoder.b"):
-        fd = fd_grad_params(scalar, params, name)
-        assert rel_err(grads[name], fd) < 1e-7, name
+def reference_head_forward(tokens, params):
+    """The straight-line head that cached each GELU layer's pre-activation
+    ``h``, gate and output ``a``: the bit-identity oracle of the head that
+    caches only ``a`` and the slope ``d``."""
+    p = lambda name: params[f"head.{name}"]
+    h1 = tokens @ p("l1.w") + p("l1.b")
+    a1, gate1 = model.gelu(h1)
+    h2 = a1 @ p("l2.w") + p("l2.b")
+    a2, gate2 = model.gelu(h2)
+    h3 = a2 @ p("l3.w") + p("l3.b")
+    z, norms = model.l2_normalize_rows(h3)
+    cache = {"tokens": tokens, "h1": h1, "gate1": gate1, "a1": a1, "h2": h2,
+             "gate2": gate2, "a2": a2, "norms": norms, "z": z}
+    return z, cache
+
+
+def reference_head_backward(gz, cache, params):
+    """The backward of :func:`reference_head_forward`, which calls
+    ``gelu_grad`` on the cached pre-activations and gates."""
+    p = lambda name: params[f"head.{name}"]
+    gh3 = model.l2_normalize_rows_backward(gz, cache["z"], cache["norms"])
+    grads = {"head.l3.w": cache["a2"].T @ gh3, "head.l3.b": gh3.sum(axis=0)}
+    ga2 = gh3 @ p("l3.w").T
+    gh2 = ga2 * model.gelu_grad(cache["h2"], cache["gate2"])
+    grads["head.l2.w"] = cache["a1"].T @ gh2
+    grads["head.l2.b"] = gh2.sum(axis=0)
+    ga1 = gh2 @ p("l2.w").T
+    gh1 = ga1 * model.gelu_grad(cache["h1"], cache["gate1"])
+    grads["head.l1.w"] = cache["tokens"].T @ gh1
+    grads["head.l1.b"] = gh1.sum(axis=0)
+    return gh1 @ p("l1.w").T, grads
+
+
+def two_stacks(dims, dtype, seed):
+    """Parameters, two raw crop stacks of different grid sizes and a
+    logits gradient for each stack."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(dims, rng, dtype=dtype)
+    grids = [rng.normal(size=(4, dims.raw_dim, 5, 5)).astype(dtype),
+             rng.normal(size=(6, dims.raw_dim, 3, 3)).astype(dtype)]
+    g_logits = [rng.normal(size=(4, dims.n_prototypes, 5, 5)).astype(dtype),
+                rng.normal(size=(6, dims.n_prototypes, 3, 3)).astype(dtype)]
+    return params, grids, g_logits
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_crop_passes_are_bit_identical_to_the_straight_line_head(dtype):
+    """Caching ``d`` in the forward instead of ``h`` and the gate moves no
+    bit of the logits or of any gradient."""
+    dims = model.ModelDims(raw_dim=8, token_dim=12, hidden_dim=32, out_dim=16, n_prototypes=10)
+    params, grids, g_logits = two_stacks(dims, dtype, seed=12)
+    logits, cache = model.forward_crop(grids, params)
+    grads = model.backward_crop(g_logits, cache, params)
+
+    raw = np.concatenate([model.token_rows(g) for g in grids])
+    z, ref_cache = reference_head_forward(model.encoder_forward(raw, params), params)
+    np.testing.assert_array_equal(np.concatenate([model.token_rows(lg) for lg in logits]),
+                                  z @ params["prototypes"].T)
+    g = np.concatenate([model.token_rows(gl) for gl in g_logits])
+    g_tokens, ref_grads = reference_head_backward(g @ params["prototypes"], ref_cache, params)
+    ref_grads.update({"prototypes": g.T @ z, "encoder.w": raw.T @ g_tokens,
+                      "encoder.b": g_tokens.sum(axis=0)})
+    assert grads.keys() == ref_grads.keys() == params.keys()
+    for name, ref in ref_grads.items():
+        assert grads[name].dtype == dtype, name
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+
+
+def test_forward_crop_caches_one_output_and_one_slope_per_gelu_layer():
+    """Of the hidden-width arrays, the cache holds each GELU layer's output
+    and slope and nothing else; ``project`` returns the rows alone."""
+    dims = model.ModelDims(raw_dim=3, token_dim=4, hidden_dim=11, out_dim=5, n_prototypes=6)
+    params, grids, _ = two_stacks(dims, np.float64, seed=13)
+    _, cache = model.forward_crop(grids, params)
+    _, ref = reference_head_forward(cache["tokens"], params)
+    wide = {name for name, v in cache.items() if v.shape[-1] == dims.hidden_dim}
+    assert wide == {"a1", "d1", "a2", "d2"}
+    for i in (1, 2):
+        np.testing.assert_array_equal(cache[f"a{i}"], ref[f"a{i}"])
+        np.testing.assert_array_equal(cache[f"d{i}"],
+                                      model.gelu_grad(ref[f"h{i}"], ref[f"gate{i}"]))
+    z = model.project(cache["tokens"], params)
+    assert isinstance(z, np.ndarray)
+    np.testing.assert_array_equal(z, cache["z"])

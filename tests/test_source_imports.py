@@ -24,8 +24,7 @@ SRC = ROOT / "src" / "leopart"
 # Public names that only the tests call: the closed-form oracles and
 # readers the tests check the package against, and the backward pass that
 # the benchmark times as a layer of its own.
-TEST_ONLY = {"attention.align_mask", "config.default_config_text", "crops.align_backward",
-             "render.read_ppm"}
+TEST_ONLY = {"config.default_config_text", "crops.align_backward", "render.read_ppm"}
 
 
 def unused_relative_imports(source: str) -> list[tuple[int, str]]:
