@@ -22,12 +22,58 @@ DEFAULT_HIDDEN = 2048
 DEFAULT_OUT = 256
 DEFAULT_PROTOTYPES = 300
 
+# Eigen's float32 erf: x * P(x^2) / Q(x^2) on [-4, 4], coefficients highest
+# power first; beyond 4 the float32 erf rounds to +-1.
+ERF_CLAMP = 4.0
+ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                  -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                  -1.60960333262415e-02], dtype=np.float32)
+ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                  -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# elements per row block of an elementwise pass, whose temporaries then
+# stay cache-sized and off a full-width layer's memory peak
+BLOCK = 1 << 16
+
+
+def _row_blocks(x: np.ndarray) -> list[slice]:
+    """Slices of whole leading-axis rows of *x*, about BLOCK elements each."""
+    step = max(1, BLOCK // max(1, math.prod(x.shape[1:])))
+    return [slice(start, start + step) for start in range(0, len(x), step)]
+
+
+def _horner(coeffs: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The polynomial with *coeffs*, highest power first, at *x2*."""
+    acc = x2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x2
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf32(x: np.ndarray) -> np.ndarray:
+    """erf of float32 *x*, in place: within 8 ulp of the float64 erf on
+    normal floats and 2 ulp on subnormals, exactly odd, exactly +-1 beyond 4
+    and NaN at NaN."""
+    for rows in _row_blocks(x):
+        v = x[rows]
+        np.clip(v, -ERF_CLAMP, ERF_CLAMP, out=v)
+        x2 = v * v
+        ratio = _horner(ERF_P, x2)
+        ratio /= _horner(ERF_Q, x2)
+        v *= ratio  # the ratio first: x * P first loses 36 ulp on subnormals
+    return x
+
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU of *x*, and its gate ``1 + erf(x / sqrt 2)`` (twice the standard
-    normal CDF of *x*), which :func:`gelu_grad` reuses."""
+    normal CDF of *x*), which :func:`gelu_grad` reuses. A float32 gate takes
+    :func:`_erf32`; any other keeps scipy's erf."""
     gate = x / SQRT2
-    erf(gate, out=gate)
+    if gate.dtype == np.float32:
+        _erf32(gate)
+    else:
+        erf(gate, out=gate)
     gate += 1.0
     act = 0.5 * x
     act *= gate
@@ -35,15 +81,19 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gelu_grad(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """d gelu / dx at *x*, given the gate that :func:`gelu` returned for *x*."""
+    """d gelu / dx at *x*, written over the gate that :func:`gelu` returned
+    for *x*, which it returns."""
     # 0.5 * gate + x * exp(-0.5 * x * x) / sqrt(2 pi), in that order
-    grad = -0.5 * x
-    grad *= x
-    np.exp(grad, out=grad)
-    grad *= x
-    grad *= INV_SQRT_2PI
-    grad += 0.5 * gate
-    return grad
+    for rows in _row_blocks(x):
+        xb, d = x[rows], gate[rows]
+        term = -0.5 * xb
+        term *= xb
+        np.exp(term, out=term)
+        term *= xb
+        term *= INV_SQRT_2PI
+        d *= 0.5
+        d += term
+    return gate
 
 
 def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,14 +161,16 @@ def head_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
 
 def head_backward(gz: np.ndarray, cache: dict,
                   params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Backprop through :func:`head_forward`. The second layer's ``a2`` and
+    ``d2`` leave *cache*: once read, their buffers hold ``gh2`` and ``gh1``."""
     p = lambda name: params[f"head.{name}"]
     gh3 = l2_normalize_rows_backward(gz, cache["z"], cache["norms"])
     grads = {"head.l3.w": cache["a2"].T @ gh3, "head.l3.b": gh3.sum(axis=0)}
-    gh2 = gh3 @ p("l3.w").T
+    gh2 = np.matmul(gh3, p("l3.w").T, out=cache.pop("a2"))
     gh2 *= cache["d2"]
     grads["head.l2.w"] = cache["a1"].T @ gh2
     grads["head.l2.b"] = gh2.sum(axis=0)
-    gh1 = gh2 @ p("l2.w").T
+    gh1 = np.matmul(gh2, p("l2.w").T, out=cache.pop("d2"))
     gh1 *= cache["d1"]
     grads["head.l1.w"] = cache["tokens"].T @ gh1
     grads["head.l1.b"] = gh1.sum(axis=0)

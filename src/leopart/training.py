@@ -45,8 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:  # NaN too
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if self.fg_masking not in ("all", "fg", "bg"):
             raise ValueError(f"unknown fg_masking mode {self.fg_masking!r}")
         for name in ("lr_head", "lr_encoder", "weight_decay"):

@@ -508,7 +508,7 @@ def test_validation_failure_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("[train]\ntemperature = -1", "[train] temperature must be positive"),
+    ("[train]\ntemperature = -1", "[train] temperature must be finite and positive, got -1.0"),
     ("[train]\nglobal_scale = 0 2", "[train] invalid scale range (0.0, 2.0)"),
     ("[synth]\nattention_flip = 2", "[synth] attention_flip must be in [0, 1)"),
 ])
@@ -559,6 +559,8 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
     ("[train]\nlr_encoder = inf", "[train] lr_encoder must be finite and at least 0, got inf"),
     ("[train]\nema_start = 2", "[train] ema_start must be in [0, 1], got 2.0"),
     ("[train]\nema_start = -5", "[train] ema_start must be in [0, 1], got -5.0"),
+    ("[train]\ntemperature = inf", "[train] temperature must be finite and positive, got inf"),
+    ("[train]\ntemperature = nan", "[train] temperature must be finite and positive, got nan"),
     ("[cd]\ntarget_m = 0", "bad value for cd.target_m: must be at least 1, got 0"),
     *[(f"[train]\n{key} = 0", f"[train] {key} must be at least 1, got 0")
       for key in ("batch_size", "epochs", "hidden_dim", "out_dim", "n_prototypes",

@@ -63,10 +63,11 @@ def test_gelu_grad_matches_finite_differences():
     assert np.allclose(model.gelu_grad(xs, model.gelu(xs)[1]), fd, atol=1e-8)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float64])
 def test_gelu_gate_reuse_is_bit_identical(dtype):
     """The gate kept from the forward pass gives the bits of the formulas
-    that called erf twice, so losses and checkpoints do not move."""
+    that called erf twice, so losses and checkpoints do not move. float32
+    takes the rational erf, which the bound tests below check."""
     xs = np.random.default_rng(0).normal(scale=3.0, size=4096).astype(dtype)
     act, gate = model.gelu(xs)
     sqrt2, inv_sqrt_2pi = math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
@@ -76,6 +77,60 @@ def test_gelu_gate_reuse_is_bit_identical(dtype):
     assert act.dtype == grad.dtype == dtype
     np.testing.assert_array_equal(act, old_gelu)
     np.testing.assert_array_equal(grad, old_grad)
+
+
+def erf32_sample() -> np.ndarray:
+    """Every 4096th float32 bit pattern in [0, 4], and the edge values."""
+    f32 = np.finfo(np.float32)
+    grid = np.arange(0, int(np.float32(4.0).view(np.uint32)) + 1, 4096,
+                     dtype=np.uint32).view(np.float32)
+    edges = np.array([0.0, -0.0, f32.smallest_subnormal, f32.tiny, 4.0,
+                      np.nextafter(np.float32(4.0), np.float32(np.inf)), f32.max, -f32.max],
+                     dtype=np.float32)
+    return np.concatenate([grid, edges])
+
+
+def test_float32_erf_is_within_8_ulp_of_the_float64_erf():
+    xs = erf32_sample()
+    got = model._erf32(xs.copy())
+    assert got.dtype == np.float32
+    want = erf(xs.astype(np.float64))
+    _, exponent = np.frexp(np.abs(want))
+    ulp = np.maximum(np.ldexp(1.0, exponent - 24), 2.0 ** -149)
+    err = np.abs(got - want) / ulp
+    subnormal = np.abs(xs) < np.finfo(np.float32).tiny
+    assert subnormal.sum() >= 2 and err[subnormal].max() <= 2.0
+    assert err[~subnormal].max() <= 8.0
+    # exactly odd (signed zeros too), exactly +-1 beyond the clamp, NaN at NaN
+    np.testing.assert_array_equal(model._erf32(-xs).view(np.uint32), (-got).view(np.uint32))
+    beyond = xs[xs > 4.0]
+    assert len(beyond) == 2
+    np.testing.assert_array_equal(model._erf32(beyond.copy()), 1.0)
+    np.testing.assert_array_equal(model._erf32(-beyond), -1.0)
+    assert np.isnan(model._erf32(np.array([np.nan], dtype=np.float32))).all()
+
+
+def test_float32_gelu_raises_no_floating_point_flag():
+    """train_step reads any overflow or invalid flag as divergence."""
+    xs = erf32_sample()
+    with np.errstate(over="raise", invalid="raise"):
+        for x in (xs, -xs, np.stack([xs, -xs], axis=1)):
+            act, gate = model.gelu(x)
+            assert act.dtype == gate.dtype == np.float32
+            assert np.isfinite(act).all() and np.isfinite(gate).all()
+
+
+def test_gelu_row_blocks_match_one_block(monkeypatch):
+    """The row blocks change where temporaries live, not the bits."""
+    x = np.random.default_rng(0).normal(scale=3.0, size=(37, 11)).astype(np.float32)
+    act, gate = model.gelu(x)
+    d = model.gelu_grad(x, gate.copy())
+    monkeypatch.setattr(model, "BLOCK", 33)  # 3 rows a block, 1 in the last
+    assert len(model._row_blocks(x)) == 13
+    act_b, gate_b = model.gelu(x)
+    np.testing.assert_array_equal(act_b, act)
+    np.testing.assert_array_equal(gate_b, gate)
+    np.testing.assert_array_equal(model.gelu_grad(x, gate_b), d)
 
 
 # ---------------------------------------------------------------- l2 normalize
