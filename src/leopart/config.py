@@ -123,7 +123,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "use_head": (_bool, True),
     },
     "run": {
-        "seed": (int, 0),
+        "seed": (_ranged(int, lambda v: v >= 0, "at least 0"), 0),
     },
 }
 
@@ -173,7 +173,7 @@ def load_config(path: str | Path | None) -> Config:
     bad setting; None gives all defaults. ``LEOPART_SEED`` replaces ``[run]
     seed`` here, so the config hash covers the seed a run uses."""
     parser = configparser.ConfigParser(interpolation=None)
-    text = "" if path is None else Path(path).read_text()
+    text = "" if path is None else tensor_io.read_text(path)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -194,9 +194,12 @@ def load_config(path: str | Path | None) -> Config:
     env = os.environ.get("LEOPART_SEED")
     if env is not None:
         try:
-            values.setdefault("run", {})["seed"] = int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"LEOPART_SEED is not an integer: {env!r}") from None
+        if seed < 0:
+            raise ConfigError(f"LEOPART_SEED must be at least 0, got {seed}")
+        values.setdefault("run", {})["seed"] = seed
     cfg = Config(values=values)
     checks = (("synth", cfg.synth_spec),
               # the [sinkhorn] keys alone, every [train] key at its default

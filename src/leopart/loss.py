@@ -100,34 +100,26 @@ def compute_targets(batch: CropBatch, teacher_params: dict[str, np.ndarray],
     as it stands once the images before it were pushed.
 
     One teacher forward covers all global crops. In S = [queue snapshot,
-    oldest first; the batch's rows as float32], image b's queue rows are the
-    L_b rows just before its own, L_b = min(fill + b * n, capacity) (0 while
-    that is below half the capacity: ``FeatureQueue.window_lengths``). So
-    every image's window is its own n-row block of S and the span of S just
-    before it, one ``sinkhorn.assign`` call assigns them all on views of one
-    kernel, and the batch's rows are pushed once. Returns (B, G, K, g, g)
-    row-stochastic target grids and the (B, G * g * g, D) teacher rows.
+    oldest first; the batch's rows], image b's queue rows are the L_b rows
+    just before its own, L_b = min(fill + b * n, capacity) (0 while that is
+    below half the capacity: ``FeatureQueue.window_lengths``). So every
+    image's window is one span of S, one ``sinkhorn.assign`` call assigns
+    them all on views of one kernel, and the batch's rows are pushed once.
+    Returns (B, G, K, g, g) row-stochastic target grids and the
+    (B, G * g * g, D) teacher rows.
     """
     n_img, n_glob, _, g, _ = batch.global_raw.shape
     raw = model.token_rows(batch.global_raw)
     rows = model.project(model.encoder_forward(raw, teacher_params), teacher_params)
     n = n_glob * g * g
-    pushed = rows.astype(np.float32)
-    held = queue.snapshot() if queue is not None and queue.fill else pushed[:0]
-    starts = len(held) + n * np.arange(n_img)  # where each image's rows sit in S
+    held = queue.snapshot() if queue is not None and queue.fill else rows[:0]
     lengths = (np.zeros(n_img, dtype=np.intp) if queue is None
                else queue.window_lengths(n_img, n))
-    seq, own = [held, pushed], len(held)
-    # A third block of S exists only for float64 callers, the finite-difference
-    # gradient checks: their own rows enter their windows unrounded.
-    if rows.dtype != pushed.dtype:
-        seq.append(rows)
-        own += len(rows)
-    feats = sinkhorn.FeatureBatch(np.concatenate(seq, dtype=np.float64), n, own,
-                                  starts - lengths, lengths)
+    feats = sinkhorn.FeatureBatch(np.concatenate([held, rows], dtype=np.float64), n,
+                                  len(held), lengths)
     q = sinkhorn.assign(feats, prototypes, epsilon=epsilon, n_iters=n_iters).q
     if queue is not None:
-        queue.push(pushed)
+        queue.push(rows)
     q = model.token_grids(q, (n_img, n_glob, g, g))
     return q.astype(rows.dtype), rows.reshape(n_img, n, -1)
 

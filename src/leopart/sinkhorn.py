@@ -1,16 +1,16 @@
 """Equi-partitioned optimal-transport soft assignments via Sinkhorn-Knopp.
 
-Each assignment window holds n own rows followed by queue rows; the queue
-rows shape the marginals but produce no targets. One call assigns any
-number of windows over one set of rows S: window b's own rows are the b-th
-block of n rows after an offset, and its queue rows one span of S. The
-kernel exp(S Cᵀ / ε) of every row against the prototypes is computed once,
-shifted by its largest exponent (a scalar that cancels exactly), and each
-window runs the scaling-domain iteration of Cuturi 2013 ("Sinkhorn
-Distances"), as SwAV implements it, on views of that kernel: one product
-over its own rows and one over its queue rows per half-step. Consecutive
-windows of one queue length whose spans lie n rows apart are iterated as
-one stack, a strided view of the kernel; no window's rows are copied.
+A window is one span of rows: L_b queue rows, then its own n rows; the
+queue rows shape the marginals but produce no targets. One call assigns
+any number of windows over one set of rows S: window b's own rows are the
+b-th block of n rows after an offset, and its queue rows the L_b rows just
+before them. The kernel exp(S Cᵀ / ε) of every row against the prototypes
+is computed once, shifted by its largest exponent (a scalar that cancels
+exactly), and each window runs the scaling-domain iteration of Cuturi 2013
+("Sinkhorn Distances"), as SwAV implements it, on a view of that kernel:
+one scaling vector and one product per half-step. Consecutive windows of
+one length lie n rows apart, so they are iterated as one stack, a strided
+view of the kernel; no window's rows are copied.
 
 The scaling domain needs a floor on ε, ``MIN_EPSILON``. Rows are unit-norm
 to ``NORM_TOL`` and prototypes unit-norm, so the log-kernel spans at most
@@ -43,42 +43,39 @@ MIN_EPSILON = float(4 * (1 + NORM_TOL) / -np.log(np.finfo(np.float64).tiny))  # 
 class FeatureBatch:
     """M unit-norm feature rows and the assignment windows that read them.
 
-    Window w is its ``n_batch`` own rows, from row ``own_start + w * n_batch``
-    on, then its ``queue_lengths[w]`` queue rows, from row ``queue_starts[w]``
-    on. Windows may differ in length and share rows.
+    Window w is one span of rows: its ``queue_lengths[w]`` queue rows, then
+    its ``n_batch`` own rows from row ``own_start + w * n_batch`` on. Windows
+    may differ in length and share rows.
     """
 
     rows: np.ndarray                      # (M, D), kept as float64
     n_batch: int
     own_start: int
-    queue_starts: np.ndarray              # (W,) first queue row of each window
     queue_lengths: np.ndarray             # (W,) queue rows of each window
 
     def __post_init__(self) -> None:
         self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.queue_starts = np.asarray(self.queue_starts, dtype=np.intp)
         self.queue_lengths = np.asarray(self.queue_lengths, dtype=np.intp)
         if self.rows.ndim != 2:
             raise ValueError("rows must be (M, D)")
-        starts, lengths, m = self.queue_starts, self.queue_lengths, len(self.rows)
-        if (self.n_batch < 1 or starts.ndim != 1 or starts.shape != lengths.shape
-                or not len(starts) or self.own_start < 0
-                or self.own_start + len(starts) * self.n_batch > m
-                or starts.min() < 0 or lengths.min() < 0 or (starts + lengths).max() > m):
-            raise ValueError(f"need at least one window, with its {self.n_batch} own rows "
-                             f"and its queue span inside the {m} rows")
+        lengths, n, m = self.queue_lengths, self.n_batch, len(self.rows)
+        own = self.own_start + n * np.arange(lengths.size)  # first own row of each window
+        if (n < 1 or lengths.ndim != 1 or not lengths.size or lengths.min() < 0
+                or (own - lengths).min() < 0 or own[-1] + n > m):
+            raise ValueError(f"need at least one window, each a span of queue rows and "
+                             f"{n} own rows inside the {m} rows")
         deviation = np.abs(np.sqrt(np.einsum("md,md->m", self.rows, self.rows)) - 1.0)
         if deviation.size and deviation.max() > NORM_TOL:
             raise ValueError(f"feature rows must be unit-norm (max deviation {deviation.max():.2e})")
 
     @classmethod
     def from_rows(cls, batch_rows: np.ndarray, queue_rows: np.ndarray | None = None) -> "FeatureBatch":
-        """One window: the batch rows, then the queue rows."""
+        """One window: the queue rows, then the batch rows."""
         rows = np.asarray(batch_rows)
         if queue_rows is not None and len(queue_rows):
-            rows = np.concatenate([rows, queue_rows], axis=0)
-        n = len(batch_rows)
-        return cls(rows, n, 0, [n], [len(rows) - n])
+            rows = np.concatenate([queue_rows, rows], axis=0)
+        held = len(rows) - len(batch_rows)
+        return cls(rows, len(batch_rows), held, [held])
 
 
 @dataclass
@@ -108,32 +105,28 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     c = np.asarray(prototypes, dtype=np.float64)
-    k, n = len(c), features.n_batch
-    starts, lengths = features.queue_starts, features.queue_lengths
+    k, n, lengths = len(c), features.n_batch, features.queue_lengths
     # non-finite inputs surface as a non-finite plan, checked below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernel = features.rows @ np.ascontiguousarray(c.T)  # (M, K), built in place
         kernel /= epsilon
         kernel -= kernel.max()
         np.exp(kernel, out=kernel)
-        own = kernel[features.own_start:][:len(lengths) * n].reshape(-1, n, k)  # (W, n, K)
         q = np.empty((len(lengths), n, k))
         col_sums = np.empty((len(lengths), k))
-        # runs [lo, hi) of windows of one queue length whose spans lie n rows apart
-        breaks = np.flatnonzero((np.diff(lengths) != 0) | (np.diff(starts) != n)) + 1
+        # runs [lo, hi) of windows of one length, whose spans lie n rows apart
+        breaks = np.flatnonzero(np.diff(lengths)) + 1
         for lo, hi in zip([0, *breaks.tolist()], [*breaks.tolist(), len(lengths)]):
-            ko = own[lo:hi]
-            kq = sliding_window_view(kernel, (lengths[lo], k))[starts[lo]:starts[hi - 1] + 1:n, 0]
-            a_own, a_queue = np.ones((hi - lo, n)), np.ones(kq.shape[:2])
-            mass = (n + lengths[lo]) / k
+            m, first = lengths[lo] + n, features.own_start + lo * n - lengths[lo]
+            kw = sliding_window_view(kernel, (m, k))[first::n][:hi - lo, 0]  # (hi - lo, m, K)
+            a = np.ones((hi - lo, m))
             for _ in range(n_iters):
-                b = mass / (a_own[:, None, :] @ ko + a_queue[:, None, :] @ kq)[:, 0]
-                a_own = 1.0 / (ko @ b[:, :, None])[:, :, 0]
-                a_queue = 1.0 / (kq @ b[:, :, None])[:, :, 0]
+                b = (m / k) / (a[:, None, :] @ kw)[:, 0]
+                a = 1.0 / (kw @ b[:, :, None])[:, :, 0]
             # the plan's own rows, up to a factor per row, normalized in place
-            scores = np.multiply(ko, b[:, None, :], out=q[lo:hi])
+            scores = np.multiply(kw[:, -n:], b[:, None, :], out=q[lo:hi])
             scores /= scores.sum(axis=2, keepdims=True)
-            col_sums[lo:hi] = b * (a_own[:, None, :] @ ko + a_queue[:, None, :] @ kq)[:, 0]
+            col_sums[lo:hi] = b * (a[:, None, :] @ kw)[:, 0]
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(col_sums))):
         raise FloatingPointError("non-finite Sinkhorn plan; inputs must be finite")
     return Assignment(q=q.reshape(-1, k), plan_col_sums=col_sums)
@@ -141,7 +134,7 @@ def assign(features: FeatureBatch, prototypes: np.ndarray,
 
 @dataclass
 class FeatureQueue:
-    """FIFO queue of past feature rows, oldest first.
+    """FIFO queue of past feature rows, oldest first, of one dtype.
 
     The queue only participates in assignment once at least half full; until
     then :meth:`window_lengths` gives every window a length of 0.
@@ -166,7 +159,9 @@ class FeatureQueue:
             self._rows = rows[:0].copy()
         if rows.shape[1] != self._rows.shape[1]:
             raise ValueError(f"row dim {rows.shape[1]} != queue dim {self._rows.shape[1]}")
-        self._rows = np.concatenate([self._rows, rows], dtype=self._rows.dtype)[-self.capacity:]
+        if rows.dtype != self._rows.dtype:
+            raise ValueError(f"{rows.dtype} rows pushed onto a {self._rows.dtype} queue")
+        self._rows = np.concatenate([self._rows, rows])[-self.capacity:]
 
     def snapshot(self) -> np.ndarray:
         """Stored rows, oldest first."""

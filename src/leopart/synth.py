@@ -39,12 +39,20 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_images < 1:
+            raise ValueError(f"n_images must be >= 1, got {self.n_images}")
+        if self.raw_dim < 1:
+            raise ValueError(f"raw_dim must be >= 1, got {self.raw_dim}")
         if self.parts_per_object < 1:
             raise ValueError("parts_per_object must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0 <= self.objects_per_image[0] <= self.objects_per_image[1]:
+            raise ValueError(f"objects_per_image needs 0 <= lo <= hi, got {self.objects_per_image}")
         if not (0.0 <= self.attention_flip < 1.0):
             raise ValueError("attention_flip must be in [0, 1)")
+        if self.grid[0] < 2:
+            raise ValueError(f"grid height must be >= 2, got {self.grid[0]}")
         if self.grid[1] < self.parts_per_object + 1:
             raise ValueError("grid too narrow for the part strips")
 

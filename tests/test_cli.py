@@ -532,6 +532,23 @@ def test_gen_rejects_an_unsatisfiable_spec(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("noise_sigma = nan", "[synth] noise_sigma must be finite and >= 0, got nan"),
+    ("noise_sigma = inf", "[synth] noise_sigma must be finite and >= 0, got inf"),
+    ("n_images = 0", "[synth] n_images must be >= 1, got 0"),
+    ("grid = 1 10", "[synth] grid height must be >= 2, got 1"),
+    ("raw_dim = 0", "[synth] raw_dim must be >= 1, got 0"),
+    ("objects_per_image = 3 1", "[synth] objects_per_image needs 0 <= lo <= hi, got (3, 1)"),
+    ("objects_per_image = -1 2", "[synth] objects_per_image needs 0 <= lo <= hi, got (-1, 2)"),
+])
+def test_gen_refuses_a_synth_value_it_cannot_honour(tmp_path, capsys, setting, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[synth]\n{setting}\n")
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("capacity", [0, -1])
 def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, capacity):
     cfg = tmp_path / "queue.cfg"
@@ -683,6 +700,19 @@ def test_seed_env_override(tmp_path, monkeypatch):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     monkeypatch.setenv("LEOPART_SEED", "not-an-int")
     assert cli.main(["--config", str(cfg), "gen", "--out", str(tmp_path / "c")]) == 1
+
+
+def test_a_negative_seed_is_refused_before_gen_writes(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[synth]\nn_images = 3\nraw_dim = 16\n[run]\nseed = -1\n")
+    out = tmp_path / "d"
+    assert cli.main(["--config", str(cfg), "gen", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: bad value for run.seed: must be at least 0, got -1\n")
+    monkeypatch.setenv("LEOPART_SEED", "-3")
+    assert cli.main(["gen", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: LEOPART_SEED must be at least 0, got -3\n"
+    assert not out.exists()
 
 
 def unhandled_inputs(workspace, tmp_path):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,13 @@ def test_seed_env_sets_run_seed_at_load(tmp_path, monkeypatch):
     monkeypatch.setenv("LEOPART_SEED", "seven")
     with pytest.raises(config.ConfigError, match="LEOPART_SEED is not an integer: 'seven'"):
         config.load_config(None)
+
+
+def test_a_config_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[run]\n# café\nseed = 1\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        config.load_config(path)
 
 
 def test_default_config_text_roundtrips(tmp_path):

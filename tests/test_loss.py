@@ -264,7 +264,7 @@ def reference_total_loss(batch, student, teacher, queue, tau, epsilon, n_iters,
         val, img_grads, img_diag = reference_loss_given_targets(
             views, n_global, boxmat, student, targets, masks, tau, out_size)
         if queue is not None:
-            queue.push(rows.astype(np.float32))
+            queue.push(rows)
         total += val
         grads = {name: g + img_grads[name] for name, g in grads.items()}
         for field in vars(diag):
@@ -379,13 +379,12 @@ def test_queue_rows_change_targets():
     queue = sinkhorn.FeatureQueue(capacity=64)
     extra = rng.normal(size=(32, 8))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    queue.push(extra.astype(np.float32))  # half full: active from the first image on
+    queue.push(extra)  # half full: active from the first image on
     with_queue, _ = loss.compute_targets(batch, teacher, student["prototypes"], queue,
                                          epsilon=0.05, n_iters=3)
     assert not np.allclose(empty[0], with_queue[0], atol=1e-6)
-    # both images' 18 rows went in, image 0's first
-    np.testing.assert_array_equal(queue.snapshot()[-36:],
-                                  rows.reshape(36, 8).astype(np.float32))
+    # both images' 18 rows went in, image 0's first, unrounded
+    np.testing.assert_array_equal(queue.snapshot()[-36:], rows.reshape(36, 8))
 
 
 def per_image_targets(batch, teacher, prototypes, queue, epsilon, n_iters):
@@ -402,7 +401,7 @@ def per_image_targets(batch, teacher, prototypes, queue, epsilon, n_iters):
         window = np.concatenate([img_rows, held]) if len(held) else img_rows
         targets.append(reference_assign(window, len(img_rows), prototypes, epsilon, n_iters)[0])
         if queue is not None:
-            queue.push(img_rows.astype(np.float32))
+            queue.push(img_rows)
     q = np.stack(targets).reshape(n_img, n_glob, g, g, -1).transpose(0, 1, 4, 2, 3)
     return q.astype(rows.dtype)
 

@@ -39,10 +39,10 @@ def reference_assign(rows, n_batch, prototypes, epsilon, n_iters):
 
 
 def window_rows(feats, w):
-    """Window *w* of *feats* as rows: its own block, then its queue span."""
-    n, own, start = feats.n_batch, feats.own_start + w * feats.n_batch, feats.queue_starts[w]
+    """Window *w* of *feats* as rows: its own block, then its queue rows."""
+    n, own = feats.n_batch, feats.own_start + w * feats.n_batch
     return np.concatenate([feats.rows[own:own + n],
-                           feats.rows[start:start + feats.queue_lengths[w]]])
+                           feats.rows[own - feats.queue_lengths[w]:own]])
 
 
 def assert_matches_reference(out, feats, prototypes, epsilon, n_iters):
@@ -192,37 +192,38 @@ def test_one_window_matches_log_domain_reference(epsilon, n_iters):
 
 def test_windows_of_shared_rows_match_reference_per_window():
     """Windows over one set of rows, laid out as ``loss.compute_targets`` lays
-    out a batch: a queue of 6 rows, then 7 images of 6 rows, then those
-    images' rows again, kept apart from the queue as float64 callers keep
-    them. At capacity 36 the images see two empty windows (the warm-up), three
-    ragged ones and a capped run of two; a second batch reads spans that are
-    not n rows apart, repeat a span and cover every row."""
+    out a batch: a queue of 6 rows, then 7 images of 6 rows, each image's
+    window the span of its own rows and the rows just before them. At
+    capacity 36 the images see two empty windows (the warm-up), three ragged
+    ones and a capped run of two."""
     rng = np.random.default_rng(8)
     n, n_img, fill = 6, 7, 6
-    rows = unit_rows(rng, fill + 2 * n_img * n, 5)
+    rows = unit_rows(rng, fill + n_img * n, 5)
     protos = unit_rows(rng, 4, 5)
     lengths = sinkhorn.FeatureQueue(capacity=36)
     lengths.push(np.zeros((fill, 1)))
     lengths = lengths.window_lengths(n_img, n)
     assert lengths.tolist() == [0, 0, 18, 24, 30, 36, 36]
-    starts = fill + n * np.arange(n_img) - lengths
-    laid_out = sinkhorn.FeatureBatch(rows, n, fill + n_img * n, starts, lengths)
-    scattered = sinkhorn.FeatureBatch(rows, n, 12, [40, 0, 40, 3, 9, 0, 88],
-                                      [12, 12, 12, 5, 5, 90, 0])
-    for feats in (laid_out, scattered):
-        for epsilon, n_iters in [(0.05, 3), (0.02, 25)]:
-            out = sinkhorn.assign(feats, protos, epsilon, n_iters)
-            assert out.q.shape == (len(feats.queue_lengths) * n, 4)
-            assert_matches_reference(out, feats, protos, epsilon, n_iters)
+    feats = sinkhorn.FeatureBatch(rows, n, fill, lengths)
+    for epsilon, n_iters in [(0.05, 3), (0.02, 25)]:
+        out = sinkhorn.assign(feats, protos, epsilon, n_iters)
+        assert out.q.shape == (n_img * n, 4)
+        assert_matches_reference(out, feats, protos, epsilon, n_iters)
 
 
-@pytest.mark.parametrize("own_start, starts, lengths", [
-    (-1, [0], [0]), (0, [0, 1], [0]), (0, [], []), (8, [0], [0]), (0, [-1], [2]),
-    (0, [0], [-1]), (0, [5], [4])])
-def test_rejects_windows_outside_the_rows(own_start, starts, lengths):
+@pytest.mark.parametrize("own_start, lengths", [
+    pytest.param(-1, [0], id="own-rows-before-row-0"),
+    pytest.param(0, [], id="no-window"),
+    pytest.param(8, [0], id="own-rows-past-the-last-row"),
+    pytest.param(0, [-1], id="negative-length"),
+    pytest.param(1, [2], id="span-before-row-0"),
+    pytest.param(2, [0, 5], id="span-before-row-0-in-a-later-window"),
+    pytest.param(4, [4, 4, 4], id="own-blocks-past-the-last-row"),
+    pytest.param(0, [[0]], id="lengths-not-1d")])
+def test_rejects_windows_outside_the_rows(own_start, lengths):
     rows = unit_rows(np.random.default_rng(11), 8, 3)
     with pytest.raises(ValueError, match="inside the 8 rows"):
-        sinkhorn.FeatureBatch(rows, 2, own_start, starts, lengths)
+        sinkhorn.FeatureBatch(rows, 2, own_start, lengths)
 
 
 def test_views_keep_the_peak_below_two_kernels():
@@ -231,8 +232,8 @@ def test_views_keep_the_peak_below_two_kernels():
     rng = np.random.default_rng(12)
     n, n_img, held, k = 16, 16, 2048, 64
     rows = unit_rows(rng, held + n * n_img, 8)
-    # each image reads the full queue: the held rows just before its own
-    feats = sinkhorn.FeatureBatch(rows, n, held, n * np.arange(n_img), np.full(n_img, held))
+    # each image reads a full queue: the 2048 rows just before its own
+    feats = sinkhorn.FeatureBatch(rows, n, held, np.full(n_img, held))
     protos = unit_rows(rng, k, 8)
     kernel_bytes = len(rows) * k * 8
     assert n_img * (n + held) * k * 8 >= 8 * kernel_bytes
@@ -303,6 +304,15 @@ def test_queue_fifo_eviction():
     q.push(c)
     assert q.fill == 2
     np.testing.assert_array_equal(q.snapshot(), np.concatenate([b, c]))
+
+
+def test_queue_refuses_rows_of_another_dtype():
+    """A push never rounds: the queue holds exactly the rows pushed."""
+    q = sinkhorn.FeatureQueue(capacity=4)
+    q.push(np.ones((2, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="float64 rows pushed onto a float32 queue"):
+        q.push(np.full((1, 3), 1 / 3))
+    assert q.fill == 2 and q.snapshot().dtype == np.float32
 
 
 @pytest.mark.parametrize("capacity", [0, -3])
