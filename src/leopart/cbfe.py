@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from . import tensor_io
 
@@ -117,6 +116,9 @@ def boundary_f1(pred: np.ndarray, gt: np.ndarray, tol_px: float | None = None) -
         return 1.0
     if not pb.any() or not gb.any():
         return 0.0
+    # imported here: scipy.ndimage costs a process about 27 MB and 0.25 s
+    from scipy.ndimage import distance_transform_edt
+
     dist_to_gt = distance_transform_edt(~gb)
     dist_to_pred = distance_transform_edt(~pb)
     precision = float((dist_to_gt[pb] <= tol_px).mean())

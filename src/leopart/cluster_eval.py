@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 from . import crops, model
 
@@ -411,6 +410,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
+    # imported here: scipy.optimize costs a process about 49 MB and 0.45 s
+    from scipy.optimize import linear_sum_assignment
 
     def optimal_total(sub: np.ndarray) -> float:
         if sub.size == 0:
@@ -536,6 +537,8 @@ def linear_probe(train_features: np.ndarray, train_gt: np.ndarray,
                                             theta[n_w:], z, y)
         return (loss + 0.5 * PROBE_L2 * theta @ theta,
                 np.concatenate([gw.ravel(), gb]) + PROBE_L2 * theta)
+
+    from scipy.optimize import minimize  # imported here, as in hungarian
 
     # ftol=0: only the gradient tolerance ends the solve
     result = minimize(objective, np.zeros(n_w + n_classes), jac=True, method="L-BFGS-B",

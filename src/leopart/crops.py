@@ -45,6 +45,9 @@ class CropSpec:
             raise ValueError(f"n_global must be at least 1, got {self.n_global}")
         if self.n_local < 0:
             raise ValueError(f"n_local must be at least 0, got {self.n_local}")
+        if self.n_global + self.n_local < 2:
+            raise ValueError(f"n_global + n_local must be at least 2 for a crop pair, "
+                             f"got {self.n_global} + {self.n_local}")
 
 
 def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 NORM_GUARD = 1e-12
 # Python floats, so that they keep the dtype of float32 activations
@@ -73,6 +72,9 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if gate.dtype == np.float32:
         _erf32(gate)
     else:
+        # imported here: scipy.special costs a process about 25 MB and 0.2 s
+        from scipy.special import erf
+
         erf(gate, out=gate)
     gate += 1.0
     act = 0.5 * x

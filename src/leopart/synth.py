@@ -43,8 +43,12 @@ class SynthSpec:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
         if self.raw_dim < 1:
             raise ValueError(f"raw_dim must be >= 1, got {self.raw_dim}")
+        if self.n_objects < 0:
+            raise ValueError(f"n_objects must be >= 0, got {self.n_objects}")
         if self.parts_per_object < 1:
             raise ValueError("parts_per_object must be >= 1")
+        if self.n_bg_parts < 1:
+            raise ValueError(f"n_bg_parts must be >= 1, got {self.n_bg_parts}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.objects_per_image[0] <= self.objects_per_image[1]:

@@ -2,8 +2,12 @@
 
 import argparse
 import hashlib
+import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +587,10 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
       for key in ("batch_size", "epochs", "hidden_dim", "out_dim", "n_prototypes",
                   "global_grid", "local_grid", "align_size", "n_global", "token_dim")],
     ("[train]\nn_local = -1", "[train] n_local must be at least 0, got -1"),
+    ("[train]\nn_global = 1\nn_local = 0",
+     "[train] n_global + n_local must be at least 2 for a crop pair, got 1 + 0"),
+    ("[synth]\nn_objects = -1", "[synth] n_objects must be >= 0, got -1"),
+    ("[synth]\nn_bg_parts = 0", "[synth] n_bg_parts must be >= 1, got 0"),
 ])
 def test_every_command_rejects_an_out_of_range_setting(workspace, tmp_path, capsys,
                                                        setting, message):
@@ -685,6 +693,44 @@ def test_readme_walkthrough_writes_identical_manifests_in_two_roots(tmp_path, mo
             cli.read_outputs(root / rel.parent, rel.name.removesuffix("_outputs.txt"))
     assert len(manifests[0]) == 6
     assert manifests[0] == manifests[1]
+
+
+# Run in a fresh interpreter: imports leopart.cli, runs each stage command
+# of argv[1] (a JSON list of argv lists, the scoring command last) through
+# cli.main, and checks sys.modules for scipy after each.
+SCIPY_GUARD = """
+import json, sys
+from leopart import cli
+
+def scipy_modules():  # the loaded scipy subpackages, by name
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                   if m == "scipy" or m.startswith("scipy.")})
+
+assert not scipy_modules(), ("import leopart.cli", scipy_modules())
+*stages, score = json.loads(sys.argv[1])
+for argv in stages:
+    assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert cli.main(score) == 0, score
+assert "scipy.optimize" in sys.modules, (score, scipy_modules())
+"""
+
+
+def test_only_scoring_loads_scipy(tmp_path):
+    """Importing the CLI and running every README command but `eval` loads
+    no scipy module; `eval --protocol unsupseg`, whose Hungarian matching
+    needs it, then loads scipy.optimize, which shows the check sees an
+    import."""
+    cfg_text, commands = readme_walkthrough()
+    (tmp_path / "run.cfg").write_text(cfg_text)
+    parser = cli.build_parser()
+    score = [argv for argv in commands if parser.parse_args(argv).command == "eval"]
+    stages = [argv for argv in commands if argv not in score]
+    assert len(score) == 1 and "unsupseg" in score[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(stages + score)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

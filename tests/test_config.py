@@ -212,6 +212,8 @@ def test_out_of_range_values_are_refused_by_key(tmp_path, setting):
     "[cbfe]\nthreshold = 1\n[cd]\ntarget_m = 1",
     "[cd]\nedge_threshold = 0\ndistance = 1", "[cd]\nedge_threshold = 1",
     f"[sinkhorn]\nepsilon = {sinkhorn.MIN_EPSILON!r}\nn_iters = 1\nqueue_capacity = 1",
+    "[synth]\nn_objects = 0\nn_bg_parts = 1", "[train]\nn_global = 1\nn_local = 1",
+    "[train]\nn_global = 2\nn_local = 0",
 ])
 def test_range_edges_are_accepted(tmp_path, setting):
     path = tmp_path / "run.cfg"
