@@ -121,21 +121,25 @@ def sample_crops(spec: CropSpec, rng_seed: int | np.random.Generator) -> np.ndar
     return np.array(boxes)
 
 
-def pair_boxes(coords: np.ndarray) -> np.ndarray:
-    """(..., V, V, 4) pairwise intersections of the (..., V, 4) boxes *coords*.
+def pair_boxes(coords: np.ndarray, n_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """The intersections of the first *n_targets* of the (..., V, 4) boxes
+    *coords* with every box, as two (..., n_targets, V, 4) arrays.
 
-    Entry ``[..., i, j]`` is the intersection of boxes i and j in box-i-local
-    normalized coordinates, so the diagonal is ``FULL_BOX``; it is NaN where
-    the two boxes do not intersect.
+    Entry ``[..., j, i]`` is the intersection of target j with box i, in
+    box-i-local normalized coordinates in the first array and in
+    target-j-local ones in the second, so ``[..., j, j]`` is ``FULL_BOX``.
+    Raises ``ValueError`` if a target does not intersect some box.
     """
-    own = coords[..., :, None, :]
-    other = coords[..., None, :, :]
-    lo = np.maximum(own[..., :2], other[..., :2])
-    hi = np.minimum(own[..., 2:], other[..., 2:])
-    origin, size = own[..., :2], own[..., 2:] - own[..., :2]
-    local = np.concatenate([(lo - origin) / size, (hi - origin) / size], axis=-1)
-    local[np.any(lo >= hi, axis=-1)] = np.nan
-    return local
+    target, view = coords[..., :n_targets, None, :], coords[..., None, :, :]
+    lo = np.maximum(target[..., :2], view[..., :2])
+    hi = np.minimum(target[..., 2:], view[..., 2:])
+    apart = np.any(lo >= hi, axis=-1)
+    if apart.any():
+        raise ValueError("crops do not intersect at (..., target, view) "
+                         f"{np.argwhere(apart).tolist()}")
+    corners = np.concatenate([lo, hi], axis=-1)
+    return tuple((corners - np.tile(own[..., :2], 2)) / np.tile(own[..., 2:] - own[..., :2], 2)
+                 for own in (view, target))
 
 
 def taps(lo: np.ndarray, hi: np.ndarray, src: int, out: int) -> np.ndarray:
@@ -172,7 +176,7 @@ def box_taps(boxes, src_hw: tuple[int, int],
     if coords.shape[-1:] != (4,):
         raise ValueError(f"boxes must be (..., 4) arrays of (x0, y0, x1, y1), got {coords.shape}")
     if not np.isfinite(coords).all():
-        raise ValueError("boxes must be finite; an empty intersection has no taps")
+        raise ValueError("boxes must be finite")
     (src_h, src_w), (out_h, out_w) = src_hw, out_hw
     return (taps(coords[..., 1], coords[..., 3], src_h, out_h),
             taps(coords[..., 0], coords[..., 2], src_w, out_w))

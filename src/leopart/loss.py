@@ -25,25 +25,24 @@ class CropBatch:
     """The crops of B images, stacked by kind.
 
     Views are numbered as :func:`crops.sample_crops` returns them: the G
-    global crops first, then the L local ones. ``boxes[b, i, j]`` is the
-    intersection of views i and j of image b in view-i-local coordinates,
-    NaN where they do not intersect (:func:`crops.pair_boxes`). ``masks``
-    weights the cells of each global crop (all ones for no foreground
-    masking).
+    global crops first, then the L local ones. ``pred_boxes[b, j, i]`` and
+    ``target_boxes[b, j, i]`` are the intersection of global crop j and view
+    i of image b in view-i-local and crop-j-local coordinates
+    (:func:`crops.pair_boxes`). ``masks`` weights the cells of each global
+    crop (all ones for no foreground masking).
     """
 
-    global_raw: np.ndarray  # (B, G, raw_dim, g, g)
-    local_raw: np.ndarray   # (B, L, raw_dim, l, l)
-    boxes: np.ndarray       # (B, G + L, G + L, 4)
-    masks: np.ndarray       # (B, G, g, g) in {0, 1}
+    global_raw: np.ndarray    # (B, G, raw_dim, g, g)
+    local_raw: np.ndarray     # (B, L, raw_dim, l, l)
+    pred_boxes: np.ndarray    # (B, G, G + L, 4)
+    target_boxes: np.ndarray  # (B, G, G + L, 4)
+    masks: np.ndarray         # (B, G, g, g) in {0, 1}
 
 
 @dataclass
 class PairDiagnostics:
     n_pairs_total: int = 0
     n_pairs_contributing: int = 0
-    n_empty_intersections: int = 0
-    n_fully_masked: int = 0
 
 
 def softmax_cross_entropy_grid(logits: np.ndarray, targets: np.ndarray,
@@ -74,22 +73,23 @@ def pair_loss(pred_logits: np.ndarray, target_q: np.ndarray,
               box_pred: np.ndarray, box_target: np.ndarray, fg_mask: np.ndarray,
               tau: float, out_size: int = ALIGN_SIZE,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked cross-entropy of a stack of P (predictor, target) crop pairs.
+    """Masked cross-entropy of a stack of (predictor, target) crop pairs.
 
-    ``pred_logits`` is (P, K, h, w), ``target_q`` (P, K, g, g) and
-    ``fg_mask`` (P, g, g), a binary grid at the target crop's resolution.
-    ``box_pred`` (P, 4) is each intersection in predictor-local
-    coordinates, ``box_target`` (P, 4) the same region in target-local
-    coordinates. Returns per-pair losses, d loss / d pred_logits and the
-    active cell counts.
+    ``box_pred`` (..., 4) is each intersection in predictor-local
+    coordinates, ``box_target`` (..., 4) the same region in target-local
+    coordinates; ``pred_logits`` (..., K, h, w), ``target_q`` (..., K, g, g)
+    and ``fg_mask`` (..., g, g), a binary grid at the target crop's
+    resolution, broadcast against their leading dims. Returns per-pair
+    losses, each pair's d loss / d pred_logits and the active cell counts.
     """
     out_hw = (out_size, out_size)
     pred_taps = crops.box_taps(box_pred, pred_logits.shape[-2:], out_hw)
     target_taps = crops.box_taps(box_target, target_q.shape[-2:], out_hw)
     aligned_pred = crops.resample(pred_logits, pred_taps)
     aligned_q = crops.resample(target_q, target_taps)
-    mask = attention.resample_mask(fg_mask[:, None], target_taps)[:, 0].astype(np.float64)
-    loss, g_aligned, n_active = softmax_cross_entropy_grid(aligned_pred, aligned_q, mask, tau)
+    mask = attention.resample_mask(fg_mask[..., None, :, :], target_taps)[..., 0, :, :]
+    loss, g_aligned, n_active = softmax_cross_entropy_grid(
+        aligned_pred, aligned_q, mask.astype(np.float64), tau)
     return loss, crops.resample_adjoint(g_aligned, pred_taps), n_active
 
 
@@ -136,41 +136,38 @@ def loss_given_targets(batch: CropBatch, params: dict[str, np.ndarray],
     n_img, n_glob = batch.global_raw.shape[:2]
     logits, cache = model.forward_crop([batch.global_raw, batch.local_raw], params)
 
-    # every ordered (target j, predictor i != j) pair of every image, in that order
-    off_diag = ~np.eye(batch.boxes.shape[1], dtype=bool)[:n_glob]
-    img, tgt, pred = np.nonzero(np.broadcast_to(off_diag, (n_img, *off_diag.shape)))
-    box_pred = batch.boxes[img, pred, tgt]
-    box_target = batch.boxes[img, tgt, pred]
-    present = ~np.isnan(box_pred[:, 0])
-    diag = PairDiagnostics(n_pairs_total=len(img),
-                           n_empty_intersections=int((~present).sum()))
-    img, tgt, pred = img[present], tgt[present], pred[present]
-    box_pred, box_target = box_pred[present], box_target[present]
+    # every image's (target j, predictor i != j) pairs as a (B, G, V - 1) grid:
+    # the global predictors off the diagonal of a (B, G, G) grid, then the locals
+    off_diag = ~np.eye(n_glob, dtype=bool)
 
-    # one stack of pairs per predictor grid size: global, then local predictors
-    pair_losses = np.zeros(len(img))
-    n_active = np.zeros(len(img), dtype=np.int64)
-    groups = []
-    for kind, (sel, view) in enumerate([(pred < n_glob, pred), (pred >= n_glob, pred - n_glob)]):
-        key = (img[sel], view[sel])
-        loss, g_pred, active = pair_loss(
-            logits[kind][key], targets[img[sel], tgt[sel]], box_pred[sel],
-            box_target[sel], batch.masks[img[sel], tgt[sel]], tau, out_size)
-        pair_losses[sel], n_active[sel] = loss, active
-        groups.append((kind, sel, key, g_pred))
+    def off(grid):  # (B, G, G, ...) -> (B, G, G - 1, ...)
+        return grid[:, off_diag].reshape(n_img, n_glob, n_glob - 1, *grid.shape[3:])
 
-    contributing = n_active > 0
-    diag.n_fully_masked = int((~contributing).sum())
-    diag.n_pairs_contributing = int(contributing.sum())
-    per_image = np.maximum(np.bincount(img[contributing], minlength=n_img), 1)
-    image_loss = np.bincount(img, weights=pair_losses * contributing, minlength=n_img) / per_image
+    glob_logits = np.broadcast_to(logits[0][:, None], (n_img, n_glob, *logits[0].shape[1:]))
+    glob_loss, g_glob, glob_active = pair_loss(
+        off(glob_logits), targets[:, :, None], off(batch.pred_boxes[:, :, :n_glob]),
+        off(batch.target_boxes[:, :, :n_glob]), batch.masks[:, :, None], tau, out_size)
+    local_loss, g_local, local_active = pair_loss(
+        logits[1][:, None], targets[:, :, None], batch.pred_boxes[:, :, n_glob:],
+        batch.target_boxes[:, :, n_glob:], batch.masks[:, :, None], tau, out_size)
+    contributing = np.concatenate([glob_active, local_active], axis=2) > 0
+    diag = PairDiagnostics(n_pairs_total=contributing.size,
+                           n_pairs_contributing=int(contributing.sum()))
+    per_image = np.maximum(contributing.sum(axis=(1, 2)), 1)
+    # np.bincount adds each image's pair losses in grid order, target j then
+    # predictor i; a pairwise .sum(axis=(1, 2)) would round them differently
+    pair_losses = np.concatenate([glob_loss, local_loss], axis=2) * contributing
+    image_loss = np.bincount(np.repeat(np.arange(n_img), contributing[0].size),
+                             weights=pair_losses.ravel(), minlength=n_img) / per_image
     total = float(image_loss.mean())
 
-    # d total / d pair loss = 1 / (pairs of its image * images)
-    scale = contributing / (per_image[img] * n_img)
-    g_logits = [np.zeros_like(stack_logits) for stack_logits in logits]
-    for kind, sel, key, g_pred in groups:
-        np.add.at(g_logits[kind], key, g_pred * scale[sel, None, None, None].astype(g_pred.dtype))
+    # d total / d pair loss = 1 / (pairs of its image * images); a predictor's
+    # gradient sums over its targets, the diagonal of the global grid adding 0
+    scale = contributing / (per_image[:, None, None] * n_img)
+    scale = scale.astype(g_glob.dtype)[..., None, None, None]
+    g_grid = np.zeros_like(glob_logits)
+    g_grid[:, off_diag] = (g_glob * scale[:, :, :n_glob - 1]).reshape(n_img, -1, *g_glob.shape[3:])
+    g_logits = [g_grid.sum(axis=1), (g_local * scale[:, :, n_glob - 1:]).sum(axis=1)]
     grads = model.backward_crop(g_logits, cache, params)
     return total, grads, diag
 

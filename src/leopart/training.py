@@ -109,12 +109,8 @@ def crop_batch(features: np.ndarray, attn_stacks: np.ndarray | None,
         masks = np.ones((len(raw), n_glob, g, g), dtype=np.uint8)
     else:
         masks = crop_masks(attn_stacks, global_taps, cfg)
-    return loss_mod.CropBatch(
-        global_raw=crops.resample(raw, global_taps),
-        local_raw=crops.resample(raw, local_taps),
-        boxes=crops.pair_boxes(coords),
-        masks=masks,
-    )
+    return loss_mod.CropBatch(crops.resample(raw, global_taps), crops.resample(raw, local_taps),
+                              *crops.pair_boxes(coords, n_glob), masks)
 
 
 @dataclass

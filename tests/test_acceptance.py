@@ -71,10 +71,12 @@ def test_criterion_01_gradient_suite():
         boxes = np.array([(0.0, 0.0, 0.8, 0.8), (0.15, 0.1, 0.95, 0.9),    # global
                           (0.2, 0.25, 0.6, 0.65), (0.3, 0.2, 0.7, 0.6)])  # local
         n_img = 2  # two images with the same boxes, so per-image normalization is checked
+        pred_boxes, target_boxes = crops.pair_boxes(np.stack([boxes] * n_img), 2)
         batch = loss.CropBatch(
             global_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
             local_raw=rng.normal(size=(n_img, 2, 8, 3, 3)),
-            boxes=np.stack([crops.pair_boxes(boxes)] * n_img),
+            pred_boxes=pred_boxes,
+            target_boxes=target_boxes,
             masks=np.ones((n_img, 2, 3, 3), dtype=np.uint8))
         targets, _ = loss.compute_targets(batch, teacher, student["prototypes"],
                                           None, epsilon=0.05, n_iters=3)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,8 @@ def reference_align_backward(grad_out, box, src_h, src_w):
 #
 # The object-based sampler that the array one replaced: a list of CropBox
 # objects, then a V x V BoxMatrix of tuples (None where empty) built from one
-# intersection_in_local call per pair, converted to the (V, V, 4) array the
-# training step uses. Kept as the oracle for sample_crops and pair_boxes.
+# intersection_in_local call per pair, converted to the two (G, V, 4) arrays
+# the training step uses. Kept as the oracle for sample_crops and pair_boxes.
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,14 @@ def reference_box_matrix(boxes: list[CropBox]) -> list[list]:
     return mat
 
 
-def reference_box_array(mat: list[list]) -> np.ndarray:
-    return np.array([[(np.nan,) * 4 if box is None else box for box in row] for row in mat],
-                    dtype=np.float64)
+def reference_box_arrays(mat: list[list], n_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each target j's intersection with each box i, in box-i-local and in
+    target-j-local coordinates; every such pair must intersect."""
+    pairs = [(i, j) for j in range(n_targets) for i in range(len(mat))]
+    assert all(mat[i][j] is not None for i, j in pairs)
+    return tuple(np.array([mat[a][b] for a, b in order], dtype=np.float64)
+                 .reshape(n_targets, len(mat), 4)
+                 for order in (pairs, [(j, i) for i, j in pairs]))
 
 
 def reference_sample_box(rng, scale, aspect, kind):
@@ -214,19 +220,22 @@ def test_sampling_matches_reference_sampler(name):
         got = crops.sample_crops(spec, np.random.default_rng(seed))
         assert got.shape == (n_views, 4) and got.dtype == np.float64
         np.testing.assert_array_equal(got, [box.coords for box in want])
-        np.testing.assert_array_equal(crops.pair_boxes(got),
-                                      reference_box_array(reference_box_matrix(want)))
+        for got_boxes, want_boxes in zip(crops.pair_boxes(got, spec.n_global),
+                                         reference_box_arrays(reference_box_matrix(want),
+                                                              spec.n_global)):
+            np.testing.assert_array_equal(got_boxes, want_boxes)
     assert failures < 20
 
 
 def test_pair_boxes_broadcast_over_leading_dims():
-    """A (B, V, 4) stack gives each image's (V, V, 4) pair boxes."""
+    """A (B, V, 4) stack gives each image's two (G, V, 4) pair box arrays."""
     spec = crops.CropSpec()
     coords = np.stack([crops.sample_crops(spec, seed) for seed in range(5)])
-    stacked = crops.pair_boxes(coords)
-    assert stacked.shape == (5, 6, 6, 4)
+    stacked = crops.pair_boxes(coords, 2)
     for b in range(5):
-        np.testing.assert_array_equal(stacked[b], crops.pair_boxes(coords[b]))
+        for whole, one in zip(stacked, crops.pair_boxes(coords[b], 2)):
+            assert whole.shape == (5, 2, 6, 4)
+            np.testing.assert_array_equal(whole[b], one)
 
 
 def test_sample_crops_respects_min_intersection():
@@ -240,19 +249,21 @@ def test_sample_crops_respects_min_intersection():
 
 
 def test_full_image_crops_give_full_boxes():
-    mat = crops.pair_boxes(np.array([crops.FULL_BOX, crops.FULL_BOX]))
-    for i in range(2):
+    for boxes in crops.pair_boxes(np.array([crops.FULL_BOX, crops.FULL_BOX]), 2):
         for j in range(2):
-            assert tuple(mat[i, j]) == crops.FULL_BOX
+            for i in range(2):
+                assert tuple(boxes[j, i]) == crops.FULL_BOX
 
 
 def test_intersection_local_coords_hand_case():
     a, b = (0, 0, 0.5, 0.5), (0.25, 0.25, 1, 1)
-    mat = crops.pair_boxes(np.array([a, b], dtype=np.float64))
-    assert tuple(mat[0, 1]) == pytest.approx((0.5, 0.5, 1.0, 1.0))
-    assert tuple(mat[1, 0]) == pytest.approx((0.0, 0.0, 1 / 3, 1 / 3))
+    in_view, in_target = crops.pair_boxes(np.array([a, b], dtype=np.float64), 2)
+    # the same intersection seen from a, then from b, whichever is the target
+    for in_a, in_b in ((in_view[1, 0], in_view[0, 1]), (in_target[0, 1], in_target[1, 0])):
+        assert tuple(in_a) == pytest.approx((0.5, 0.5, 1.0, 1.0))
+        assert tuple(in_b) == pytest.approx((0.0, 0.0, 1 / 3, 1 / 3))
     # cross-check area against the rasterized oracle
-    area = local_area(mat[0, 1]) * 0.25
+    area = local_area(in_view[1, 0]) * 0.25
     assert abs(area - pixel_membership_intersection(a, b)) <= 2 * 100 / 100**2
 
 
@@ -262,30 +273,38 @@ def local_area(box) -> float:
 
 def test_intersection_matches_pixel_oracle_many():
     """The area of each intersection, from either crop's local box, matches
-    the rasterized oracle; disjoint crops get NaN both ways."""
+    the rasterized oracle; disjoint crops are refused both ways, with area 0."""
     rng = np.random.default_rng(3)
     for _ in range(50):
         a, b = random_box(rng), random_box(rng)
-        mat = crops.pair_boxes(np.array([a, b]))
         approx = pixel_membership_intersection(a, b)
-        for i, own in ((0, a), (1, b)):
-            box = mat[i, 1 - i]
-            area = 0.0 if np.isnan(box[0]) else local_area(box) * local_area(own)
+        for own, other in ((a, b), (b, a)):
+            try:
+                box = crops.pair_boxes(np.array([other, own]), 1)[0][0, 1]
+            except ValueError:
+                area = 0.0
+            else:
+                area = local_area(box) * local_area(own)
             assert abs(area - approx) <= 2 * 100 / 100**2  # +/- ~1 pixel row
 
 
-def test_pair_boxes_presence_is_symmetric_with_full_diagonal():
-    """Disjoint crops are NaN in both directions; touching edges count as
-    disjoint; every crop's box of itself is the full box."""
+def test_pair_boxes_refusal_is_symmetric_with_full_diagonal():
+    """Disjoint crops are refused in both directions, naming the pairs;
+    touching edges count as disjoint; every crop's box of itself is the full
+    box."""
     coords = np.array([(0.0, 0.0, 0.5, 0.5), (0.5, 0.0, 1.0, 0.5),
                        (0.6, 0.6, 0.9, 0.9), (0.1, 0.1, 0.7, 0.7)])
-    mat = crops.pair_boxes(coords)
-    absent = np.isnan(mat[..., 0])
-    assert np.array_equal(absent, np.isnan(mat).any(axis=-1))
-    assert np.array_equal(absent, absent.T)
-    assert absent[0, 1] and absent[0, 2] and not absent[0, 3] and not absent[2, 3]
-    for i in range(4):
-        assert tuple(mat[i, i]) == crops.FULL_BOX
+    disjoint = {(0, 1), (0, 2), (1, 2)}
+    for j, i in itertools.permutations(range(4), 2):
+        if (min(i, j), max(i, j)) in disjoint:
+            with pytest.raises(ValueError, match=r"\(\.\.\., target, view\) \[\[0, 1\]\]"):
+                crops.pair_boxes(coords[[j, i]], 1)
+        else:
+            crops.pair_boxes(coords[[j, i]], 1)
+    with pytest.raises(ValueError, match=r"\[\[0, 1\], \[0, 2\], \[1, 0\], \[1, 2\]\]"):
+        crops.pair_boxes(coords, 2)
+    for boxes in crops.pair_boxes(coords[[3, 0, 1, 2]], 1):
+        assert tuple(boxes[0, 0]) == crops.FULL_BOX
 
 
 def test_sampling_error_on_impossible_spec():
@@ -397,14 +416,11 @@ def test_align_matches_reference_products_on_training_shapes():
     rng = np.random.default_rng(10)
     n_img, n_glob, size = 16, 2, 10
     coords = np.stack([crops.sample_crops(ACCEPTANCE_SPEC, seed) for seed in range(n_img)])
-    # every intersecting (predictor i, global target j != i) pair of the batch
-    pairs = crops.pair_boxes(coords)
-    off_diag = ~np.eye(coords.shape[1], dtype=bool)[:, :n_glob]
-    box_pred = pairs[:, :, :n_glob][:, off_diag].reshape(-1, 4)
-    box_target = np.swapaxes(pairs[:, :n_glob], 1, 2)[:, off_diag].reshape(-1, 4)
-    present = ~np.isnan(box_pred[:, 0])
-    box_pred, box_target = box_pred[present], box_target[present]
-    n_pairs = len(box_pred)
+    # every (global target j, predictor i != j) pair of the batch
+    in_view, in_target = crops.pair_boxes(coords, n_glob)
+    off_diag = ~np.eye(n_glob, coords.shape[1], dtype=bool)
+    box_pred, box_target = (boxes[:, off_diag].reshape(-1, 4) for boxes in (in_view, in_target))
+    n_pairs, n_local = len(box_pred), coords.shape[1] - n_glob
 
     def check(src, boxes, out_h, out_w, adjoint=True):
         got = crops.align(src, boxes, out_h, out_w)
@@ -425,6 +441,12 @@ def test_align_matches_reference_products_on_training_shapes():
         for grid in (5, 3):                    # global, then local predictor logits
             check(rng.normal(size=(n_pairs, 8, grid, grid)).astype(dtype), box_pred, 5, 5)
         check(rng.normal(size=(n_pairs, 8, 5, 5)).astype(dtype), box_target, 5, 5)  # targets
+        # the loss's (B, G, L) stack of local predictors: each image's local
+        # logits and its global targets broadcast against the grid of boxes
+        check(rng.normal(size=(n_img, 1, n_local, 8, 3, 3)).astype(dtype),
+              in_view[:, :, n_glob:], 5, 5)
+        check(rng.normal(size=(n_img, n_glob, 1, 8, 5, 5)).astype(dtype),
+              in_target[:, :, n_glob:], 5, 5)
         # cluster_eval.resize_bilinear: forward only (its adjoint sums 100 terms,
         # which BLAS blocks by the matrix shapes)
         check(rng.normal(size=(32, size, size)).astype(dtype), crops.FULL_BOX, 100, 100,

@@ -205,8 +205,8 @@ def reference_compute_targets(views, n_global, teacher, prototypes, queue, epsil
     return grids, rows
 
 
-def reference_loss_given_targets(views, n_global, boxmat, params, target_grids, masks,
-                                 tau, out_size):
+def reference_loss_given_targets(views, n_global, pred_boxes, target_boxes, params,
+                                 target_grids, masks, tau, out_size):
     diag = loss.PairDiagnostics()
     forwards = []
     for raw_grid in views:
@@ -219,14 +219,10 @@ def reference_loss_given_targets(views, n_global, boxmat, params, target_grids, 
             if i == j:
                 continue
             diag.n_pairs_total += 1
-            if boxmat[i][j] is None:
-                diag.n_empty_intersections += 1
-                continue
             val, g_pred, n_active = reference_pair_loss(
-                forwards[i][0], target_grids[j], boxmat[i][j], boxmat[j][i], masks[j],
-                tau, out_size)
+                forwards[i][0], target_grids[j], pred_boxes[j][i], target_boxes[j][i],
+                masks[j], tau, out_size)
             if n_active == 0:
-                diag.n_fully_masked += 1
                 continue
             diag.n_pairs_contributing += 1
             raw_loss += val
@@ -242,12 +238,13 @@ def reference_loss_given_targets(views, n_global, boxmat, params, target_grids, 
 
 def image_crops(batch, b):
     """Image b of a CropBatch as the reference takes it: view grids, nested
-    intersection boxes (None where empty) and one mask (or None) per global."""
+    intersection boxes (``[target][view]``, in view-local, then in
+    target-local coordinates) and one mask (or None) per global."""
     views = list(batch.global_raw[b]) + list(batch.local_raw[b])
-    boxmat = [[None if np.isnan(box[0]) else tuple(box) for box in row]
-              for row in batch.boxes[b]]
+    pred_boxes, target_boxes = ([[tuple(box) for box in row] for row in boxes[b]]
+                                for boxes in (batch.pred_boxes, batch.target_boxes))
     masks = [None if m.all() else m for m in batch.masks[b]]
-    return views, boxmat, masks
+    return views, pred_boxes, target_boxes, masks
 
 
 def reference_total_loss(batch, student, teacher, queue, tau, epsilon, n_iters,
@@ -257,12 +254,12 @@ def reference_total_loss(batch, student, teacher, queue, tau, epsilon, n_iters,
     total, diag = 0.0, loss.PairDiagnostics()
     grads = {name: np.zeros_like(p) for name, p in student.items()}
     for b in range(n_img):
-        views, boxmat, masks = image_crops(batch, b)
+        views, pred_boxes, target_boxes, masks = image_crops(batch, b)
         targets, rows = reference_compute_targets(views, n_global, teacher,
                                                   student["prototypes"], queue,
                                                   epsilon, n_iters)
         val, img_grads, img_diag = reference_loss_given_targets(
-            views, n_global, boxmat, student, targets, masks, tau, out_size)
+            views, n_global, pred_boxes, target_boxes, student, targets, masks, tau, out_size)
         if queue is not None:
             queue.push(rows)
         total += val
@@ -279,10 +276,13 @@ def make_batch(rng, boxes_per_image, raw_dim=8, g=3, l=3, masks=None, n_global=2
     """A CropBatch over hand-placed (x0, y0, x1, y1) boxes, globals first."""
     n_img = len(boxes_per_image)
     views = len(boxes_per_image[0])
+    pred_boxes, target_boxes = crops.pair_boxes(np.array(boxes_per_image, dtype=np.float64),
+                                                n_global)
     return loss.CropBatch(
         global_raw=rng.normal(size=(n_img, n_global, raw_dim, g, g)),
         local_raw=rng.normal(size=(n_img, views - n_global, raw_dim, l, l)),
-        boxes=crops.pair_boxes(np.array(boxes_per_image, dtype=np.float64)),
+        pred_boxes=pred_boxes,
+        target_boxes=target_boxes,
         masks=(np.ones((n_img, n_global, g, g), dtype=np.uint8) if masks is None
                else masks),
     )
@@ -333,15 +333,11 @@ def test_pair_counts_two_globals_four_locals():
     assert diag.n_pairs_contributing == 30
 
 
-def test_disjoint_pairs_are_skipped():
-    rng = np.random.default_rng(7)
-    student, teacher = make_params()
-    batch = make_batch(rng, [DISJOINT_BOXES])
-    _, _, diag = loss.total_loss(batch, student, teacher, None,
-                                 tau=0.1, epsilon=0.05, n_iters=3, out_size=3)
-    assert diag.n_pairs_total == 4
-    assert diag.n_empty_intersections == 2
-    assert diag.n_pairs_contributing == 2
+def test_disjoint_pairs_are_refused():
+    """A local crop that misses both global crops has no pair to score: its
+    boxes are refused, naming the (image, target, view) pairs."""
+    with pytest.raises(ValueError, match=r"do not intersect .* \[\[0, 0, 2\], \[0, 1, 2\]\]"):
+        crops.pair_boxes(np.array([DISJOINT_BOXES]), 2)
 
 
 def test_targets_are_row_stochastic_grids():
@@ -433,26 +429,51 @@ def test_compute_targets_matches_per_image_loop(capacity, dtype):
                 np.testing.assert_array_equal(queue.snapshot(), ref_queue.snapshot())
 
 
-def test_batched_loss_matches_per_image_reference():
-    """Same loss, gradients and pair counts as the per-image reference, for a
-    batch with an empty intersection and a fully masked pair."""
-    rng = np.random.default_rng(13)
-    student, teacher = make_params(seed=3)
-    masks = np.ones((2, 2, 3, 3), dtype=np.uint8)
-    masks[0, 1, :, 2] = 0
-    masks[1, 0] = 0  # every pair that targets this crop is fully masked
-    batch = make_batch(rng, [DISJOINT_BOXES, DISJOINT_BOXES[::-1][1:] + DISJOINT_BOXES[2:]],
-                       masks=masks)
+def assert_matches_reference(batch, student, teacher):
+    """The batched total_loss has the per-image reference's pair counts, and
+    its loss and gradients to rel 1e-12; returns the counts."""
     got, grads, diag = loss.total_loss(batch, student, teacher, None,
                                        tau=0.1, epsilon=0.05, n_iters=3, out_size=3)
     ref, ref_grads, ref_diag = reference_total_loss(batch, student, teacher, None,
                                                     tau=0.1, epsilon=0.05, n_iters=3,
                                                     out_size=3)
     assert diag == ref_diag
-    assert diag.n_empty_intersections > 0 and diag.n_fully_masked > 0
     assert got == pytest.approx(ref, rel=1e-12)
     for name in student:
         assert rel_err(grads[name], ref_grads[name]) < 1e-12, name
+    return diag
+
+
+def test_batched_loss_matches_per_image_reference():
+    """Same loss, gradients and pair counts as the per-image reference, for a
+    batch with a partly and a fully masked target."""
+    rng = np.random.default_rng(13)
+    student, teacher = make_params(seed=3)
+    masks = np.ones((2, 2, 3, 3), dtype=np.uint8)
+    masks[0, 1, :, 2] = 0
+    masks[1, 0] = 0  # every pair that targets this crop is fully masked
+    boxes = overlapping_boxes(2, 1)
+    batch = make_batch(rng, [boxes, [boxes[1], boxes[0], boxes[2]]], masks=masks)
+    diag = assert_matches_reference(batch, student, teacher)
+    assert diag.n_pairs_contributing < diag.n_pairs_total
+
+
+@pytest.mark.parametrize("n_global,n_local", [(1, 1), (1, 3), (2, 0), (3, 2), (4, 1)])
+def test_batched_loss_matches_per_image_reference_at_any_grid(n_global, n_local):
+    """The (B, G, V - 1) pair grid at other global and local crop counts: same
+    loss, gradients and pair counts as the per-image reference, with the last
+    target of image 0 fully masked and another target partly masked."""
+    rng = np.random.default_rng([15, n_global, n_local])
+    student, teacher = make_params(seed=5)
+    masks = np.ones((2, n_global, 3, 3), dtype=np.uint8)
+    masks[0, -1] = 0
+    masks[1, 0, 1:, :2] = 0
+    boxes = overlapping_boxes(n_global, n_local)
+    batch = make_batch(rng, [boxes, boxes[::-1][n_local:] + boxes[n_global:]], masks=masks,
+                       n_global=n_global)
+    diag = assert_matches_reference(batch, student, teacher)
+    assert diag.n_pairs_total == 2 * n_global * (n_global + n_local - 1)
+    assert diag.n_pairs_contributing == diag.n_pairs_total - (n_global + n_local - 1)
 
 
 def fd_check(batch, student, targets, tau=0.1, out_size=3):
@@ -481,20 +502,20 @@ def fd_check(batch, student, targets, tau=0.1, out_size=3):
 
 def test_full_gradient_suite_matches_fd():
     """All student parameters through the batched loss, FD in f64, B = 2: image
-    0 has an empty intersection, image 1 a fully masked pair."""
+    0 has a partly masked target, image 1 a fully masked one."""
     rng = np.random.default_rng(11)
     student, teacher = make_params(raw_dim=8, k=5, seed=12)
     masks = np.ones((2, 2, 3, 3), dtype=np.uint8)
     masks[0, 0, 0, 0] = 0
     masks[1, 1] = 0
     local = (0.2, 0.25, 0.6, 0.65)
-    batch = make_batch(rng, [DISJOINT_BOXES, overlapping_boxes(2, 0) + [local]], masks=masks)
+    batch = make_batch(rng, [DISJOINT_BOXES[:2] + [(0.1, 0.2, 0.4, 0.6)],
+                             overlapping_boxes(2, 0) + [local]], masks=masks)
     targets, _ = loss.compute_targets(batch, teacher, student["prototypes"],
                                       None, epsilon=0.05, n_iters=3)
     worst, diag = fd_check(batch, student, targets)
-    assert diag.n_empty_intersections == 2
-    assert diag.n_fully_masked == 2
-    assert diag.n_pairs_contributing == 4
+    # the two pairs that target image 1's masked crop are the only ones left out
+    assert (diag.n_pairs_total, diag.n_pairs_contributing) == (8, 6)
     assert worst < 1e-4
 
 

@@ -50,14 +50,16 @@ def test_crop_batch_stacks_each_images_crops():
         batch = training.crop_batch(raws, attn_stacks, seeds, cfg)
         assert batch.global_raw.shape == (3, 2, 16, 5, 5)
         assert batch.local_raw.shape == (3, 2, 16, 3, 3)
-        assert batch.boxes.shape == (3, 4, 4, 4)
+        assert batch.pred_boxes.shape == batch.target_boxes.shape == (3, 2, 4, 4)
         for b, (raw, seed) in enumerate(zip(raws, seeds)):
             boxes = crops.sample_crops(cfg.crop_spec(), np.random.default_rng(seed))
             for i, box in enumerate(boxes):
                 grid = batch.global_raw[b, i] if i < 2 else batch.local_raw[b, i - 2]
                 np.testing.assert_allclose(grid, crops.align(raw, box, *grid.shape[1:]),
                                            atol=1e-6)
-            np.testing.assert_array_equal(batch.boxes[b], crops.pair_boxes(boxes))
+            in_view, in_target = crops.pair_boxes(boxes, 2)
+            np.testing.assert_array_equal(batch.pred_boxes[b], in_view)
+            np.testing.assert_array_equal(batch.target_boxes[b], in_target)
             for i, box in enumerate(boxes[:2]):
                 expected = (np.ones((5, 5)) if attn_stacks is None
                             else attention.foreground_mask(np.maximum(
