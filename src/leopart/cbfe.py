@@ -142,17 +142,10 @@ def read_foreground_map(path: str | Path) -> np.ndarray:
     malformed entry.
     """
     theta = []
-    for lineno, line in enumerate(tensor_io.read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        try:
-            ok = (len(fields) == 3 and int(fields[0]) == len(theta)
-                  and 0.0 <= float(fields[1]) <= 1.0 and fields[2] in ("fg", "bg"))
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{path}:{lineno}: expected '{len(theta)} <precision> fg|bg', "
-                             f"got {line.strip()!r}")
-        theta.append(fields[2] == "fg")
+    for where, fields in tensor_io.read_lines(path)[1]:
+        with tensor_io.named_line(where, fields):
+            if not (len(fields) == 3 and fields[0] == str(len(theta))
+                    and 0.0 <= float(fields[1]) <= 1.0 and fields[2] in ("fg", "bg")):
+                raise ValueError(f"expected '{len(theta)} <precision> fg|bg'")
+            theta.append(fields[2] == "fg")
     return np.array(theta, dtype=bool)

@@ -21,8 +21,9 @@ A downstream stage reads an upstream directory, or a file in it, only
 through that manifest (:func:`read_outputs`); ``--fg-map`` and ``--graph``
 take the ``cbfe`` and ``cooc`` directory, whose listed ``fg_map.txt`` and
 ``graph.txt`` are read, or that file itself. The stage refuses, with a
-``ManifestError``, a missing manifest, a listed file that is missing or
-whose size or sha256 differs, and a file argument that is not listed. It
+``ManifestError``, a missing manifest, a malformed line or a name listed
+twice in it, a listed file that is missing or whose size or sha256
+differs, and a file argument that is not listed. It
 also refuses two inputs that record different digests of one upstream
 manifest: ``cbfe`` clusters made from another ``--data`` manifest, and
 ``cooc`` an fg map made from other clusters. ``--data`` names a dataset
@@ -82,9 +83,9 @@ class StageOutputs:
 
 def read_outputs(path: str | Path, command: str) -> StageOutputs:
     """The manifest of the *command* run that wrote *path*, its output
-    directory or a file in it. Each listed file must have the recorded size
-    and sha256, and a file *path* must be listed; else a ``ManifestError``
-    names the directory or file."""
+    directory or a file in it, each name listed once. Each listed file must
+    have the recorded size and sha256, and a file *path* must be listed;
+    else a ``ManifestError`` names the line, directory or file."""
     path = Path(path)
     if not path.exists():
         raise tensor_io.ManifestError(f"{path}: no such file or directory")
@@ -93,17 +94,23 @@ def read_outputs(path: str | Path, command: str) -> StageOutputs:
     if not manifest.is_file():
         raise tensor_io.ManifestError(
             f"{root}: no {manifest.name}; no `{command}` run into it has finished")
-    text = tensor_io.read_text(manifest)
+    text, lines = tensor_io.read_lines(manifest)
     listed: dict[str, tuple[int, str]] = {}
     inputs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        key, *fields = line.split() or [""]
-        if key == "output" and len(fields) == 3 and fields[1].isdecimal():
-            listed[fields[0]] = int(fields[1]), fields[2]
-        elif key == "input" and len(fields) == 2:
-            inputs[fields[0]] = fields[1]
-        elif key not in ("command", "config_hash", "warnings"):
-            raise tensor_io.ManifestError(f"{manifest}:{lineno}: malformed line {line!r}")
+    for where, fields in lines:
+        with tensor_io.named_line(where, fields, tensor_io.ManifestError):
+            key, *rest = fields
+            if key == "output" and len(rest) == 3 and rest[1].isdecimal():
+                table, name, value = listed, rest[0], (int(rest[1]), rest[2])
+            elif key == "input" and len(rest) == 2:
+                table, (name, value) = inputs, rest
+            elif key in ("command", "config_hash", "warnings"):
+                continue
+            else:
+                raise ValueError("malformed line")
+            if name in table:
+                raise ValueError(f"{key} {name} listed twice")
+            table[name] = value
     for name, (size, digest) in listed.items():
         try:
             content = (root / name).read_bytes()
@@ -113,7 +120,7 @@ def read_outputs(path: str | Path, command: str) -> StageOutputs:
         if len(content) != size or _sha256(content) != digest:
             raise tensor_io.ManifestError(
                 f"{root / name}: not the {size}-byte file whose sha256 {manifest} records")
-    outputs = StageOutputs(manifest, _sha256(text.encode()),  # the bytes read_text decoded
+    outputs = StageOutputs(manifest, _sha256(text.encode()),  # the bytes read_lines decoded
                            {name: root / name for name in listed}, inputs)
     if path != root:
         outputs.file(path.name)

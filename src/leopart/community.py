@@ -9,7 +9,6 @@ without edges go to background.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -475,22 +474,6 @@ def write_graph(graph: CoocGraph, path: str | Path) -> None:
     tensor_io.write_text(path, "\n".join(lines) + "\n")
 
 
-def _content_lines(path: str | Path) -> list[tuple[str, list[str]]]:
-    """("<path>: line <n>", fields) for each non-blank line of *path*."""
-    lines = tensor_io.read_text(path).splitlines()
-    return [(f"{path}: line {i}", ln.split()) for i, ln in enumerate(lines, start=1)
-            if ln.strip()]
-
-
-@contextmanager
-def _named(where: str, fields: list[str]):
-    """Re-raise a ValueError from parsing *fields* naming the file and line."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}: {' '.join(fields)!r}") from None
-
-
 def _node_id(text: str, n: int) -> int:
     node = int(text)
     if not 0 <= node < n:
@@ -501,22 +484,33 @@ def _node_id(text: str, n: int) -> int:
 def read_graph(path: str | Path) -> CoocGraph:
     """The graph of a :func:`write_graph` file. Every node needs its ``node``
     line, which bounds the header's node count before the dense weights are
-    allocated. Raises ``ValueError`` naming the file (and line)."""
-    lines = _content_lines(path)
+    allocated; node counts are at least 0, and each edge ``i j w`` is listed
+    once, with i < j and 0 < w <= 1. Raises ``ValueError`` naming the file
+    (and line)."""
+    lines = tensor_io.read_lines(path)[1]
     if not lines or lines[0][1][0] != "nodes":
         raise ValueError(f"{path}: missing node-count header")
-    with _named(*lines[0]):
-        _, n = lines[0][1]
-        n = int(n)
-    nodes, edges = [], []
-    for where, fields in lines[1:]:
-        with _named(where, fields):
-            if fields[0] == "node":
+    nodes, edges = [], {}
+    for i, (where, fields) in enumerate(lines):
+        with tensor_io.named_line(where, fields):
+            if i == 0:
+                _, n = fields
+                n = int(n)
+            elif fields[0] == "node":
                 _, node, count = fields
+                if int(count) < 0:
+                    raise ValueError(f"node count {count} is negative")
                 nodes.append((_node_id(node, n), int(count)))
             else:
                 a, b, w = fields
-                edges.append((_node_id(a, n), _node_id(b, n), float(w)))
+                edge, w = (_node_id(a, n), _node_id(b, n)), float(w)
+                if not edge[0] < edge[1]:
+                    raise ValueError(f"edge {a} {b} is not listed as i < j")
+                if edge in edges:
+                    raise ValueError(f"edge {a} {b} is listed twice")
+                if not 0 < w <= 1:  # NaN too
+                    raise ValueError(f"weight {w} is not in (0, 1]")
+                edges[edge] = w
     ids = {node for node, _ in nodes}
     if len(nodes) != n or len(ids) != n:
         raise ValueError(f"{path}: expected one node line for each of the {n} nodes, "
@@ -524,7 +518,7 @@ def read_graph(path: str | Path) -> CoocGraph:
     weights, counts = np.zeros((n, n)), np.zeros(n, dtype=np.int64)
     for node, count in nodes:
         counts[node] = count
-    for i, j, w in edges:
+    for (i, j), w in edges.items():
         weights[i, j] = weights[j, i] = w
     return CoocGraph(weights=weights, node_counts=counts)
 
@@ -537,11 +531,18 @@ def write_partition(partition: Partition, path: str | Path) -> None:
 
 
 def read_partition(path: str | Path) -> Partition:
-    lines = _content_lines(path)
+    """The partition of a :func:`write_partition` file: nodes 0..n-1, each
+    once and in order, each with a community id of at least 0 or ``bg``.
+    Raises ``ValueError`` naming the file and line."""
+    lines = tensor_io.read_lines(path)[1]
     assignment = np.full(len(lines), BACKGROUND, dtype=np.int64)
-    for where, fields in lines:
-        with _named(where, fields):
-            node, comm = fields
+    for node, (where, fields) in enumerate(lines):
+        with tensor_io.named_line(where, fields):
+            listed, comm = fields
+            if _node_id(listed, len(lines)) != node:
+                raise ValueError(f"node {listed} is listed where node {node} belongs")
             if comm != "bg":
-                assignment[_node_id(node, len(lines))] = int(comm)
+                assignment[node] = int(comm)
+                if assignment[node] < 0:
+                    raise ValueError(f"community id {comm} is negative")
     return Partition(assignment)

@@ -49,6 +49,8 @@ class SynthSpec:
             raise ValueError("parts_per_object must be >= 1")
         if self.n_bg_parts < 1:
             raise ValueError(f"n_bg_parts must be >= 1, got {self.n_bg_parts}")
+        if not 0 <= self.min_angle_deg <= 180:  # NaN too
+            raise ValueError(f"min_angle_deg must be in [0, 180], got {self.min_angle_deg}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.objects_per_image[0] <= self.objects_per_image[1]:

@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -110,6 +111,25 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def read_lines(path: str | Path) -> tuple[str, list[tuple[str, list[str]]]]:
+    """The UTF-8 text of *path*, and ``("<path>:<n>", fields)`` for each of
+    its non-blank lines: n counts every line from 1, and the fields are the
+    line split at whitespace."""
+    text = read_text(path)
+    return text, [(f"{path}:{n}", fields) for n, line in enumerate(text.splitlines(), start=1)
+                  if (fields := line.split())]
+
+
+@contextmanager
+def named_line(where: str, fields: list[str], error: type[ValueError] = ValueError):
+    """Re-raise a ``ValueError`` from parsing the line *fields* at *where*
+    (``"<path>:<n>"``) as *error* ``"<where>: <reason>: '<line>'"``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{where}: {exc}: {' '.join(fields)!r}") from None
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Write a text artifact atomically.
 
@@ -181,6 +201,10 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return t
 
 
+RECORD_FIELDS = ("id", "feature", "attention", "mask")
+HEADER_SIZES = {"grid": 2, "dim": 1}  # "# grid=HxW", "# dim=D"
+
+
 @dataclass
 class ManifestRecord:
     id: str
@@ -210,56 +234,35 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and validate a manifest file."""
+    """Parse and validate a manifest file: a record holds only
+    ``RECORD_FIELDS``, each at most once, and ``id`` and ``feature`` always;
+    ids are unique, and ``# grid=HxW`` and ``# dim=D`` values at least 1.
+    Raises ``ManifestError`` naming the file and line."""
     path = Path(path)
-    token_grid = None
-    feature_dim = None
-    records: list[ManifestRecord] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            meta = line.lstrip("#").strip()
-            try:
-                if meta.startswith("grid="):
-                    h, w = meta.removeprefix("grid=").split("x")
-                    token_grid = (int(h), int(w))
-                elif meta.startswith("dim="):
-                    feature_dim = int(meta.removeprefix("dim="))
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed {meta!r}: {exc}") from None
-            continue
-        fields = {}
-        for part in line.split():
-            if "=" not in part:
-                raise ManifestError(f"{path}:{lineno}: malformed field {part!r}")
-            key, value = part.split("=", 1)
-            fields[key] = value
-        if "id" not in fields:
-            raise ManifestError(f"{path}:{lineno}: missing id")
-        if "feature" not in fields:
-            raise ManifestError(
-                f"{path}:{lineno}: record {fields['id']!r} missing feature path"
-            )
-        if fields["id"] in seen:
-            raise ManifestError(f"{path}: duplicate id {fields['id']!r}")
-        seen.add(fields["id"])
-        records.append(
-            ManifestRecord(
-                id=fields["id"],
-                feature_path=Path(fields["feature"]),
-                attention_path=Path(fields["attention"]) if "attention" in fields else None,
-                mask_path=Path(fields["mask"]) if "mask" in fields else None,
-            )
-        )
-    return DatasetManifest(
-        records=records,
-        token_grid=token_grid,
-        feature_dim=feature_dim,
-        root=path.parent,
-    )
+    header: dict[str, tuple[int, ...]] = {}
+    records: dict[str, ManifestRecord] = {}
+    for where, fields in read_lines(path)[1]:
+        with named_line(where, fields, ManifestError):
+            if fields[0].startswith("#"):
+                key, eq, value = " ".join(fields).lstrip("#").strip().partition("=")
+                if eq and key in HEADER_SIZES:
+                    header[key] = tuple(int(size) for size in value.split("x"))
+                    if len(header[key]) != HEADER_SIZES[key] or min(header[key]) < 1:
+                        raise ValueError("expected # grid=HxW or # dim=D, sizes at least 1")
+                continue
+            values: dict[str, str] = {}
+            for key, eq, value in (part.partition("=") for part in fields):
+                if not eq or key not in RECORD_FIELDS or key in values:
+                    raise ValueError(f"{'repeated' if key in values else 'unknown'} field {key!r}")
+                values[key] = value
+            if "id" not in values or "feature" not in values:
+                raise ValueError("a record needs an id and a feature")
+            if values["id"] in records:
+                raise ValueError(f"duplicate id {values['id']!r}")
+            records[values["id"]] = ManifestRecord(values["id"], **{
+                f"{key}_path": Path(value) for key, value in values.items() if key != "id"})
+    return DatasetManifest(list(records.values()), header.get("grid"),
+                           header.get("dim", (None,))[0], path.parent)
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -70,6 +70,14 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:  # token_dim None: the raw token dim
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.n_prototypes == 1:  # every token is assigned to it, so the loss is 0
+            raise ValueError("n_prototypes must be at least 2 for a non-zero loss, got 1")
+        if self.out_dim == 1:  # d(z / |z|) / dz is 0 in one dimension
+            raise ValueError("out_dim must be at least 2 for a gradient to reach the head: "
+                             "a 1-d projection normalizes to +-1, got 1")
+        if self.fg_masking == "bg" and self.global_grid == 1:
+            raise ValueError("fg_masking = bg needs global_grid of at least 2: the one cell "
+                             "of a 1x1 crop is always foreground, so every pair is masked")
         self.crop_spec()  # checks the crop ranges
 
     def crop_spec(self) -> crops.CropSpec:
@@ -199,10 +207,17 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
     the epoch and the image, so a run resumed from the checkpoint of any
     step continues the uninterrupted one exactly. ``stop_after`` ends the run
     once the state reaches that step (counted from step 0), leaving a
-    resumable checkpoint; a state already there takes no step.
+    resumable checkpoint; a state already there takes no step. Masking
+    (``cfg.fg_masking`` ``"fg"`` or ``"bg"``) needs the dataset's attention:
+    without it, ``ManifestError`` names the key. A run whose masks leave no
+    cell of any crop pair, in any step, learns nothing: ``ValueError``.
     """
     dataset = tensor_io.Dataset(manifest)
     features, attn_stacks = dataset.features, dataset.attn_stacks
+    if attn_stacks is None and cfg.fg_masking != "all":
+        raise tensor_io.ManifestError(
+            f"[train] fg_masking = {cfg.fg_masking} masks crops by attention, and the dataset "
+            f"under {manifest.root} has none; set fg_masking = all to train unmasked")
     n_images, raw_dim = features.shape[:2]
     steps_per_epoch = (n_images + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -220,6 +235,10 @@ def train(manifest: tensor_io.DatasetManifest, cfg: TrainConfig,
         seeds = [[cfg.seed, 13, epoch, int(i)] for i in idxs]
         train_step(features[idxs], None if attn_stacks is None else attn_stacks[idxs],
                    state, cfg, total_steps, seeds)
+    if state.losses and not any(loss for _, loss in state.losses):
+        # a pair with one unmasked cell has a positive cross-entropy
+        raise ValueError(f"[train] fg_masking = {cfg.fg_masking} masked every crop pair of all "
+                         f"{len(state.losses)} steps: the loss is 0 and nothing was learned")
     return checkpoint_from_state(state, cfg), state.losses
 
 

@@ -344,7 +344,7 @@ def test_communities_rejects_malformed_graph(tmp_path, capsys, edge):
     graph.write_text(f"nodes 3\n{edge}\n")
     commit(tmp_path, "cooc", {})
     assert cli.main(["communities", "--graph", str(graph), "--out", str(tmp_path / "comm")]) == 1
-    assert f"{graph}: line 2" in capsys.readouterr().err
+    assert f"{graph}:2: " in capsys.readouterr().err
 
 
 def test_eval_unsupseg_prints_final_miou(workspace, capsys):
@@ -591,6 +591,13 @@ def test_train_rejects_queue_capacity_below_one(workspace, tmp_path, capsys, cap
      "[train] n_global + n_local must be at least 2 for a crop pair, got 1 + 0"),
     ("[synth]\nn_objects = -1", "[synth] n_objects must be >= 0, got -1"),
     ("[synth]\nn_bg_parts = 0", "[synth] n_bg_parts must be >= 1, got 0"),
+    ("[train]\nn_prototypes = 1", "[train] n_prototypes must be at least 2 for a non-zero "
+     "loss, got 1"),
+    ("[train]\nfg_masking = bg\nglobal_grid = 1", "[train] fg_masking = bg needs global_grid "
+     "of at least 2: the one cell of a 1x1 crop is always foreground, so every pair is masked"),
+    ("[train]\nout_dim = 1", "[train] out_dim must be at least 2 for a gradient to reach the "
+     "head: a 1-d projection normalizes to +-1, got 1"),
+    ("[synth]\nmin_angle_deg = nan", "[synth] min_angle_deg must be in [0, 180], got nan"),
 ])
 def test_every_command_rejects_an_out_of_range_setting(workspace, tmp_path, capsys,
                                                        setting, message):
@@ -820,6 +827,30 @@ def test_probe_refuses_a_single_image(workspace, tmp_path, capsys):
                    f"rest: {data} has only 1\n")
 
 
+def test_train_masks_only_with_attention(workspace, tmp_path, capsys):
+    """fg and bg masking refuse a dataset without attention, naming the
+    key, before any step; fg_masking = all trains on it."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = data / "manifest.txt"
+    manifest.write_text("\n".join(" ".join(f for f in line.split() if not f.startswith("atten"))
+                                  for line in manifest.read_text().splitlines()) + "\n")
+    cfg = tmp_path / "run.cfg"
+    for masking in ("fg", "bg", "all"):
+        cfg.write_text(SMALL_CFG.replace("[train]\n", f"[train]\nfg_masking = {masking}\n"))
+        capsys.readouterr()
+        code = cli.main(["--config", str(cfg), "train", "--data", str(data),
+                         "--out", str(tmp_path / masking)])
+        out, err = capsys.readouterr()
+        if masking == "all":
+            assert code == 0 and float(out.split()[-1]) > 0
+        else:
+            assert code == 1 and not (tmp_path / masking / "checkpoint.lpc").exists()
+            assert err == (f"error: [train] fg_masking = {masking} masks crops by attention, "
+                           f"and the dataset under {data} has none; set fg_masking = all to "
+                           "train unmasked\n")
+
+
 @pytest.mark.parametrize("command", ["cbfe", "cooc"])
 def test_cluster_maps_of_another_shape_name_the_file(workspace, tmp_path, capsys, command):
     clusters = tmp_path / "clusters"
@@ -933,6 +964,24 @@ def test_cooc_refuses_an_fg_map_of_another_cluster_run(workspace, tmp_path, caps
                      "--out", str(tmp_path / "cooc"), "--fg-map", str(fg1 / "fg_map.txt")]) == 1
     assert capsys.readouterr().err == (f"error: {fg1 / 'cbfe_outputs.txt'}: made from another "
                                        "cluster_outputs.txt than this run reads\n")
+
+
+@pytest.mark.parametrize("kind", ["output", "input"])
+def test_a_file_or_input_listed_twice_is_refused(tmp_path, kind):
+    """A second record of one name is refused, not read over the first: a
+    first ``output`` line with a wrong digest and a second, right one."""
+    (tmp_path / "a.txt").write_text("a\n")
+    commit(tmp_path, "cooc", {"cluster_outputs.txt": "0" * 64})
+    manifest = tmp_path / "cooc_outputs.txt"
+    lines = manifest.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith(kind))
+    first = lines[n].replace(lines[n].split()[-1], "f" * 64)
+    lines.insert(n, first)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(tensor_io.ManifestError) as exc:
+        cli.read_outputs(tmp_path, "cooc")
+    name = lines[n].split()[1]
+    assert str(exc.value) == f"{manifest}:{n + 2}: {kind} {name} listed twice: {lines[n + 1]!r}"
 
 
 def test_an_input_must_exist_and_be_listed(workspace, tmp_path, capsys):

@@ -667,9 +667,11 @@ def test_graph_read_rejects_missing_header(tmp_path):
     ("nodes\n", "line 1: not enough values"),
 ])
 def test_graph_read_names_the_malformed_line(tmp_path, text, message):
+    """The error begins "<file>:<n>: ", where *message* names line n."""
     path = tmp_path / "graph.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+    pattern = f"^{re.escape(str(path))}:{message.removeprefix('line ')}"
+    with pytest.raises(ValueError, match=pattern):
         community.read_graph(path)
 
 
@@ -692,10 +694,48 @@ def test_graph_read_requires_one_node_line_per_node(tmp_path, text, message):
     ("0 1 2\n", "line 1: too many values"),
 ])
 def test_partition_read_names_the_malformed_line(tmp_path, text, message):
+    """The error begins "<file>:<n>: ", where *message* names line n."""
     path = tmp_path / "part.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+    pattern = f"^{re.escape(str(path))}:{message.removeprefix('line ')}"
+    with pytest.raises(ValueError, match=pattern):
         community.read_partition(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1 2 nan", "weight nan is not in (0, 1]"),
+    ("1 2 0", "weight 0.0 is not in (0, 1]"),
+    ("1 2 1.5", "weight 1.5 is not in (0, 1]"),
+    ("1 1 0.5", "edge 1 1 is not listed as i < j"),
+    ("2 1 0.5", "edge 2 1 is not listed as i < j"),
+    ("0 1 0.25", "edge 0 1 is listed twice"),
+    ("node 2 -4", "node count -4 is negative"),
+])
+def test_graph_read_refuses_what_write_graph_never_writes(tmp_path, line, message):
+    """Each edge once, as i < j with a weight in (0, 1], and node counts of
+    at least 0: the error names the file and line and quotes the line."""
+    path = tmp_path / "graph.txt"
+    path.write_text(f"nodes 3\nnode 0 4\nnode 1 5\nnode 2 6\n0 1 0.5\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        community.read_graph(path)
+    assert str(exc.value) == f"{path}:6: {message}: {line!r}"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("0 0\n0 1\n", 2, "node 0 is listed where node 1 belongs: '0 1'"),
+    ("1 0\n0 0\n", 1, "node 1 is listed where node 0 belongs: '1 0'"),
+    ("0 0\n1 -5\n", 2, "community id -5 is negative: '1 -5'"),
+    ("0 -1\n1 0\n", 1, "community id -1 is negative: '0 -1'"),
+])
+def test_partition_read_refuses_what_write_partition_never_writes(tmp_path, text, where,
+                                                                  message):
+    """Nodes 0..n-1, each once and in order, and a community id of at least
+    0 or bg (never -1, the value of background)."""
+    path = tmp_path / "part.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        community.read_partition(path)
+    assert str(exc.value) == f"{path}:{where}: {message}"
 
 
 def test_disconnect_drops_only_the_edges_of_dropped_nodes():

@@ -197,6 +197,31 @@ def test_valid_text_artifacts_load(tmp_path, name, reader):
     assert reader(path) is not None
 
 
+@pytest.mark.parametrize("name", [*VALID_TEXT, "outputs"])
+def test_every_text_reader_skips_blank_lines(tmp_path, name):
+    """A blank or whitespace-only line, anywhere, changes nothing that a
+    text reader returns (an outputs manifest's digest is of the bytes read)."""
+    readers = {
+        "manifest": (tensor_io.load_manifest, lambda m: (m.records, m.token_grid, m.feature_dim)),
+        "graph": (community.read_graph, lambda g: (g.weights.tolist(), g.node_counts.tolist())),
+        "partition": (community.read_partition, lambda p: p.assignment.tolist()),
+        "fg_map": (cbfe.read_foreground_map, lambda theta: theta.tolist()),
+        "outputs": (lambda p: cli.read_outputs(p.parent, "cluster"),
+                    lambda o: (sorted(o.files), o.inputs)),
+    }
+    reader, summary = readers[name]
+    text = valid_outputs(tmp_path) if name == "outputs" else VALID_TEXT[name]
+    file = "cluster_outputs.txt" if name == "outputs" else f"{name}.txt"
+    spaced = b"\n \t\n" + text.replace(b"\n", b"\n\n  \n")
+    read = []
+    for variant, data in (("plain", text), ("spaced", spaced)):
+        (tmp_path / variant).mkdir()
+        (tmp_path / variant / "a.lpt").write_bytes(valid_tensor())
+        (tmp_path / variant / file).write_bytes(data)
+        read.append(summary(reader(tmp_path / variant / file)))
+    assert read[0] == read[1]
+
+
 FAILING_FUZZ_TEST = """
 from hypothesis import given, strategies as st
 

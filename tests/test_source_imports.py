@@ -7,6 +7,9 @@ name bound by ``from . import …`` or ``from .module import …`` must be
 read somewhere in the module. An import line marked ``# noqa: F401`` is a
 deliberate re-export and is exempt.
 
+Text artifacts have one line reader, ``tensor_io.read_lines``: no other
+module of the package calls ``.splitlines()``.
+
 The public-API inventory parses ``src/`` and ``perfbench/`` the same way:
 a public module-level ``def`` or ``class`` must be named, as an
 ``ast.Name`` or ``ast.Attribute``, outside its own definition, or be one of
@@ -55,6 +58,29 @@ def test_finds_an_unused_relative_import_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_relative_import_is_used(path):
     assert unused_relative_imports(path.read_text()) == []
+
+
+def line_splits(source: str) -> list[int]:
+    """The line of each ``.splitlines()`` call in *source*."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "splitlines")
+
+
+def test_finds_a_line_split():
+    source = ("text = read_text(path)\n"
+              "lines = text.splitlines()\n"
+              "def rows(path):\n"
+              "    # splitlines in a comment, and 'splitlines' in a string, are no call\n"
+              "    return [ln.split() for ln in Path(path).read_text().splitlines(True)]\n")
+    assert line_splits(source) == [2, 5]
+
+
+def test_only_tensor_io_splits_text_into_lines():
+    """Every other module reads a text artifact through ``read_lines``."""
+    splits = {path.name: line_splits(path.read_text()) for path in sorted(SRC.glob("*.py"))
+              if path.name != "tensor_io.py"}
+    assert {name: lines for name, lines in splits.items() if lines} == {}
 
 
 def uncalled_public_names(sources: dict[str, str], modules: set[str]) -> set[str]:

@@ -99,6 +99,26 @@ def test_manifest_missing_feature(tmp_path):
         tensor_io.load_manifest(mpath)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("id=img2 feature=b.lpt atention=b_attn.lpt", "unknown field 'atention'"),
+    ("id=img2 feature=b.lpt feature=c.lpt", "repeated field 'feature'"),
+    ("id=img2 feature=b.lpt b_attn.lpt", "unknown field 'b_attn.lpt'"),
+    ("id=img1 feature=b.lpt", "duplicate id 'img1'"),
+    ("feature=b.lpt", "a record needs an id and a feature"),
+    ("# grid=0x5", "expected # grid=HxW or # dim=D, sizes at least 1"),
+    ("# dim=-3", "expected # grid=HxW or # dim=D, sizes at least 1"),
+])
+def test_manifest_refuses_what_write_manifest_never_writes(tmp_path, line, message):
+    """A record holds id, feature, attention and mask, each at most once;
+    grid and dim sizes are at least 1. The error names the file and line
+    and quotes the line."""
+    mpath = tmp_path / "manifest.txt"
+    mpath.write_text(f"# dim=4\n\nid=img1 feature=a.lpt\n{line}\n")
+    with pytest.raises(tensor_io.ManifestError) as exc:
+        tensor_io.load_manifest(mpath)
+    assert str(exc.value) == f"{mpath}:4: {message}: {line!r}"
+
+
 def test_manifest_dim_mismatch_on_first_load(tmp_path):
     """A ``# dim=`` or ``# grid=`` header that the feature stack does not
     match is refused once for the stack, naming its first record."""
